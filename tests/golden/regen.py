@@ -140,6 +140,7 @@ def mini_chaos() -> dict:
     format itself."""
     from repro.faults import FaultPlan, run_chaos
     from repro.obs.postmortem import bundle_jsonl
+    from repro.obs.scorecard import scorecard_json
 
     plan = FaultPlan()
     plan.channel_loss(2.0, "edge", duration=1.0, loss=0.08, duplicate=0.02,
@@ -156,6 +157,7 @@ def mini_chaos() -> dict:
         "fault_actions": len(report.fault_log),
         "alert_timeline_sha256": sha256_text(report.alert_timeline_jsonl),
         "alert_transitions": len(report.alert_timeline),
+        "scorecard_sha256": sha256_text(scorecard_json(report.scorecard)),
         "postmortem_sha256": sha256_text(
             "".join(bundle_jsonl(b) for b in report.postmortems)),
         "postmortem_bundles": len(report.postmortems),
@@ -175,6 +177,53 @@ def mini_chaos() -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# Workload 4 — controller pool: chaos gauntlet + autoscale lifecycle
+# ----------------------------------------------------------------------
+def pool_runs() -> dict:
+    """The two pool scenarios on seed 1: the pool event log, the fault
+    log and the detection scorecard of the chaos gauntlet (health on —
+    the engine is read-only, so the logs are the same either way), and
+    the event log of the flash-crowd autoscale lifecycle."""
+    from repro.cluster import run_pool_autoscale, run_pool_chaos
+    from repro.obs.scorecard import scorecard_json
+
+    chaos = run_pool_chaos(seed=1, health=True)
+    autoscale = run_pool_autoscale(seed=1)
+    return {
+        "chaos_events_sha256": sha256_text(chaos.pool_events_jsonl),
+        "chaos_events": len(chaos.pool_events),
+        "chaos_fault_log_sha256": sha256_text(chaos.fault_log_jsonl),
+        "chaos_scorecard_sha256": sha256_text(scorecard_json(chaos.scorecard)),
+        "chaos_packet_ins": chaos.packet_ins_total,
+        "autoscale_events_sha256": sha256_text(autoscale.pool_events_jsonl),
+        "autoscale_events": len(autoscale.pool_events),
+        "autoscale_packet_ins": autoscale.packet_ins_total,
+    }
+
+
+# ----------------------------------------------------------------------
+# Workload 5 — sampled-telemetry scorecard sweep (poll + 1-in-10)
+# ----------------------------------------------------------------------
+def telemetry_card() -> dict:
+    """A small accuracy/overhead sweep; ``controller_cpu_share`` is the
+    one wall-clock-derived field, zeroed so the canonical JSON digest
+    pins everything else."""
+    from repro.telemetry.scorecard import (
+        run_telemetry_scorecard,
+        telemetry_scorecard_json,
+    )
+
+    card = run_telemetry_scorecard(seed=1, duration=4.0, attack_rate=500.0,
+                                   elephants=3, mice=3, periods=(10,))
+    for run in card.runs:
+        run.controller_cpu_share = 0.0
+    return {
+        "scorecard_sha256": sha256_text(telemetry_scorecard_json(card)),
+        "runs": len(card.runs),
+    }
+
+
 def build_golden() -> dict:
     import tempfile
 
@@ -186,6 +235,8 @@ def build_golden() -> dict:
             "engine": engine_workload(),
             "traced_run": traced_run(tmp),
             "mini_chaos": mini_chaos(),
+            "pool": pool_runs(),
+            "telemetry": telemetry_card(),
             "schemas": schema_versions(),
         }
 

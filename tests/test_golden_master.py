@@ -65,5 +65,13 @@ def test_chaos_fault_and_alert_jsonl_are_byte_identical(golden):
     _assert_section(golden["mini_chaos"], regen.mini_chaos(), "mini_chaos")
 
 
+def test_pool_event_fault_and_scorecard_digests_are_golden(golden):
+    _assert_section(golden["pool"], regen.pool_runs(), "pool")
+
+
+def test_telemetry_scorecard_json_is_golden(golden):
+    _assert_section(golden["telemetry"], regen.telemetry_card(), "telemetry")
+
+
 def test_schema_versions_are_pinned(golden):
     _assert_section(golden["schemas"], regen.schema_versions(), "schemas")
