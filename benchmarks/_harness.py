@@ -40,6 +40,8 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.metrics.stats import percentile
+
 OUTPUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
 
 #: Median wall-time regressions beyond this fraction get a WARN flag.
@@ -55,20 +57,6 @@ def peak_rss_mib() -> float:
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         return peak / (1024.0 * 1024.0)
     return peak / 1024.0
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Linear-interpolation percentile (q in [0, 100]) of a small sample."""
-    if not samples:
-        raise ValueError("no samples")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q / 100.0
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 def measure(

@@ -8,7 +8,7 @@ the control-plane repair work it took to get there.
 
 from _harness import emit_bench, measure
 
-from repro.faults import format_report, run_chaos
+from repro.faults import format_report, run
 from repro.testbed.report import format_table
 
 SEEDS = (1, 2, 3)
@@ -16,7 +16,7 @@ SEEDS = (1, 2, 3)
 
 def test_chaos_recovery(emit):
     timing = measure(
-        lambda: [run_chaos(seed=seed) for seed in SEEDS], warmup=0, repeats=1
+        lambda: [run("chaos", seed=seed) for seed in SEEDS], warmup=0, repeats=1
     )
     reports = timing["result"]
     # The provenance + flight-recorder overhead contract
@@ -24,7 +24,7 @@ def test_chaos_recovery(emit):
     # gauntlet with postmortem instrumentation on, so the fractional
     # cost of causal provenance rides in the tracked BENCH_ file.
     instrumented = measure(
-        lambda: [run_chaos(seed=seed, postmortem=True) for seed in SEEDS],
+        lambda: [run("chaos", seed=seed, postmortem=True) for seed in SEEDS],
         warmup=0, repeats=1,
     )
     overhead = (instrumented["median"] - timing["median"]) / timing["median"]

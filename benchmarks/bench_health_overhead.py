@@ -10,7 +10,7 @@ observability overhead.
 
 import time
 
-from repro.faults import run_chaos
+from repro.faults import run
 from repro.testbed.report import format_table
 
 SEED = 1
@@ -18,7 +18,7 @@ SEED = 1
 
 def _timed(**kwargs):
     start = time.perf_counter()
-    report = run_chaos(seed=SEED, **kwargs)
+    report = run("chaos", seed=SEED, **kwargs)
     return report, time.perf_counter() - start
 
 

@@ -8,10 +8,11 @@ the lease-bounded failover windows (p50/p95), barrier-acked role
 migration latencies, and sim events/sec throughput.
 """
 
-from _harness import emit_bench, measure, percentile
+from _harness import emit_bench, measure
 
-from repro.cluster import format_pool_report, run_pool_chaos
+from repro.faults import format_report, run
 from repro.faults.plan import FaultPlan
+from repro.metrics.stats import percentile
 from repro.testbed.report import format_table
 
 DURATION = 20.0
@@ -30,7 +31,7 @@ def _plan(members: int) -> FaultPlan:
 
 def _run(members: int):
     plan = _plan(members) if members > 1 else FaultPlan()
-    return run_pool_chaos(seed=7, duration=DURATION, controllers=members,
+    return run("pool_chaos", seed=7, duration=DURATION, controllers=members,
                           switches=SWITCHES, rate_fps=RATE_FPS, plan=plan)
 
 
@@ -82,7 +83,7 @@ def test_pool_scaling(emit):
                   f"{DURATION:.0f} s, staggered member crashes",
         )
         + "\n\n"
-        + format_pool_report(reports[4]),
+        + format_report(reports[4]),
     )
     for members, report in reports.items():
         assert report.healthy, f"pool size {members} degraded"
@@ -92,4 +93,4 @@ def test_pool_scaling(emit):
     for members in (2, 4):
         report = reports[members]
         assert report.failover_windows, f"pool size {members} saw no failover"
-        assert max(report.failover_windows) <= report.pool_grace
+        assert max(report.failover_windows) <= report.grace

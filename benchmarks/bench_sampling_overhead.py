@@ -13,7 +13,7 @@ poll/sample deltas are the full cost of each measurement scheme.
 from _harness import emit_bench, measure
 
 from repro.core.config import ScotchConfig
-from repro.telemetry.scorecard import run_telemetry_point
+from repro.faults import run
 from repro.testbed.report import format_table
 
 SCENARIO = dict(seed=1, duration=6.0, attack_rate=500.0,
@@ -23,7 +23,7 @@ MODES = ("poll", "sample", "off")
 
 def _run(mode):
     config = ScotchConfig(stats_mode=mode, sampling_period=10)
-    return run_telemetry_point(config, **SCENARIO)
+    return run("telemetry_point", config=config, **SCENARIO)
 
 
 def test_sampling_overhead(emit):

@@ -16,7 +16,7 @@ import os
 
 from _harness import emit_bench, measure
 
-from repro.testbed.scale import run_scale
+from repro.faults import format_report, run
 
 SIZES = {
     "full": dict(host_vswitches=480, mesh=24, tors=8, targets=16,
@@ -29,7 +29,7 @@ SIZES = {
 def test_scale_engine(emit):
     size = os.environ.get("REPRO_SCALE_SIZE", "full")
     params = SIZES[size]
-    timing = measure(lambda: run_scale(seed=1, **params), warmup=0, repeats=1)
+    timing = measure(lambda: run("scale", seed=1, **params), warmup=0, repeats=1)
     result = timing["result"]
 
     emit_bench("scale", timing, workload={
@@ -48,7 +48,7 @@ def test_scale_engine(emit):
         "client_failure": result.client_failure,
         "edge_punts": result.edge_punts,
     })
-    emit("scale_engine", result.summary())
+    emit("scale_engine", format_report(result))
 
     if size == "full":
         # The tentpole acceptance shape: a >= 500-vSwitch overlay run.

@@ -22,8 +22,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster import peak_live_members
+from repro.core.config import ScotchConfig
+from repro.faults import (
+    FaultPlan,
+    default_plan,
+    format_report,
+    run,
+    scenarios,
+    write_artifacts,
+)
+from repro.obs.scorecard import format_health_report, format_scorecard
+from repro.telemetry.scorecard import (
+    format_telemetry_scorecard,
+    run_telemetry_scorecard,
+)
 from repro.testbed.report import format_table
 
 FIGURES = {
@@ -164,12 +180,14 @@ def cmd_list(_args) -> int:
     rows.append(["tcam", "the §3.3 TCAM-bottleneck scenario"])
     rows.append(["report", "run everything, write one markdown report"])
     rows.append(["demo", "quickstart flood demo"])
-    rows.append(["chaos", "fault-injection run with recovery report (docs/robustness.md)"])
-    rows.append(["health", "chaos-verified alert detection scorecard (docs/observability.md)"])
-    rows.append(["telemetry", "sampled-telemetry accuracy/overhead scorecard"])
-    rows.append(["scale", "500+-vSwitch overlay flash crowd (engine throughput)"])
-    rows.append(["pool", "elastic controller pool: chaos gauntlet or autoscale "
-                         "demo (docs/cluster.md)"])
+    # The scenario commands come from the registry: each command names
+    # the entries it runs, and an entry no command claims yet still
+    # shows (it is runnable as repro.faults.run(name)).
+    rows += [[name, f"{spec.help} [{', '.join(spec.scenarios)}]"]
+             for name, spec in RUN_COMMANDS.items()]
+    claimed = {name for spec in RUN_COMMANDS.values() for name in spec.scenarios}
+    rows += [[f"({name})", f"scenario without a command: faults.run({name!r})"]
+             for name in scenarios() if name not in claimed]
     rows.append(["profiles", "calibrated switch models"])
     _print(format_table(["target", "description"], rows, title="Available runs"))
     return 0
@@ -245,6 +263,9 @@ def cmd_tcam(args) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# Scenario commands: one body, one table entry per command
+# ----------------------------------------------------------------------
 def _load_rules(path: Optional[str]):
     """Parse an alert-rule file (docs/observability.md#alert-rules);
     None means the built-in rule set."""
@@ -252,278 +273,329 @@ def _load_rules(path: Optional[str]):
         return None
     from repro.obs.rules import parse_rules
 
-    with open(path) as handle:
-        return parse_rules(handle.read())
-
-
-def _write_health_outputs(args, report) -> None:
-    """Shared by `chaos` and `health`: the optional alert-timeline JSONL
-    and HTML report files."""
-    from repro.obs.schema import write_schema_header
-
-    if getattr(args, "alert_log", None):
-        with open(args.alert_log, "w") as handle:
-            write_schema_header(handle, "alert_timeline")
-            text = report.alert_timeline_jsonl
-            if text:
-                handle.write(text + "\n")
-        print(f"alert timeline: {len(report.alert_timeline)} transitions "
-              f"-> {args.alert_log}")
-    if getattr(args, "health_report", None):
-        from repro.obs.scorecard import render_html_report
-
-        render_html_report(
-            args.health_report, report.sli_series, report.alert_timeline,
-            run_end=report.duration, truth=report.truth,
-            scorecard=report.scorecard,
-            title=f"Scotch health — seed {report.seed}")
-        print(f"health report -> {args.health_report}")
-    if getattr(args, "scorecard_json", None) and report.scorecard is not None:
-        from repro.obs.scorecard import scorecard_json
-
-        with open(args.scorecard_json, "w") as handle:
-            handle.write(scorecard_json(report.scorecard) + "\n")
-        print(f"scorecard -> {args.scorecard_json}")
-    if getattr(args, "postmortem_dir", None) and report.postmortem_enabled:
-        from repro.obs.postmortem import export_bundles
-
-        paths = export_bundles(report.postmortems, args.postmortem_dir)
-        dropped = (f" ({report.postmortems_dropped} past the cap dropped)"
-                   if report.postmortems_dropped else "")
-        print(f"postmortems: {len(paths)} bundles -> "
-              f"{args.postmortem_dir}{dropped}")
-
-
-def cmd_chaos(args) -> int:
-    """Run the chaos scenario (docs/robustness.md) and print the
-    fault/recovery report (with the health engine's detection scorecard
-    unless --no-health)."""
-    from repro.faults import default_plan, format_report, run_chaos
-
-    if args.duration < 16.0:
-        print("chaos needs --duration >= 16 (the default fault timeline "
-              "ends at 12.5s and the report wants a clean recovery window)",
-              file=sys.stderr)
-        return 2
-    if args.no_health and (args.alert_log or args.health_report
-                           or args.scorecard_json or args.rules):
-        print("--alert-log/--health-report/--scorecard-json/--rules need "
-              "the health engine (drop --no-health)", file=sys.stderr)
-        return 2
     try:
-        rules = _load_rules(args.rules)
+        with open(path) as handle:
+            return parse_rules(handle.read())
     except (OSError, ValueError) as exc:
-        print(f"cannot load alert rules: {exc}", file=sys.stderr)
-        return 2
-    report = run_chaos(
-        seed=args.seed,
+        raise ValueError(f"cannot load alert rules: {exc}") from None
+
+
+def _chaos_request(args) -> Dict[str, Any]:
+    """`chaos` and `health` both run the chaos scenario; `health` keeps
+    the engine on and may drop the faults (--no-faults)."""
+    if args.duration < 16.0:
+        raise ValueError(
+            f"{args.command} needs --duration >= 16 (the chaos scenario's "
+            "default fault timeline ends at 12.5s and the report wants a "
+            "clean recovery window)")
+    health = not getattr(args, "no_health", False)
+    if not health and (args.alert_log or args.health_report
+                       or args.scorecard_json or args.rules):
+        raise ValueError("--alert-log/--health-report/--scorecard-json/"
+                         "--rules need the health engine (drop --no-health)")
+    return dict(
+        scenario="chaos",
         duration=args.duration,
-        client_rate=args.client_rate,
-        attack_rate=args.attack_rate,
-        plan=default_plan(args.duration),
-        health=not args.no_health,
-        rules=rules,
+        plan=(FaultPlan() if getattr(args, "no_faults", False)
+              else default_plan(args.duration)),
+        health=health,
+        rules=_load_rules(args.rules),
+        detection_tolerance=getattr(args, "tolerance", 1.0),
         postmortem=bool(args.postmortem_dir),
     )
-    _print(format_report(report))
-    if args.fault_log:
-        from repro.obs.schema import write_schema_header
-
-        with open(args.fault_log, "w") as handle:
-            write_schema_header(handle, "fault_log")
-            if report.fault_log_jsonl:
-                handle.write(report.fault_log_jsonl + "\n")
-        print(f"fault log: {len(report.fault_log)} actions -> {args.fault_log}")
-    _write_health_outputs(args, report)
-    return 0 if report.healthy else 1
 
 
-def cmd_pool(args) -> int:
-    """Run the elastic controller pool (docs/cluster.md): the chaos
-    gauntlet (member crash + election loss + split-brain) or, with
-    --autoscale, the flash-crowd scale-up/down demo.  Exit 0 iff the
-    run is healthy (no invariant violations, no double installs, every
-    switch mastered)."""
-    from repro.cluster import (
-        format_pool_report,
-        peak_live_members,
-        run_pool_autoscale,
-        run_pool_chaos,
-    )
-
+def _pool_request(args) -> Dict[str, Any]:
     if args.autoscale:
-        report = run_pool_autoscale(seed=args.seed, switches=args.switches)
-        _print(format_pool_report(report))
-        print(f"autoscale: peak {peak_live_members(report)} members, "
-              f"final {report.members_live}")
-    else:
-        if args.duration < 22.0:
-            print("pool chaos needs --duration >= 22 (the default fault "
-                  "timeline ends at 18s and the report wants a clean "
-                  "recovery window)", file=sys.stderr)
-            return 2
-        report = run_pool_chaos(
-            seed=args.seed,
-            duration=args.duration,
-            controllers=args.controllers,
-            switches=args.switches,
-            rate_fps=args.rate,
-            health=args.health,
-        )
-        _print(format_pool_report(report))
-    if args.events:
-        from repro.obs.schema import write_schema_header
-
-        with open(args.events, "w") as handle:
-            write_schema_header(handle, "pool_events")
-            if report.pool_events_jsonl:
-                handle.write(report.pool_events_jsonl + "\n")
-        print(f"pool events: {len(report.pool_events)} -> {args.events}")
-    if args.fault_log:
-        from repro.obs.schema import write_schema_header
-
-        with open(args.fault_log, "w") as handle:
-            write_schema_header(handle, "fault_log")
-            if report.fault_log_jsonl:
-                handle.write(report.fault_log_jsonl + "\n")
-        print(f"fault log: {len(report.fault_log_jsonl.splitlines())} actions "
-              f"-> {args.fault_log}")
-    if args.scorecard_json:
-        if report.scorecard is None:
-            print("--scorecard-json needs --health", file=sys.stderr)
-            return 2
-        from repro.obs.scorecard import scorecard_json
-
-        with open(args.scorecard_json, "w") as handle:
-            handle.write(scorecard_json(report.scorecard) + "\n")
-        print(f"scorecard -> {args.scorecard_json}")
-    return 0 if report.healthy else 1
+        if args.health or args.scorecard_json:
+            raise ValueError("--health/--scorecard-json grade the chaos "
+                             "gauntlet (drop --autoscale)")
+        return dict(scenario="pool_autoscale")
+    if args.duration < 22.0:
+        raise ValueError("pool chaos needs --duration >= 22 (the default "
+                         "fault timeline ends at 18s and the report wants "
+                         "a clean recovery window)")
+    if args.scorecard_json and not args.health:
+        raise ValueError("--scorecard-json needs --health")
+    return dict(scenario="pool_chaos", duration=args.duration,
+                health=args.health)
 
 
-def cmd_health(args) -> int:
-    """Chaos-verified detection: run the chaos scenario with the health
-    engine streaming SLIs/alerts, print the ASCII health report and the
-    scorecard joining alerts against injected ground truth.  Exit 0 iff
-    every fault class was detected with no false positives (with
-    --no-faults: iff there were no false positives at all)."""
-    from repro.faults import FaultPlan, default_plan, run_chaos
-    from repro.obs.scorecard import format_health_report, format_scorecard
-
-    if args.duration < 16.0:
-        print("health needs --duration >= 16 (it runs the chaos scenario; "
-              "the default fault timeline ends at 12.5s)", file=sys.stderr)
-        return 2
-    try:
-        rules = _load_rules(args.rules)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load alert rules: {exc}", file=sys.stderr)
-        return 2
-    plan = FaultPlan() if args.no_faults else default_plan(args.duration)
-    report = run_chaos(
-        seed=args.seed,
-        duration=args.duration,
-        client_rate=args.client_rate,
-        attack_rate=args.attack_rate,
-        plan=plan,
-        health=True,
-        rules=rules,
-        detection_tolerance=args.tolerance,
-        postmortem=bool(args.postmortem_dir),
-    )
-    _print(format_health_report(report.sli_series, report.alert_timeline,
-                                run_end=report.duration, truth=report.truth))
-    _print(format_scorecard(report.scorecard))
-    _write_health_outputs(args, report)
-    card = report.scorecard
-    ok = card.clean if args.no_faults else (card.all_detected and card.clean)
-    print(f"detection: recall {card.recall:.2f}  precision {card.precision:.2f}  "
-          f"false positives {len(card.false_positives)}  "
-          f"-> {'OK' if ok else 'MISSED' if not card.all_detected else 'NOISY'}")
-    return 0 if ok else 1
-
-
-def cmd_telemetry(args) -> int:
-    """Run the sampled-telemetry accuracy/overhead scorecard: one flood
-    + elephant scenario per stats mode (poll baseline, then sampling at
-    each --periods rate), scored on elephant-detection recall/precision
-    and monitoring cost (docs/observability.md#sampled-telemetry)."""
-    from repro.telemetry.scorecard import (
-        format_telemetry_scorecard,
-        render_telemetry_html,
-        run_telemetry_scorecard,
-        telemetry_scorecard_json,
-    )
-
+def _telemetry_request(args) -> Dict[str, Any]:
     try:
         periods = tuple(int(p) for p in args.periods.split(",") if p)
     except ValueError:
-        print(f"--periods wants comma-separated integers, got {args.periods!r}",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--periods wants comma-separated integers, got "
+                         f"{args.periods!r}") from None
     if not periods or any(p < 1 for p in periods):
-        print("--periods needs at least one period >= 1", file=sys.stderr)
-        return 2
-    card = run_telemetry_scorecard(
-        seed=args.seed,
-        duration=args.duration,
-        attack_rate=args.attack_rate,
-        elephants=args.elephants,
-        mice=args.mice,
-        periods=periods,
-        include_hybrid=args.hybrid,
-    )
-    _print(format_telemetry_scorecard(card))
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(telemetry_scorecard_json(card) + "\n")
-        print(f"scorecard -> {args.json}")
-    if args.html:
-        render_telemetry_html(args.html, card)
-        print(f"telemetry report -> {args.html}")
-    worst = min((run.recall for run in card.runs), default=1.0)
-    print(f"telemetry: worst recall {worst:.2f} across {len(card.runs)} runs "
-          f"-> {'OK' if worst >= 0.9 else 'DEGRADED'}")
-    return 0 if worst >= 0.9 else 1
+        raise ValueError("--periods needs at least one period >= 1")
+    return dict(duration=args.duration, periods=periods,
+                include_hybrid=args.hybrid)
 
 
-def cmd_scale(args) -> int:
-    """Run the scale scenario: a several-hundred-vSwitch overlay under
-    flash-crowd load, reporting engine throughput (events/sec), wall
-    time per phase and client impact."""
-    import dataclasses
-    import json as json_module
-
-    from repro.core.config import ScotchConfig
-    from repro.testbed.scale import run_scale
-
+def _scale_request(args) -> Dict[str, Any]:
     if args.host_vswitches + args.mesh < 2:
-        print("need at least 2 vSwitches", file=sys.stderr)
-        return 2
+        raise ValueError("need at least 2 vSwitches")
+    return dict(scenario="scale", duration=args.duration,
+                config=ScotchConfig(stats_mode=args.stats_mode,
+                                    sampling_period=args.sampling_period))
+
+
+Verdict = Tuple[Optional[str], bool]
+
+
+def _present_report(report, _args) -> Verdict:
+    """Exit 0 iff the run is healthy by its scenario's own definition
+    (chaos: no invariant violations and post-recovery failure < 5%;
+    pool: no violations, no double installs, every switch mastered;
+    scale: always)."""
+    _print(format_report(report))
+    return None, report.healthy
+
+
+def _present_pool(report, args) -> Verdict:
+    verdict = _present_report(report, args)
+    if args.autoscale:
+        print(f"autoscale: peak {peak_live_members(report)} members, "
+              f"final {report.members_live}")
+    return verdict
+
+
+def _present_health(report, args) -> Verdict:
+    """Exit 0 iff every fault class was detected with no false positives
+    (with --no-faults: iff there were no false positives at all)."""
+    _print(format_health_report(report.sli_series, report.alert_timeline,
+                                run_end=report.duration, truth=report.truth))
+    _print(format_scorecard(report.scorecard))
+    card = report.scorecard
+    ok = card.clean if args.no_faults else (card.all_detected and card.clean)
+    return (f"detection: recall {card.recall:.2f}  precision "
+            f"{card.precision:.2f}  false positives "
+            f"{len(card.false_positives)}  -> "
+            f"{'OK' if ok else 'MISSED' if not card.all_detected else 'NOISY'}",
+            ok)
+
+
+def _present_telemetry(card, _args) -> Verdict:
+    """Exit 0 iff every run kept elephant-detection recall >= 0.9."""
+    _print(format_telemetry_scorecard(card))
+    worst = min((point.recall for point in card.runs), default=1.0)
+    return (f"telemetry: worst recall {worst:.2f} across {len(card.runs)} "
+            f"runs -> {'OK' if worst >= 0.9 else 'DEGRADED'}", worst >= 0.9)
+
+
+Flag = Tuple[str, Dict[str, Any]]
+
+
+def _flag(option: str, **keywords: Any) -> Flag:
+    """One row of a command's flag table (``add_argument`` keywords)."""
+    return option, keywords
+
+
+def _knob(scenario: str, knob: str, help: str,
+          option: Optional[str] = None) -> Flag:
+    """A flag that sets one scenario keyword: dest, type and default come
+    from the registry entry, so the CLI cannot drift from the library."""
+    default = scenarios()[scenario].knobs[knob]
+    option = option or "--" + knob.replace("_", "-")
+    return _flag(option, dest=knob, type=type(default), default=default,
+                 metavar=option[2:].replace("-", "_").upper(), help=help)
+
+
+def _duration(scenario: str, help: str) -> Flag:
+    return _flag("--duration", type=float,
+                 default=scenarios()[scenario].duration, help=help)
+
+
+_SEED = _flag("--seed", type=int, default=1)
+_CHAOS_FLAGS: List[Flag] = [
+    _SEED,
+    _duration("chaos", "simulated seconds (>= 16)"),
+    _knob("chaos", "client_rate", "legitimate new flows per second"),
+    _knob("chaos", "attack_rate",
+          "spoofed flood rate keeping the overlay active"),
+]
+#: argparse dest -> artifact kind for the _add_health_output_flags files.
+_HEALTH_OUTPUTS = {dest: dest for dest in (
+    "alert_log", "health_report", "scorecard_json", "postmortem_dir")}
+
+
+@dataclass(frozen=True)
+class RunCommand:
+    """One scenario-running subcommand.  ``cmd_run`` is the body they
+    all share; an entry holds only what differs."""
+
+    help: str
+    #: Registered scenario entries this command can run (first: default).
+    scenarios: Tuple[str, ...]
+    #: The command's own flags (health/observability groups are added
+    #: per the two booleans below).
+    flags: Sequence[Flag]
+    #: Validate the parsed flags and return the ``runner`` keywords that
+    #: are not plain knobs (``scenario`` picks the entry); a ValueError
+    #: is printed and exits 2 *before* anything runs.
+    request: Callable[[Any], Dict[str, Any]]
+    #: argparse dest -> artifact kind (repro.faults.scenario.ARTIFACT_KINDS).
+    artifacts: Dict[str, str]
+    #: Print the report; return (closing line or None, exit-0?).
+    present: Callable[[Any, Any], Verdict] = _present_report
+    runner: Callable[..., Any] = run
+    health_flags: bool = False
+    obs_flags: bool = False
+
+
+RUN_COMMANDS: Dict[str, RunCommand] = {
+    "chaos": RunCommand(
+        help="deterministic fault-injection run + recovery report "
+             "(docs/robustness.md)",
+        scenarios=("chaos",),
+        flags=_CHAOS_FLAGS + [
+            _flag("--fault-log", metavar="FILE",
+                  help="write the deterministic fault log (JSONL); "
+                       "byte-identical across runs with equal seeds"),
+            _flag("--no-health", action="store_true",
+                  help="skip the streaming health engine and the detection "
+                       "scorecard"),
+        ],
+        request=_chaos_request,
+        artifacts={"fault_log": "fault_log", **_HEALTH_OUTPUTS},
+        health_flags=True, obs_flags=True),
+    "pool": RunCommand(
+        help="elastic controller pool: chaos gauntlet or autoscale demo "
+             "(docs/cluster.md)",
+        scenarios=("pool_chaos", "pool_autoscale"),
+        flags=[
+            _SEED,
+            _duration("pool_chaos",
+                      "simulated seconds (>= 22; chaos mode only)"),
+            _knob("pool_chaos", "controllers",
+                  "pool size for the chaos gauntlet (default 3)"),
+            _knob("pool_chaos", "switches", "managed switches (default 6)"),
+            _knob("pool_chaos", "rate_fps",
+                  "Packet-In rate driven at the pool (default 300)", "--rate"),
+            _flag("--autoscale", action="store_true",
+                  help="run the flash-crowd autoscale demo instead of the "
+                       "chaos gauntlet"),
+            _flag("--health", action="store_true",
+                  help="run the health engine with the pool alert rules and "
+                       "print the detection scorecard (chaos mode)"),
+            _flag("--events", metavar="FILE",
+                  help="write the pool event log (JSONL); byte-identical "
+                       "across runs with equal seeds"),
+            _flag("--fault-log", metavar="FILE",
+                  help="write the deterministic fault log (JSONL)"),
+            _flag("--scorecard-json", metavar="FILE",
+                  help="write the detection scorecard as JSON (needs "
+                       "--health)"),
+        ],
+        request=_pool_request,
+        artifacts={"events": "pool_events", "fault_log": "fault_log",
+                   "scorecard_json": "scorecard_json"},
+        present=_present_pool),
+    "health": RunCommand(
+        help="chaos-verified detection: SLI report + alert scorecard "
+             "(docs/observability.md#health)",
+        scenarios=("chaos",),
+        flags=_CHAOS_FLAGS + [
+            _flag("--no-faults", action="store_true",
+                  help="fault-free baseline: keep traffic and rules but "
+                       "inject nothing; exit 0 iff zero false positives"),
+            _flag("--tolerance", type=float, default=1.0,
+                  help="detection-latency tolerance (s) when joining alerts "
+                       "to truth windows"),
+        ],
+        request=_chaos_request,
+        artifacts=_HEALTH_OUTPUTS,
+        present=_present_health,
+        health_flags=True, obs_flags=True),
+    "telemetry": RunCommand(
+        help="sampled-telemetry accuracy/overhead scorecard "
+             "(docs/observability.md#sampled-telemetry)",
+        scenarios=("telemetry_point",),
+        flags=[
+            _SEED,
+            _duration("telemetry_point", "simulated seconds (default 8)"),
+            _knob("telemetry_point", "attack_rate",
+                  "spoofed flood rate keeping the overlay active "
+                  "(default 800)"),
+            _knob("telemetry_point", "elephants",
+                  "injected ground-truth elephants (default 8)"),
+            _knob("telemetry_point", "mice",
+                  "decoy mid-size flows (default 10)"),
+            _flag("--periods", default="10",
+                  help="comma-separated sampling periods N (1-in-N), one "
+                       "sample run each (default: 10)"),
+            _flag("--hybrid", action="store_true",
+                  help="also run hybrid mode (sampling + slow safety-net "
+                       "polls) at the first period"),
+            _flag("--json", metavar="FILE",
+                  help="write the scorecard as canonical JSON"),
+            _flag("--html", metavar="FILE",
+                  help="write a self-contained HTML scorecard"),
+        ],
+        request=_telemetry_request,
+        artifacts={"json": "telemetry_json", "html": "telemetry_html"},
+        present=_present_telemetry,
+        runner=run_telemetry_scorecard),
+    "scale": RunCommand(
+        help="500+-vSwitch overlay flash crowd (engine throughput: "
+             "events/sec, wall time per phase, client impact)",
+        scenarios=("scale",),
+        flags=[
+            _SEED,
+            _knob("scale", "host_vswitches",
+                  "host vSwitches (one idle tenant rack slice each; "
+                  "default 480)"),
+            _knob("scale", "mesh",
+                  "mesh vSwitches in the overlay core (default 24)"),
+            _knob("scale", "tors", "physical ToR switches (default 8)"),
+            _knob("scale", "targets",
+                  "flash-crowd service servers (default 16)"),
+            _duration("scale", "simulated seconds (default 5)"),
+            _knob("scale", "base_rate_fps",
+                  "per-target new-flow rate before the crowd (flows/s, "
+                  "default 20)", "--base-rate"),
+            _knob("scale", "crowd_multiplier",
+                  "rate multiplier during the crowd window (default 10)"),
+            _flag("--stats-mode", default="poll",
+                  choices=("poll", "sample", "hybrid", "off"),
+                  help="flow measurement mode (default poll); with "
+                       "--metrics, monitoring-cost counters land in the "
+                       "result extras"),
+            _flag("--sampling-period", type=int, default=10,
+                  help="1-in-N packet sampling period for sample/hybrid "
+                       "modes (default 10)"),
+            _flag("--json", metavar="FILE",
+                  help="write the full run report as JSON"),
+        ],
+        request=_scale_request,
+        artifacts={"json": "report_json"},
+        obs_flags=True),
+}
+
+
+def cmd_run(args) -> int:
+    """The body of every scenario command: validate the flags, run,
+    show the report, write the requested artifacts, give the verdict."""
+    spec = RUN_COMMANDS[args.command]
     try:
-        config = ScotchConfig(stats_mode=args.stats_mode,
-                              sampling_period=args.sampling_period)
+        keywords = spec.request(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    result = run_scale(
-        seed=args.seed,
-        host_vswitches=args.host_vswitches,
-        mesh=args.mesh,
-        tors=args.tors,
-        targets=args.targets,
-        duration=args.duration,
-        base_rate_fps=args.base_rate,
-        crowd_multiplier=args.crowd_multiplier,
-        config=config,
-    )
-    _print(result.summary())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json_module.dump(dataclasses.asdict(result), handle,
-                             indent=2, sort_keys=True)
-            handle.write("\n")
-        _print(f"wrote {args.json}")
-    return 0
+    # Every flag whose dest is a knob of the chosen scenario passes
+    # straight through.
+    entry = scenarios()[keywords.get("scenario", spec.scenarios[0])]
+    keywords.update({knob: getattr(args, knob) for knob in entry.knobs
+                     if hasattr(args, knob)})
+    report = spec.runner(seed=args.seed, **keywords)
+    line, ok = spec.present(report, args)
+    for written in write_artifacts(report, {
+            kind: getattr(args, dest) for dest, kind in spec.artifacts.items()}):
+        print(written)
+    if line:
+        print(line)
+    return 0 if ok else 1
 
 
 def _print_postmortem_summary(path: str, summary) -> None:
@@ -872,7 +944,6 @@ def _run_observed(args, argv: Optional[List[str]]) -> int:
         ))
         print(f"profile: {obs.profiler.summary()}")
     if args.manifest:
-        from repro.core.config import ScotchConfig
         from repro.obs.manifest import build_manifest, write_manifest
         from repro.switch.profiles import (
             HP_PROCURVE_6600,
@@ -934,136 +1005,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(report)
     report.set_defaults(func=cmd_report)
 
-    chaos = sub.add_parser(
-        "chaos", help="deterministic fault-injection run + recovery report")
-    chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument("--duration", type=float, default=18.0,
-                       help="simulated seconds (>= 16)")
-    chaos.add_argument("--client-rate", type=float, default=100.0,
-                       help="legitimate new flows per second")
-    chaos.add_argument("--attack-rate", type=float, default=2000.0,
-                       help="spoofed flood rate keeping the overlay active")
-    chaos.add_argument("--fault-log", metavar="FILE",
-                       help="write the deterministic fault log (JSONL); "
-                            "byte-identical across runs with equal seeds")
-    chaos.add_argument("--no-health", action="store_true",
-                       help="skip the streaming health engine and the "
-                            "detection scorecard")
-    _add_health_output_flags(chaos)
-    _add_obs_flags(chaos)
-    chaos.set_defaults(func=cmd_chaos)
-
-    pool = sub.add_parser(
-        "pool",
-        help="elastic controller pool: chaos gauntlet or autoscale demo "
-             "(docs/cluster.md)")
-    pool.add_argument("--seed", type=int, default=1)
-    pool.add_argument("--duration", type=float, default=24.0,
-                      help="simulated seconds (>= 22; chaos mode only)")
-    pool.add_argument("--controllers", type=int, default=3,
-                      help="pool size for the chaos gauntlet (default 3)")
-    pool.add_argument("--switches", type=int, default=6,
-                      help="managed switches (default 6)")
-    pool.add_argument("--rate", type=float, default=300.0,
-                      help="Packet-In rate driven at the pool (default 300)")
-    pool.add_argument("--autoscale", action="store_true",
-                      help="run the flash-crowd autoscale demo instead of "
-                           "the chaos gauntlet")
-    pool.add_argument("--health", action="store_true",
-                      help="run the health engine with the pool alert rules "
-                           "and print the detection scorecard (chaos mode)")
-    pool.add_argument("--events", metavar="FILE",
-                      help="write the pool event log (JSONL); byte-identical "
-                           "across runs with equal seeds")
-    pool.add_argument("--fault-log", metavar="FILE",
-                      help="write the deterministic fault log (JSONL)")
-    pool.add_argument("--scorecard-json", metavar="FILE",
-                      help="write the detection scorecard as JSON "
-                           "(needs --health)")
-    pool.set_defaults(func=cmd_pool)
-
-    health = sub.add_parser(
-        "health",
-        help="chaos-verified detection: SLI report + alert scorecard "
-             "(docs/observability.md#health)")
-    health.add_argument("--seed", type=int, default=1)
-    health.add_argument("--duration", type=float, default=18.0,
-                        help="simulated seconds (>= 16)")
-    health.add_argument("--client-rate", type=float, default=100.0)
-    health.add_argument("--attack-rate", type=float, default=2000.0)
-    health.add_argument("--no-faults", action="store_true",
-                        help="fault-free baseline: keep traffic and rules "
-                             "but inject nothing; exit 0 iff zero false "
-                             "positives")
-    health.add_argument("--tolerance", type=float, default=1.0,
-                        help="detection-latency tolerance (s) when joining "
-                             "alerts to truth windows")
-    _add_health_output_flags(health)
-    _add_obs_flags(health)
-    health.set_defaults(func=cmd_health)
-
-    telemetry = sub.add_parser(
-        "telemetry",
-        help="sampled-telemetry accuracy/overhead scorecard: elephant "
-             "recall/precision and monitoring cost per stats mode "
-             "(docs/observability.md#sampled-telemetry)")
-    telemetry.add_argument("--seed", type=int, default=1)
-    telemetry.add_argument("--duration", type=float, default=8.0,
-                           help="simulated seconds (default 8)")
-    telemetry.add_argument("--attack-rate", type=float, default=800.0,
-                           help="spoofed flood rate keeping the overlay "
-                                "active (default 800)")
-    telemetry.add_argument("--elephants", type=int, default=8,
-                           help="injected ground-truth elephants (default 8)")
-    telemetry.add_argument("--mice", type=int, default=10,
-                           help="decoy mid-size flows (default 10)")
-    telemetry.add_argument("--periods", default="10",
-                           help="comma-separated sampling periods N "
-                                "(1-in-N), one sample run each "
-                                "(default: 10)")
-    telemetry.add_argument("--hybrid", action="store_true",
-                           help="also run hybrid mode (sampling + slow "
-                                "safety-net polls) at the first period")
-    telemetry.add_argument("--json", metavar="FILE",
-                           help="write the scorecard as canonical JSON")
-    telemetry.add_argument("--html", metavar="FILE",
-                           help="write a self-contained HTML scorecard")
-    telemetry.set_defaults(func=cmd_telemetry)
-
-    scale = sub.add_parser(
-        "scale",
-        help="flash crowd over a several-hundred-vSwitch overlay "
-             "(engine throughput: events/sec, wall time, client impact)")
-    scale.add_argument("--seed", type=int, default=1)
-    scale.add_argument("--host-vswitches", type=int, default=480,
-                       help="host vSwitches (one idle tenant rack slice "
-                            "each; default 480)")
-    scale.add_argument("--mesh", type=int, default=24,
-                       help="mesh vSwitches in the overlay core (default 24)")
-    scale.add_argument("--tors", type=int, default=8,
-                       help="physical ToR switches (default 8)")
-    scale.add_argument("--targets", type=int, default=16,
-                       help="flash-crowd service servers (default 16)")
-    scale.add_argument("--duration", type=float, default=5.0,
-                       help="simulated seconds (default 5)")
-    scale.add_argument("--base-rate", type=float, default=20.0,
-                       help="per-target new-flow rate before the crowd "
-                            "(flows/s, default 20)")
-    scale.add_argument("--crowd-multiplier", type=float, default=10.0,
-                       help="rate multiplier during the crowd window "
-                            "(default 10)")
-    scale.add_argument("--stats-mode", default="poll",
-                       choices=("poll", "sample", "hybrid", "off"),
-                       help="flow measurement mode (default poll); with "
-                            "--metrics, monitoring-cost counters land in "
-                            "the result extras")
-    scale.add_argument("--sampling-period", type=int, default=10,
-                       help="1-in-N packet sampling period for "
-                            "sample/hybrid modes (default 10)")
-    scale.add_argument("--json", metavar="FILE",
-                       help="write the full ScaleResult as JSON")
-    _add_obs_flags(scale)
-    scale.set_defaults(func=cmd_scale)
+    for name, spec in RUN_COMMANDS.items():
+        command = sub.add_parser(name, help=spec.help)
+        for option, keywords in spec.flags:
+            command.add_argument(option, **keywords)
+        if spec.health_flags:
+            _add_health_output_flags(command)
+        if spec.obs_flags:
+            _add_obs_flags(command)
+        command.set_defaults(func=cmd_run)
 
     inspect = sub.add_parser(
         "inspect",

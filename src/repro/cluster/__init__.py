@@ -11,17 +11,13 @@ the whole thing heals within bounded windows.
 from repro.cluster.bus import PoolBus
 from repro.cluster.pool import ControllerPool, PoolMember, pool_grace
 from repro.cluster.scenario import (
-    PoolChaosReport,
     PoolDeployment,
     PoolTraffic,
     build_pool_deployment,
     default_pool_plan,
-    format_pool_report,
     peak_live_members,
     pool_chaos_config,
     randomized_pool_plan,
-    run_pool_autoscale,
-    run_pool_chaos,
 )
 
 __all__ = [
@@ -29,15 +25,11 @@ __all__ = [
     "ControllerPool",
     "PoolMember",
     "pool_grace",
-    "PoolChaosReport",
     "PoolDeployment",
     "PoolTraffic",
     "build_pool_deployment",
     "default_pool_plan",
-    "format_pool_report",
     "peak_live_members",
     "pool_chaos_config",
     "randomized_pool_plan",
-    "run_pool_autoscale",
-    "run_pool_chaos",
 ]

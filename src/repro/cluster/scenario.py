@@ -19,17 +19,17 @@ single-controller deployment, which never builds a pool
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.pool import ControllerPool, pool_grace
 from repro.controller.controller import OpenFlowController
 from repro.core.config import ScotchConfig
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantChecker, Violation
 from repro.faults.plan import FaultPlan
+from repro.faults.scenario import RunReport, Scenario, chaos_config, register
 from repro.net.packet import Packet
+from repro.obs.health import default_slis, pool_slis
+from repro.obs.rules import builtin_rules, pool_rules
 from repro.net.topology import Network
 from repro.openflow.messages import PacketIn
 from repro.sim.engine import Simulator
@@ -39,9 +39,11 @@ from repro.switch.switch import VSwitch
 
 
 def pool_chaos_config(controllers: int = 3) -> ScotchConfig:
-    """Fast pool knobs so a short run exercises full lease-expiry ->
-    election -> handoff cycles several times over."""
-    return ScotchConfig(
+    """Fast pool knobs (on top of the chaos config's fast failure
+    detection and tight retry budget) so a short run exercises full
+    lease-expiry -> election -> handoff cycles several times over."""
+    return replace(
+        chaos_config(),
         controllers=controllers,
         pool_min_controllers=1,
         pool_max_controllers=max(4, controllers),
@@ -50,11 +52,6 @@ def pool_chaos_config(controllers: int = 3) -> ScotchConfig:
         pool_election_timeout=0.5,
         pool_bus_delay=0.005,
         pool_rebalance_interval=0.5,
-        heartbeat_interval=0.25,
-        heartbeat_miss_limit=2,
-        reliable_install_timeout=0.2,
-        reliable_install_timeout_cap=1.0,
-        reliable_install_max_retries=3,
     )
 
 
@@ -203,241 +200,166 @@ def randomized_pool_plan(
 
 
 # ----------------------------------------------------------------------
-# Reports
+# Scenario entries (repro.faults.scenario.run does the running)
 # ----------------------------------------------------------------------
-@dataclass
-class PoolChaosReport:
-    """Everything the CLI/tests/benchmark consumers assert or print."""
+def _worst(samples: List[float]) -> str:
+    return f"{max(samples):.3f}s max over {len(samples)}" if samples else "none"
 
-    seed: int
-    duration: float
-    controllers: int
-    switches: int
-    faults_injected: int
-    fault_counts: Dict[str, int]
-    fault_log_jsonl: str
-    pool_events: List[Dict[str, object]]
-    pool_events_jsonl: str
-    violations: List[Violation]
-    invariant_checks: int
-    pool_grace: float
-    packet_ins_total: int
-    packet_ins_handled: int
-    orphaned: int
-    drained: int
-    orphan_dropped: int
-    double_installs: int
-    stale_role_errors: int
-    flow_reclaims: int
-    handoffs_acked: int
-    elections: int
-    failover_windows: List[float]
-    migration_latencies: List[float]
-    members_live: int
-    members_total: int
-    acked_master: Dict[str, str]
-    bus: Dict[str, int] = field(default_factory=dict)
-    # -- health engine (optional) ---------------------------------------
-    health_enabled: bool = False
-    alert_timeline: List[Dict[str, object]] = field(default_factory=list)
-    alert_timeline_jsonl: str = ""
-    scorecard: Optional[object] = None
 
-    @property
-    def healthy(self) -> bool:
+@register
+class PoolChaos(Scenario):
+    """The chaos gauntlet: a steady Packet-In load while one of each
+    pool fault class hits a 3-member pool."""
+
+    name = "pool_chaos"
+    duration = 24.0
+    knobs = {"controllers": 3, "switches": 6, "rate_fps": 300.0}
+    table_title = "Pool report"
+
+    def default_config(self) -> ScotchConfig:
+        return pool_chaos_config(self.knobs["controllers"])
+
+    def default_plan(self) -> FaultPlan:
+        return default_pool_plan(self.duration)
+
+    def build(self) -> PoolDeployment:
+        return build_pool_deployment(seed=self.seed,
+                                     switches=self.knobs["switches"],
+                                     config=self.config)
+
+    def traffic(self, dep: PoolDeployment) -> None:
+        PoolTraffic(dep.sim, dep.switches).start(
+            at=0.5, stop_at=self.duration - 1.0,
+            rate_fps=self.knobs["rate_fps"])
+
+    def health_catalog(self):
+        return builtin_rules() + pool_rules(), default_slis() + pool_slis()
+
+    def grace(self) -> float:
+        return pool_grace(self.config)
+
+    def measures(self, dep: PoolDeployment) -> Dict[str, Any]:
+        pool = dep.pool
+
+        def count(name: str) -> int:
+            return sum(1 for e in pool.events if e["event"] == name)
+
+        return {
+            "controllers": dep.config.controllers,
+            "switches": len(dep.switches),
+            "pool_events": list(pool.events),
+            "pool_events_jsonl": pool.events_jsonl(),
+            "packet_ins_total": pool.packet_ins_total,
+            "packet_ins_handled": sum(m.packet_ins_handled
+                                      for m in pool.members.values()),
+            "orphaned": pool.orphaned,
+            "drained": pool.drained,
+            "orphan_dropped": pool.orphan_dropped,
+            "double_installs": pool.double_installs,
+            "stale_role_errors": pool.stale_role_errors,
+            "flow_reclaims": pool.flow_reclaims,
+            "handoffs_acked": count("role-acked"),
+            "elections": count("leader-elected"),
+            "failover_windows": list(pool.failover_windows),
+            "migration_latencies": list(pool.migration_latencies),
+            "members_live": pool.live_member_count(),
+            "members_total": len(pool.members),
+            # Switches whose acked master is alive at the end of the run.
+            "acked_master": {dpid: master
+                             for dpid, master in pool.acked_master.items()
+                             if pool.members[master].alive},
+            "bus": {
+                "sent": pool.bus.sent,
+                "delivered": pool.bus.delivered,
+                "dropped": pool.bus.dropped,
+                "partition_blocked": pool.bus.partition_blocked,
+            },
+        }
+
+    @staticmethod
+    def healthy(report: RunReport) -> bool:
         """No invariant violations, nothing double-handled, every
         managed switch ended the run with a live acked master."""
-        return (not self.violations and self.double_installs == 0
-                and len(self.acked_master) == self.switches)
+        return (not report.violations and report.double_installs == 0
+                and len(report.acked_master) == report.switches)
+
+    @staticmethod
+    def headline(report: RunReport) -> str:
+        return (f"Pool chaos — seed {report.seed}, {report.duration:.0f}s, "
+                f"{report.controllers} controllers, "
+                f"{report.switches} switches")
+
+    @staticmethod
+    def rows(report: RunReport) -> List[Sequence[object]]:
+        bus = report.bus
+        return [
+            ["packet-ins (total/handled)",
+             f"{report.packet_ins_total}/{report.packet_ins_handled}"],
+            ["orphaned / drained / dropped",
+             f"{report.orphaned}/{report.drained}/{report.orphan_dropped}"],
+            ["role handoffs acked", report.handoffs_acked],
+            ["elections", report.elections],
+            ["failover windows", _worst(report.failover_windows)],
+            ["migration latencies", _worst(report.migration_latencies)],
+            ["flow reclaims", report.flow_reclaims],
+            ["double installs", report.double_installs],
+            ["stale RoleMods rejected", report.stale_role_errors],
+            ["members (live/total)",
+             f"{report.members_live}/{report.members_total}"],
+            ["bus sent/delivered/dropped/blocked",
+             f"{bus['sent']}/{bus['delivered']}/{bus['dropped']}/"
+             f"{bus['partition_blocked']}"],
+            ["invariant checks / violations",
+             f"{report.invariant_checks}/{len(report.violations)}"],
+            ["pool grace window (s)", f"{report.grace:.2f}"],
+        ]
+
+    @staticmethod
+    def closing(report: RunReport) -> List[str]:
+        verdict = "HEALTHY" if report.healthy else "DEGRADED"
+        return [f"verdict: {verdict} ({len(report.violations)} violations, "
+                f"{report.double_installs} double installs, "
+                f"{len(report.acked_master)}/{report.switches} switches "
+                f"mastered)"]
 
 
-def _finish_report(dep: PoolDeployment, injector: FaultInjector,
-                   checker: InvariantChecker, duration: float,
-                   health_fields: Dict[str, object]) -> PoolChaosReport:
-    pool = dep.pool
-    handled = sum(m.packet_ins_handled for m in pool.members.values())
-    elections = sum(1 for e in pool.events if e["event"] == "leader-elected")
-    live_masters = {dpid: master for dpid, master in pool.acked_master.items()
-                    if pool.members[master].alive}
-    return PoolChaosReport(
-        seed=dep.sim.rng.seed,
-        duration=duration,
-        controllers=dep.config.controllers,
-        switches=len(dep.switches),
-        faults_injected=injector.injected,
-        fault_counts=dict(injector.counts),
-        fault_log_jsonl=injector.log_jsonl(),
-        pool_events=list(pool.events),
-        pool_events_jsonl=pool.events_jsonl(),
-        violations=list(checker.violations),
-        invariant_checks=checker.checks_run,
-        pool_grace=pool_grace(dep.config),
-        packet_ins_total=pool.packet_ins_total,
-        packet_ins_handled=handled,
-        orphaned=pool.orphaned,
-        drained=pool.drained,
-        orphan_dropped=pool.orphan_dropped,
-        double_installs=pool.double_installs,
-        stale_role_errors=pool.stale_role_errors,
-        flow_reclaims=pool.flow_reclaims,
-        handoffs_acked=len([e for e in pool.events
-                            if e["event"] == "role-acked"]),
-        elections=elections,
-        failover_windows=list(pool.failover_windows),
-        migration_latencies=list(pool.migration_latencies),
-        members_live=pool.live_member_count(),
-        members_total=len(pool.members),
-        acked_master=live_masters,
-        bus={
-            "sent": pool.bus.sent,
-            "delivered": pool.bus.delivered,
-            "dropped": pool.bus.dropped,
-            "partition_blocked": pool.bus.partition_blocked,
-        },
-        **health_fields,
-    )
-
-
-# ----------------------------------------------------------------------
-# Scenario runners
-# ----------------------------------------------------------------------
-def run_pool_chaos(
-    seed: int = 1,
-    duration: float = 24.0,
-    controllers: int = 3,
-    switches: int = 6,
-    rate_fps: float = 300.0,
-    plan: Optional[FaultPlan] = None,
-    config: Optional[ScotchConfig] = None,
-    invariant_interval: float = 0.5,
-    health: bool = False,
-    health_interval: float = 0.25,
-    detection_tolerance: float = 1.0,
-) -> PoolChaosReport:
-    """Run the pool chaos scenario and return its report.
-
-    With ``health=True`` a read-only health engine streams the default
-    SLI catalog plus :func:`repro.obs.health.pool_slis` through the
-    built-in rules plus :func:`repro.obs.rules.pool_rules`, and the
-    report gains the alert timeline and a detection scorecard joined
-    against the injector's ground truth."""
-    from repro.obs import Observability, get_default_obs, observed
-
-    config = config or pool_chaos_config(controllers)
-    outer = get_default_obs()
-    context = nullcontext()
-    if health and not outer.metrics.enabled:
-        private = Observability(trace=False, metrics=True)
-        if getattr(outer, "enabled", False):
-            private.tracer = outer.tracer
-            private.profiler = outer.profiler
-        context = observed(private)
-
-    with context:
-        dep = build_pool_deployment(seed=seed, switches=switches,
-                                    config=config)
-        plan = plan if plan is not None else default_pool_plan(duration)
-
-        engine = None
-        if health:
-            from repro.obs.health import HealthEngine, default_slis, pool_slis
-            from repro.obs.rules import builtin_rules, pool_rules
-
-            engine = HealthEngine(
-                dep.sim, get_default_obs().metrics,
-                rules=builtin_rules() + pool_rules(),
-                slis=default_slis() + pool_slis(),
-                interval=health_interval)
-            engine.start()
-
-        traffic = PoolTraffic(dep.sim, dep.switches)
-        traffic.start(at=0.5, stop_at=duration - 1.0, rate_fps=rate_fps)
-
-        injector = FaultInjector(dep.sim, dep.network, dep.controller,
-                                 plan, pool=dep.pool)
-        injector.start()
-        checker = InvariantChecker(dep.sim, dep.network, overlay=None,
-                                   pool=dep.pool,
-                                   grace=pool_grace(config),
-                                   interval=invariant_interval)
-        checker.start()
-
-        dep.sim.run(until=duration)
-        checker.check_now()
-
-    health_fields: Dict[str, object] = {}
-    if engine is not None:
-        from repro.obs.scorecard import build_scorecard, truth_windows
-
-        engine.stop()
-        truth = truth_windows(injector.log, run_end=duration)
-        card = build_scorecard(engine.rules, engine.timeline, truth,
-                               run_end=duration,
-                               tolerance=detection_tolerance)
-        health_fields = dict(
-            health_enabled=True,
-            alert_timeline=list(engine.timeline),
-            alert_timeline_jsonl=engine.timeline_jsonl(),
-            scorecard=card,
-        )
-
-    return _finish_report(dep, injector, checker, duration, health_fields)
-
-
-def run_pool_autoscale(
-    seed: int = 1,
-    duration: float = 30.0,
-    switches: int = 6,
-    base_rate: float = 200.0,
-    burst_rate: float = 6000.0,
-    burst_start: float = 5.0,
-    burst_stop: float = 14.0,
-    config: Optional[ScotchConfig] = None,
-    invariant_interval: float = 0.5,
-) -> PoolChaosReport:
-    """The flash-crowd autoscale scenario: the pool starts with ONE
+@register
+class PoolAutoscale(PoolChaos):
+    """The flash-crowd autoscale lifecycle: the pool starts with ONE
     member; a burst drives pool-wide PPS over the high-water mark, the
     leader spawns members up to the ceiling; after the burst the
-    cooldown drains and retires them back toward the floor."""
-    config = config or ScotchConfig(
-        controllers=1,
-        pool_min_controllers=1,
-        pool_max_controllers=3,
-        pool_lease_interval=0.25,
-        pool_lease_timeout=0.75,
-        pool_election_timeout=0.5,
-        pool_bus_delay=0.005,
-        pool_scale_up_pps=1000.0,
-        pool_scale_up_hold=0.5,
-        pool_scale_down_pps=500.0,
-        pool_scale_cooldown=3.0,
-        pool_warmup=1.5,
-        pool_rebalance_interval=0.5,
-        heartbeat_interval=0.25,
-        heartbeat_miss_limit=2,
-        reliable_install_timeout=0.2,
-        reliable_install_timeout_cap=1.0,
-        reliable_install_max_retries=3,
-    )
-    dep = build_pool_deployment(seed=seed, switches=switches, config=config)
-    base = PoolTraffic(dep.sim, dep.switches)
-    base.start(at=0.5, stop_at=duration - 1.0, rate_fps=base_rate)
-    burst = PoolTraffic(dep.sim, dep.switches, flows_per_switch=512)
-    burst.start(at=burst_start, stop_at=burst_stop, rate_fps=burst_rate)
+    cooldown drains and retires them back toward the floor.  No faults —
+    the injector and the invariant checker still watch."""
 
-    injector = FaultInjector(dep.sim, dep.network, dep.controller,
-                             FaultPlan(), pool=dep.pool)
-    injector.start()
-    checker = InvariantChecker(dep.sim, dep.network, overlay=None,
-                               pool=dep.pool, grace=pool_grace(config),
-                               interval=invariant_interval)
-    checker.start()
-    dep.sim.run(until=duration)
-    checker.check_now()
-    return _finish_report(dep, injector, checker, duration, {})
+    name = "pool_autoscale"
+    duration = 30.0
+    knobs = {"switches": 6, "base_rate": 200.0, "burst_rate": 6000.0,
+             "burst_start": 5.0, "burst_stop": 14.0}
+
+    def default_config(self) -> ScotchConfig:
+        return replace(
+            pool_chaos_config(1),
+            pool_max_controllers=3,
+            pool_scale_up_pps=1000.0,
+            pool_scale_up_hold=0.5,
+            pool_scale_down_pps=500.0,
+            pool_scale_cooldown=3.0,
+            pool_warmup=1.5,
+        )
+
+    def default_plan(self) -> FaultPlan:
+        return FaultPlan()
+
+    def traffic(self, dep: PoolDeployment) -> None:
+        knobs = self.knobs
+        PoolTraffic(dep.sim, dep.switches).start(
+            at=0.5, stop_at=self.duration - 1.0, rate_fps=knobs["base_rate"])
+        PoolTraffic(dep.sim, dep.switches, flows_per_switch=512).start(
+            at=knobs["burst_start"], stop_at=knobs["burst_stop"],
+            rate_fps=knobs["burst_rate"])
 
 
-def peak_live_members(report: PoolChaosReport) -> int:
+def peak_live_members(report: RunReport) -> int:
     """Reconstruct the peak live-member count from the event log."""
     live = report.controllers
     peak = live
@@ -448,64 +370,3 @@ def peak_live_members(report: PoolChaosReport) -> int:
             live -= 1
         peak = max(peak, live)
     return peak
-
-
-def format_pool_report(report: PoolChaosReport) -> str:
-    """A human-readable pool report (used by the CLI)."""
-    from repro.testbed.report import format_table
-
-    fault_rows = [[kind, count]
-                  for kind, count in sorted(report.fault_counts.items())]
-    sections = []
-    if fault_rows:
-        sections.append(format_table(
-            ["fault class", "injected"], fault_rows,
-            title=f"Pool chaos — seed {report.seed}, {report.duration:.0f}s, "
-                  f"{report.controllers} controllers, "
-                  f"{report.switches} switches"))
-    failover = (f"{max(report.failover_windows):.3f}s max over "
-                f"{len(report.failover_windows)}"
-                if report.failover_windows else "none")
-    migration = (f"{max(report.migration_latencies):.3f}s max over "
-                 f"{len(report.migration_latencies)}"
-                 if report.migration_latencies else "none")
-    sections.append(format_table(
-        ["measure", "value"],
-        [
-            ["packet-ins (total/handled)",
-             f"{report.packet_ins_total}/{report.packet_ins_handled}"],
-            ["orphaned / drained / dropped",
-             f"{report.orphaned}/{report.drained}/{report.orphan_dropped}"],
-            ["role handoffs acked", report.handoffs_acked],
-            ["elections", report.elections],
-            ["failover windows", failover],
-            ["migration latencies", migration],
-            ["flow reclaims", report.flow_reclaims],
-            ["double installs", report.double_installs],
-            ["stale RoleMods rejected", report.stale_role_errors],
-            ["members (live/total)",
-             f"{report.members_live}/{report.members_total}"],
-            ["bus sent/delivered/dropped/blocked",
-             f"{report.bus['sent']}/{report.bus['delivered']}/"
-             f"{report.bus['dropped']}/{report.bus['partition_blocked']}"],
-            ["invariant checks / violations",
-             f"{report.invariant_checks}/{len(report.violations)}"],
-            ["pool grace window (s)", f"{report.pool_grace:.2f}"],
-        ],
-        title="Pool report"))
-    if report.violations:
-        sections.append(format_table(
-            ["t (s)", "invariant", "detail"],
-            [[f"{v.time:.2f}", v.name, v.detail]
-             for v in report.violations[:20]],
-            title="Invariant violations"))
-    if report.scorecard is not None:
-        from repro.obs.scorecard import format_scorecard
-
-        sections.append(format_scorecard(report.scorecard))
-    verdict = "HEALTHY" if report.healthy else "DEGRADED"
-    sections.append(
-        f"verdict: {verdict} ({len(report.violations)} violations, "
-        f"{report.double_installs} double installs, "
-        f"{len(report.acked_master)}/{report.switches} switches mastered)")
-    return "\n\n".join(sections)

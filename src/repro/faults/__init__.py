@@ -10,11 +10,14 @@ from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker, Violation, grace_window
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.scenario import (
-    ChaosReport,
+    RunReport,
+    Scenario,
     chaos_config,
     default_plan,
     format_report,
-    run_chaos,
+    run,
+    scenarios,
+    write_artifacts,
 )
 from repro.obs.scorecard import (
     Scorecard,
@@ -25,11 +28,12 @@ from repro.obs.scorecard import (
 )
 
 __all__ = [
-    "ChaosReport",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "InvariantChecker",
+    "RunReport",
+    "Scenario",
     "Scorecard",
     "TruthWindow",
     "Violation",
@@ -39,6 +43,8 @@ __all__ = [
     "format_report",
     "format_scorecard",
     "grace_window",
-    "run_chaos",
+    "run",
+    "scenarios",
     "truth_windows",
+    "write_artifacts",
 ]

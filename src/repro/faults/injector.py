@@ -250,19 +250,7 @@ class FaultInjector:
 
         Deliberately headerless: this string is the determinism
         comparison unit (chaos soak, golden masters).  File exports get
-        the schema header via :meth:`export_jsonl`.
+        the schema header via
+        :func:`repro.faults.scenario.write_artifacts`.
         """
         return "\n".join(json.dumps(entry, sort_keys=False) for entry in self.log)
-
-    def export_jsonl(self, path: str) -> int:
-        """Write the fault log to ``path`` behind the ``fault_log``
-        schema header; returns the action count."""
-        from repro.obs.schema import write_schema_header
-
-        text = self.log_jsonl()
-        with open(path, "w") as handle:
-            write_schema_header(handle, "fault_log")
-            handle.write(text)
-            if text:
-                handle.write("\n")
-        return len(self.log)

@@ -1,25 +1,57 @@
-"""The canonical chaos scenario: faults + traffic + invariants, one run.
+"""The scenario -> run -> report spine (docs/architecture.md#scenario-spine).
 
-Shared by the ``scotch-repro chaos`` CLI command, the chaos soak tests
-and the recovery benchmark so they all measure the same thing: a
-Scotch-protected deployment under client load and a flood (keeping the
-overlay active), with every fault class from docs/robustness.md injected
-on a fixed timeline, the invariant checker watching throughout, and the
-§3.2 client flow failure fraction evaluated both across the fault window
-and in a clean post-recovery window.
+Every experiment in the repo has one shape: build a topology, drive
+new-flow load, optionally inject faults while invariants and the health
+engine watch, then read the outcome off the traces.  :func:`run` owns
+that shape once — the observability context, the build/run wall-clock
+split, the daemon lifecycle (engine -> traffic -> injector -> checker ->
+collector, the start order same-seed byte-identity depends on), the
+truth-window/scorecard join and the shared report fields — and each
+scenario is a declarative :class:`Scenario` entry registered by name:
+``chaos`` here, ``pool_chaos`` / ``pool_autoscale`` in
+:mod:`repro.cluster.scenario`, ``telemetry_point`` in
+:mod:`repro.telemetry.scorecard` and ``scale`` in
+:mod:`repro.testbed.scale`.  One :func:`format_report` and one
+:func:`write_artifacts` render every :class:`RunReport`.
+
+The ``chaos`` entry is the canonical robustness scenario
+(docs/robustness.md): a Scotch-protected deployment under client load
+and a flood (keeping the overlay active), every fault class injected on
+a fixed timeline, and the §3.2 client flow failure fraction evaluated
+both across the fault window and in a clean post-recovery window.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from importlib import import_module
+from time import perf_counter
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.config import ScotchConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantChecker, Violation, grace_window
+from repro.faults.invariants import InvariantChecker, Violation
 from repro.faults.plan import FaultPlan
-from repro.obs.scorecard import FLASH_CROWD, Scorecard, TruthWindow
+from repro.metrics.failure import client_flow_failure_fraction
+from repro.obs import HealthEngine, Observability, get_default_obs, observed
+from repro.obs.flight import FlightRecorder
+from repro.obs.postmortem import PostmortemCollector, export_bundles
+from repro.obs.schema import write_jsonl
+from repro.obs.scorecard import (
+    FLASH_CROWD,
+    Scorecard,
+    TruthWindow,
+    build_scorecard,
+    format_scorecard,
+    render_html_report,
+    scorecard_json,
+    truth_windows,
+)
+from repro.testbed.deployment import build_deployment
+from repro.testbed.report import format_table
+from repro.traffic import NewFlowSource, SpoofedFlood
 
 #: Phase margin between the last fault clearing and the start of the
 #: post-recovery measurement window (covers heartbeat detection plus one
@@ -55,31 +87,136 @@ def default_plan(duration: float = 18.0) -> FaultPlan:
     return plan
 
 
-@dataclass
-class ChaosReport:
-    """Everything the CLI/soak/benchmark consumers assert or print."""
+# ----------------------------------------------------------------------
+# Scenario entries and the registry
+# ----------------------------------------------------------------------
+class Scenario:
+    """One registered experiment: how to build it, load it, break it and
+    read it — everything else is :func:`run`'s job.
 
+    Subclass, set the class attributes, override the hooks and decorate
+    with :func:`register`.  One instance lives for one run: the hooks
+    read ``self.seed`` / ``duration`` / ``knobs`` / ``config`` /
+    ``plan`` / ``metrics`` (the live registry, the null one when metrics
+    are off) and may keep state on ``self`` between ``traffic`` and
+    ``measures``.  The presentation hooks are static: they see only the
+    finished report."""
+
+    name = ""
+    #: Default simulated seconds.
+    duration = 10.0
+    #: Scenario keywords (``run(name, **knobs)``) and their defaults.
+    knobs: Dict[str, Any] = {}
+    #: Always run under a fresh private metrics registry (for measures
+    #: that read absolute counter values).
+    private_metrics = False
+    #: Simulated seconds to keep running past ``duration``.
+    drain = 0.0
+    table_title = "Measures"
+
+    def __init__(self, seed: int, duration: float, knobs: Dict[str, Any],
+                 config: Optional[ScotchConfig], plan: Optional[FaultPlan]):
+        self.seed = seed
+        self.duration = duration
+        self.knobs = {**self.knobs, **knobs}
+        self.config = config or self.default_config()
+        self.plan = plan if plan is not None else self.default_plan()
+        self.metrics: Any = None
+
+    def default_config(self) -> ScotchConfig:
+        return ScotchConfig()
+
+    def default_plan(self) -> Optional[FaultPlan]:
+        """None means no injector / invariant checker for this run."""
+        return None
+
+    def build(self) -> Any:
+        """The deployment: needs ``.sim`` / ``.network`` / ``.controller``;
+        ``.overlay`` / ``.scotch`` / ``.pool`` are used when present."""
+        raise NotImplementedError
+
+    def traffic(self, dep: Any) -> None:
+        raise NotImplementedError
+
+    def measures(self, dep: Any) -> Dict[str, Any]:
+        """The scenario's own result rows (``RunReport.measures``)."""
+        raise NotImplementedError
+
+    def health_catalog(self) -> Tuple[Optional[Sequence], Optional[Sequence]]:
+        """(alert rules, SLIs) for the health engine; None: built-ins."""
+        return None, None
+
+    def truth(self) -> Sequence[TruthWindow]:
+        """Detection ground truth beyond the injector log."""
+        return ()
+
+    def grace(self) -> Optional[float]:
+        """Invariant grace window (None: the checker's own default)."""
+        return None
+
+    @staticmethod
+    def healthy(report: "RunReport") -> bool:
+        return not report.violations
+
+    @staticmethod
+    def headline(report: "RunReport") -> str:
+        return report.scenario
+
+    @staticmethod
+    def rows(report: "RunReport") -> List[Sequence[object]]:
+        return list(report.measures.items())
+
+    @staticmethod
+    def closing(report: "RunReport") -> List[str]:
+        """Sections after the scorecard (the verdict line etc.)."""
+        return []
+
+
+_REGISTRY: Dict[str, Type[Scenario]] = {}
+
+#: Modules that register scenarios on import (this one is the fifth).
+_SCENARIO_MODULES = ("repro.cluster.scenario", "repro.telemetry.scorecard",
+                     "repro.testbed.scale")
+
+
+def register(entry: Type[Scenario]) -> Type[Scenario]:
+    _REGISTRY[entry.name] = entry
+    return entry
+
+
+def scenarios() -> Dict[str, Type[Scenario]]:
+    """Every registered scenario, by name."""
+    for module in _SCENARIO_MODULES:
+        import_module(module)
+    return dict(_REGISTRY)
+
+
+# ----------------------------------------------------------------------
+# The report
+# ----------------------------------------------------------------------
+@dataclass
+class RunReport:
+    """What one :func:`run` produced: the shared fields every scenario
+    fills, plus the scenario's own ``measures`` (also readable as
+    attributes: ``report.failure_post_recovery``)."""
+
+    scenario: str
     seed: int
     duration: float
-    faults_injected: int
-    fault_counts: Dict[str, int]
-    fault_log: List[Dict[str, object]]
-    fault_log_jsonl: str
-    violations: List[Violation]
-    invariant_checks: int
-    grace: float
-    failure_during_faults: float
-    failure_post_recovery: float
-    flows_started: int
-    failures_detected: int
-    recoveries_detected: int
-    degraded_refreshes: int
-    resyncs: int
-    reliable: Dict[str, int] = field(default_factory=dict)
-    channel_drops: int = 0
-    channel_duplicates: int = 0
+    build_wall: float
+    build_events: int
+    run_wall: float
+    run_events: int
+    measures: Dict[str, Any] = field(default_factory=dict)
+    # -- fault injection + invariants (docs/robustness.md) --------------
+    faults_injected: int = 0
+    fault_counts: Dict[str, int] = field(default_factory=dict)
+    fault_log: List[Dict[str, object]] = field(default_factory=list)
+    fault_log_jsonl: str = ""
+    violations: List[Violation] = field(default_factory=list)
+    invariant_checks: int = 0
+    grace: float = 0.0
     # -- health engine (docs/observability.md#health) -------------------
-    health_enabled: bool = False
     alert_timeline: List[Dict[str, object]] = field(default_factory=list)
     alert_timeline_jsonl: str = ""
     sli_series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
@@ -90,16 +227,52 @@ class ChaosReport:
     postmortems: List[Dict[str, object]] = field(default_factory=list)
     postmortems_dropped: int = 0
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names that are not fields; __dict__ keeps a
+        # half-built instance (copy/unpickle) from recursing.
+        measures = self.__dict__.get("measures", {})
+        if name in measures:
+            return measures[name]
+        raise AttributeError(f"report has no field or measure {name!r}")
+
+    @property
+    def health_enabled(self) -> bool:
+        return self.scorecard is not None
+
     @property
     def healthy(self) -> bool:
-        return not self.violations and self.failure_post_recovery < 0.05
+        return scenarios()[self.scenario].healthy(self)
+
+    @property
+    def events_per_sec(self) -> float:
+        return self.run_events / self.run_wall if self.run_wall > 0 else 0.0
 
 
-def run_chaos(
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+def _flight_recorder(sim: Any) -> Any:
+    """Postmortem instrumentation for one run: causal provenance plus a
+    flight recorder — the outer Observability's when it already enabled
+    them via causality=/flight=, else local ones."""
+    if not sim.provenance_enabled:
+        sim.enable_provenance(run=0)
+    obs = get_default_obs()
+    flight = getattr(obs, "flight", None)
+    if flight is None:
+        flight = FlightRecorder()
+        flight.bind(sim, run=0)
+        flight.attach_metrics(obs.metrics)
+        if obs.tracer.enabled and obs.tracer.flight is None:
+            obs.tracer.flight = flight
+    return flight
+
+
+def run(
+    scenario: str,
     seed: int = 1,
-    duration: float = 18.0,
-    client_rate: float = 100.0,
-    attack_rate: float = 2000.0,
+    duration: Optional[float] = None,
+    *,
     plan: Optional[FaultPlan] = None,
     config: Optional[ScotchConfig] = None,
     invariant_interval: float = 0.5,
@@ -108,39 +281,37 @@ def run_chaos(
     health_interval: float = 0.25,
     detection_tolerance: float = 1.0,
     postmortem: bool = False,
-) -> ChaosReport:
-    """Run the chaos scenario and return its report.
+    **knobs: Any,
+) -> RunReport:
+    """Run the registered ``scenario`` and return its report.
 
     With ``health=True`` a read-only :class:`~repro.obs.health.HealthEngine`
     streams SLIs and alert rules during the run and the report gains the
     alert timeline plus a detection scorecard joining it against the
-    injector's ground truth.  The engine never mutates model state, so
-    the fault log and the measured outcomes are identical either way
-    (``tests/test_health_scorecard.py`` locks this in).
-
-    With ``postmortem=True`` the run also enables causal provenance and
-    a flight recorder, and a :class:`~repro.obs.postmortem.PostmortemCollector`
-    captures a bundle on every alert firing and invariant violation
-    (``report.postmortems``; export with
-    :func:`repro.obs.postmortem.export_bundles`).  The collector is
-    read-only, so the fault log and outcomes are again unchanged, and
-    same-seed bundles are byte-identical.
+    injector's ground truth.  With ``postmortem=True`` the run also
+    enables causal provenance and a flight recorder, and a
+    :class:`~repro.obs.postmortem.PostmortemCollector` captures a bundle
+    on every alert firing and invariant violation.  Both only read, so
+    the fault log and the measured outcomes are identical with them on
+    or off, and same-seed logs and bundles are byte-identical
+    (``tests/test_health_scorecard.py``, ``tests/test_postmortem.py``).
     """
-    from repro.metrics.failure import client_flow_failure_fraction
-    from repro.obs import Observability, get_default_obs, observed
-    from repro.testbed.deployment import build_deployment
-    from repro.traffic import NewFlowSource, SpoofedFlood
+    entry = scenarios()[scenario]
+    unknown = sorted(set(knobs) - set(entry.knobs))
+    if unknown:
+        raise TypeError(f"scenario {scenario!r} has no keyword(s) "
+                        f"{', '.join(unknown)}")
+    this = entry(seed, entry.duration if duration is None else duration,
+                 knobs, config, plan)
+    duration, plan = this.duration, this.plan
 
-    config = config or chaos_config()
-    plan = plan if plan is not None else default_plan(duration)
-
-    # The health engine needs a live metrics registry.  Reuse the
-    # process-default one when metrics are already on (e.g. CLI
-    # --metrics); otherwise install a private metrics-only bundle for
-    # the duration of the run, keeping any active tracer/profiler.
+    # The health engine and some measures need a live metrics registry.
+    # Reuse the process-default one when metrics are already on (e.g.
+    # CLI --metrics); otherwise install a private metrics-only bundle
+    # for the duration of the run, keeping any active tracer/profiler.
     outer = get_default_obs()
     context = nullcontext()
-    if health and not outer.metrics.enabled:
+    if entry.private_metrics or (health and not outer.metrics.enabled):
         private = Observability(trace=False, metrics=True)
         if getattr(outer, "enabled", False):
             private.tracer = outer.tracer
@@ -148,196 +319,296 @@ def run_chaos(
         context = observed(private)
 
     with context:
-        dep = build_deployment(seed=seed, racks=2, servers_per_rack=2,
-                               mesh_per_rack=1, backups=1, config=config)
-        server_ip = dep.servers[0].ip
+        this.metrics = get_default_obs().metrics
+        started = perf_counter()
+        dep = this.build()
+        sim = dep.sim
+        build_wall = perf_counter() - started
+        build_events = sim.events_fired
+        pool = getattr(dep, "pool", None)
+        flight = _flight_recorder(sim) if postmortem else None
 
-        flight = None
-        if postmortem and not dep.sim.provenance_enabled:
-            # The outer Observability may already have enabled both via
-            # causality=/flight=; otherwise instrument this run locally.
-            dep.sim.enable_provenance(run=0)
-        if postmortem:
-            outer_flight = getattr(get_default_obs(), "flight", None)
-            if outer_flight is not None:
-                flight = outer_flight
-            else:
-                from repro.obs.flight import FlightRecorder
-
-                flight = FlightRecorder()
-                flight.bind(dep.sim, run=0)
-                flight.attach_metrics(get_default_obs().metrics)
-                tracer = get_default_obs().tracer
-                if tracer.enabled and tracer.flight is None:
-                    tracer.flight = flight
-
+        # Start order is part of the byte-identity contract: engine,
+        # traffic, injector, checker, collector.
         engine = None
         if health:
-            from repro.obs.health import HealthEngine
-
-            engine = HealthEngine(dep.sim, get_default_obs().metrics,
-                                  rules=rules, interval=health_interval)
+            scenario_rules, slis = this.health_catalog()
+            engine = HealthEngine(
+                sim, this.metrics,
+                rules=rules if rules is not None else scenario_rules,
+                slis=slis, interval=health_interval)
             engine.start()
 
-        client_start, flood_start = 0.5, 1.0
-        traffic_stop = duration - 1.0
-        NewFlowSource(dep.sim, dep.client, server_ip, rate_fps=client_rate).start(
-            at=client_start, stop_at=traffic_stop)
-        # The flood keeps the edge congested, hence the overlay active, so
-        # every fault hits a control plane that is actually doing work.
-        SpoofedFlood(dep.sim, dep.attacker, server_ip, rate_fps=attack_rate).start(
-            at=flood_start, stop_at=traffic_stop)
+        this.traffic(dep)
 
-        injector = FaultInjector(dep.sim, dep.network, dep.controller, plan)
-        injector.start()
-        checker = InvariantChecker(dep.sim, dep.network, dep.overlay,
-                                   scotch=dep.scotch, interval=invariant_interval)
-        checker.start()
-
-        collector = None
+        injector = checker = collector = None
+        if plan is not None:
+            injector = FaultInjector(sim, dep.network, dep.controller, plan,
+                                     pool=pool)
+            injector.start()
+            checker = InvariantChecker(
+                sim, dep.network, getattr(dep, "overlay", None),
+                scotch=getattr(dep, "scotch", None), pool=pool,
+                grace=this.grace(), interval=invariant_interval)
+            checker.start()
         if postmortem:
-            from repro.obs.postmortem import PostmortemCollector
-
             collector = PostmortemCollector(
-                dep.sim, flight=flight, injector=injector,
-                context={
-                    "seed": seed, "duration": duration,
-                    "client_rate": client_rate, "attack_rate": attack_rate,
-                    "scenario": "chaos",
-                })
-            checker.on_violation = collector.on_violation
+                sim, flight=flight, injector=injector,
+                context={"seed": seed, "duration": duration,
+                         **{k: v for k, v in this.knobs.items()
+                            if isinstance(v, (int, float, str))},
+                         "scenario": entry.name})
+            if checker is not None:
+                checker.on_violation = collector.on_violation
             if engine is not None:
                 engine.on_transition = collector.on_alert
 
-        dep.sim.run(until=duration)
-        checker.check_now()
+        started = perf_counter()
+        sim.run(until=duration + entry.drain)
+        run_wall = perf_counter() - started
+        if checker is not None:
+            checker.check_now()
 
-    fault_start = min((e.time for e in plan), default=0.0)
-    fault_end = plan.end_time()
-    post_start = min(fault_end + RECOVERY_MARGIN, traffic_stop)
-    failure_during = client_flow_failure_fraction(
-        dep.client.sent_tap, dep.servers[0].recv_tap,
-        start=fault_start, end=fault_end)
-    failure_post = client_flow_failure_fraction(
-        dep.client.sent_tap, dep.servers[0].recv_tap,
-        start=post_start, end=traffic_stop)
-
-    health_fields: Dict[str, object] = {}
+    report = RunReport(
+        scenario=entry.name, seed=seed, duration=duration,
+        build_wall=build_wall, build_events=build_events,
+        run_wall=run_wall, run_events=sim.events_fired - build_events,
+        measures=this.measures(dep))
+    if injector is not None:
+        report.faults_injected = injector.injected
+        report.fault_counts = dict(injector.counts)
+        report.fault_log = list(injector.log)
+        report.fault_log_jsonl = injector.log_jsonl()
+        report.violations = list(checker.violations)
+        report.invariant_checks = checker.checks_run
+        report.grace = checker.grace
     if engine is not None:
-        from repro.obs.scorecard import build_scorecard, truth_windows
-
         engine.stop()
-        # The deliberate flood is ground truth for the flash-crowd rule:
-        # the fault-free baseline keeps the flood, so its OFA-overload
-        # firing is a true positive there too.
-        extra = ()
-        if attack_rate > 0:
-            extra = (TruthWindow(FLASH_CROWD, "edge", flood_start,
-                                 traffic_stop),)
-        truth = truth_windows(injector.log, run_end=duration, extra=extra)
-        card = build_scorecard(engine.rules, engine.timeline, truth,
-                               run_end=duration,
-                               tolerance=detection_tolerance)
-        health_fields = dict(
-            health_enabled=True,
-            alert_timeline=list(engine.timeline),
-            alert_timeline_jsonl=engine.timeline_jsonl(),
-            sli_series={name: list(points)
-                        for name, points in engine.series.items()},
-            truth=list(truth),
-            scorecard=card,
-        )
-
-    postmortem_fields: Dict[str, object] = {}
+        report.alert_timeline = list(engine.timeline)
+        report.alert_timeline_jsonl = engine.timeline_jsonl()
+        report.sli_series = {name: list(points)
+                             for name, points in engine.series.items()}
+        report.truth = truth_windows(
+            injector.log if injector is not None else [],
+            run_end=duration, extra=this.truth())
+        report.scorecard = build_scorecard(
+            engine.rules, engine.timeline, report.truth,
+            run_end=duration, tolerance=detection_tolerance)
     if collector is not None:
-        postmortem_fields = dict(
-            postmortem_enabled=True,
-            postmortems=list(collector.bundles),
-            postmortems_dropped=collector.dropped,
-        )
-
-    reliable = dep.scotch.reliable
-    heartbeat = dep.scotch.heartbeat
-    channels = [h.channel for h in dep.controller.datapaths.values()]
-    return ChaosReport(
-        seed=seed,
-        duration=duration,
-        faults_injected=injector.injected,
-        fault_counts=dict(injector.counts),
-        fault_log=list(injector.log),
-        fault_log_jsonl=injector.log_jsonl(),
-        violations=list(checker.violations),
-        invariant_checks=checker.checks_run,
-        grace=checker.grace,
-        failure_during_faults=failure_during,
-        failure_post_recovery=failure_post,
-        flows_started=len(dep.client.sent_tap.records),
-        failures_detected=heartbeat.failures_detected,
-        recoveries_detected=heartbeat.recoveries_detected,
-        degraded_refreshes=heartbeat.degraded_refreshes,
-        resyncs=dep.scotch.resyncs,
-        reliable={
-            "sent": reliable.sent if reliable else 0,
-            "acked": reliable.acked if reliable else 0,
-            "retries": reliable.retries if reliable else 0,
-            "abandoned": reliable.abandoned if reliable else 0,
-            "superseded": reliable.superseded if reliable else 0,
-        },
-        channel_drops=sum(c.to_switch_dropped + c.to_controller_dropped
-                          for c in channels),
-        channel_duplicates=sum(c.to_switch_duplicated + c.to_controller_duplicated
-                               for c in channels),
-        **health_fields,
-        **postmortem_fields,
-    )
+        report.postmortem_enabled = True
+        report.postmortems = list(collector.bundles)
+        report.postmortems_dropped = collector.dropped
+    return report
 
 
-def format_report(report: ChaosReport) -> str:
-    """A human-readable fault/recovery report (used by the CLI)."""
-    from repro.testbed.report import format_table
-
-    fault_rows = [[kind, count] for kind, count in sorted(report.fault_counts.items())]
-    sections = [
-        format_table(
-            ["fault class", "injected"], fault_rows,
-            title=f"Chaos run — seed {report.seed}, {report.duration:.0f}s, "
-                  f"{report.faults_injected} fault actions"),
-        format_table(
-            ["measure", "value"],
-            [
-                ["client failure (fault window)", f"{report.failure_during_faults:.4f}"],
-                ["client failure (post-recovery)", f"{report.failure_post_recovery:.4f}"],
-                ["vSwitch failures detected", report.failures_detected],
-                ["vSwitch recoveries detected", report.recoveries_detected],
-                ["degraded group refreshes", report.degraded_refreshes],
-                ["controller resyncs", report.resyncs],
-                ["reliable installs sent/acked", f"{report.reliable['sent']}/{report.reliable['acked']}"],
-                ["reliable retries / abandoned", f"{report.reliable['retries']}/{report.reliable['abandoned']}"],
-                ["channel msgs dropped/duplicated", f"{report.channel_drops}/{report.channel_duplicates}"],
-                ["invariant checks / violations", f"{report.invariant_checks}/{len(report.violations)}"],
-                ["recovery grace window (s)", f"{report.grace:.2f}"],
-            ],
-            title="Recovery report"),
-    ]
+# ----------------------------------------------------------------------
+# The one formatter and the one artifact writer
+# ----------------------------------------------------------------------
+def format_report(report: RunReport) -> str:
+    """A human-readable report of any run (used by the CLI)."""
+    entry = scenarios()[report.scenario]
+    sections = []
+    if report.fault_counts:
+        sections.append(format_table(
+            ["fault class", "injected"], sorted(report.fault_counts.items()),
+            title=entry.headline(report)))
+    sections.append(format_table(["measure", "value"], entry.rows(report),
+                                 title=entry.table_title))
     if report.violations:
         sections.append(format_table(
             ["t (s)", "invariant", "detail"],
             [[f"{v.time:.2f}", v.name, v.detail] for v in report.violations[:20]],
             title="Invariant violations"))
     if report.scorecard is not None:
-        from repro.obs.scorecard import format_scorecard
-
         sections.append(format_scorecard(report.scorecard))
-        firings = sum(s.firings for s in report.scorecard.rules.values())
-        sections.append(f"alerts: {len(report.alert_timeline)} transitions, "
-                        f"{firings} firings")
-    if report.postmortem_enabled:
-        dropped = (f" ({report.postmortems_dropped} past the cap)"
+    return "\n\n".join(sections + entry.closing(report))
+
+
+#: JSONL artifact kind -> (schema kind, report attribute holding the
+#: records, summary line); the headerless text is ``<attribute>_jsonl``.
+_JSONL_ARTIFACTS = {
+    "pool_events": ("pool_events", "pool_events", "pool events: {count}"),
+    "fault_log": ("fault_log", "fault_log", "fault log: {count} actions"),
+    "alert_log": ("alert_timeline", "alert_timeline",
+                  "alert timeline: {count} transitions"),
+}
+#: Every artifact kind, in the order the CLI reports them.  The two
+#: telemetry kinds render a telemetry sweep's TelemetryScorecard.
+ARTIFACT_KINDS = (*_JSONL_ARTIFACTS, "health_report", "scorecard_json",
+                  "postmortem_dir", "report_json",
+                  "telemetry_json", "telemetry_html")
+#: Kinds that only exist when the health engine ran.
+HEALTH_ARTIFACTS = ("alert_log", "health_report", "scorecard_json")
+
+
+def _write_artifact(report: Any, kind: str, path: str) -> str:
+    """Write one artifact; returns its one-line summary."""
+    if kind == "telemetry_html":
+        from repro.telemetry.scorecard import render_telemetry_html
+
+        render_telemetry_html(path, report)
+        return f"telemetry report -> {path}"
+    if kind in _JSONL_ARTIFACTS:
+        schema, attribute, summary = _JSONL_ARTIFACTS[kind]
+        write_jsonl(path, schema, getattr(report, attribute + "_jsonl"))
+        count = len(getattr(report, attribute))
+        return f"{summary.format(count=count)} -> {path}"
+    if kind == "health_report":
+        render_html_report(
+            path, report.sli_series, report.alert_timeline,
+            run_end=report.duration, truth=report.truth,
+            scorecard=report.scorecard,
+            title=f"Scotch health — seed {report.seed}")
+        return f"health report -> {path}"
+    if kind == "postmortem_dir":
+        paths = export_bundles(report.postmortems, path)
+        dropped = (f" ({report.postmortems_dropped} past the cap dropped)"
                    if report.postmortems_dropped else "")
-        sections.append(f"postmortems: {len(report.postmortems)} bundles "
-                        f"captured{dropped}")
-    verdict = "HEALTHY" if report.healthy else "DEGRADED"
-    sections.append(f"verdict: {verdict} (post-recovery failure "
-                    f"{report.failure_post_recovery:.2%}, "
-                    f"{len(report.violations)} violations)")
-    return "\n\n".join(sections)
+        return f"postmortems: {len(paths)} bundles -> {path}{dropped}"
+    with open(path, "w") as handle:
+        if kind == "scorecard_json":
+            handle.write(scorecard_json(report.scorecard) + "\n")
+            return f"scorecard -> {path}"
+        if kind == "telemetry_json":
+            from repro.telemetry.scorecard import telemetry_scorecard_json
+
+            handle.write(telemetry_scorecard_json(report) + "\n")
+            return f"scorecard -> {path}"
+        shared = {name: getattr(report, name) for name in (
+            "scenario", "seed", "duration", "build_wall", "build_events",
+            "run_wall", "run_events", "events_per_sec")}
+        json.dump({**shared, **report.measures}, handle, indent=2,
+                  sort_keys=True)
+        handle.write("\n")
+        return f"wrote {path}"
+
+
+def write_artifacts(report: Any, paths: Dict[str, Optional[str]]) -> List[str]:
+    """Write every artifact in ``paths`` (``kind -> path``; falsy paths
+    are skipped) and return one summary line per file written.  JSONL
+    kinds carry their :mod:`repro.obs.schema` header."""
+    wanted = sorted((kind for kind, path in paths.items() if path),
+                    key=ARTIFACT_KINDS.index)
+    missing = [kind for kind in wanted
+               if kind in HEALTH_ARTIFACTS and report.scorecard is None]
+    if missing:
+        raise ValueError(f"{', '.join(missing)} need a health=True run")
+    return [_write_artifact(report, kind, paths[kind]) for kind in wanted]
+
+
+# ----------------------------------------------------------------------
+# The chaos scenario
+# ----------------------------------------------------------------------
+@register
+class Chaos(Scenario):
+    """The canonical robustness run (docs/robustness.md)."""
+
+    name = "chaos"
+    duration = 18.0
+    knobs = {"client_rate": 100.0, "attack_rate": 2000.0}
+    table_title = "Recovery report"
+    CLIENT_START, FLOOD_START = 0.5, 1.0
+
+    def default_config(self) -> ScotchConfig:
+        return chaos_config()
+
+    def default_plan(self) -> FaultPlan:
+        return default_plan(self.duration)
+
+    def build(self) -> Any:
+        return build_deployment(seed=self.seed, racks=2, servers_per_rack=2,
+                                mesh_per_rack=1, backups=1, config=self.config)
+
+    def traffic(self, dep: Any) -> None:
+        server_ip = dep.servers[0].ip
+        stop = self.duration - 1.0
+        NewFlowSource(dep.sim, dep.client, server_ip,
+                      rate_fps=self.knobs["client_rate"]).start(
+            at=self.CLIENT_START, stop_at=stop)
+        # The flood keeps the edge congested, hence the overlay active,
+        # so every fault hits a control plane that is actually doing work.
+        SpoofedFlood(dep.sim, dep.attacker, server_ip,
+                     rate_fps=self.knobs["attack_rate"]).start(
+            at=self.FLOOD_START, stop_at=stop)
+
+    def truth(self) -> Sequence[TruthWindow]:
+        # The deliberate flood is ground truth for the flash-crowd rule:
+        # the fault-free baseline keeps the flood, so its OFA-overload
+        # firing is a true positive there too.
+        if self.knobs["attack_rate"] <= 0:
+            return ()
+        return (TruthWindow(FLASH_CROWD, "edge", self.FLOOD_START,
+                            self.duration - 1.0),)
+
+    def measures(self, dep: Any) -> Dict[str, Any]:
+        traffic_stop = self.duration - 1.0
+        fault_start = min((e.time for e in self.plan), default=0.0)
+        fault_end = self.plan.end_time()
+        post_start = min(fault_end + RECOVERY_MARGIN, traffic_stop)
+        sent, received = dep.client.sent_tap, dep.servers[0].recv_tap
+        reliable = dep.scotch.reliable
+        heartbeat = dep.scotch.heartbeat
+        channels = [h.channel for h in dep.controller.datapaths.values()]
+        return {
+            "failure_during_faults": client_flow_failure_fraction(
+                sent, received, start=fault_start, end=fault_end),
+            "failure_post_recovery": client_flow_failure_fraction(
+                sent, received, start=post_start, end=traffic_stop),
+            "flows_started": len(sent.records),
+            "failures_detected": heartbeat.failures_detected,
+            "recoveries_detected": heartbeat.recoveries_detected,
+            "degraded_refreshes": heartbeat.degraded_refreshes,
+            "resyncs": dep.scotch.resyncs,
+            "reliable": {name: getattr(reliable, name) if reliable else 0
+                         for name in ("sent", "acked", "retries", "abandoned",
+                                      "superseded")},
+            "channel_drops": sum(c.to_switch_dropped + c.to_controller_dropped
+                                 for c in channels),
+            "channel_duplicates": sum(
+                c.to_switch_duplicated + c.to_controller_duplicated
+                for c in channels),
+        }
+
+    @staticmethod
+    def healthy(report: RunReport) -> bool:
+        return not report.violations and report.failure_post_recovery < 0.05
+
+    @staticmethod
+    def headline(report: RunReport) -> str:
+        return (f"Chaos run — seed {report.seed}, {report.duration:.0f}s, "
+                f"{report.faults_injected} fault actions")
+
+    @staticmethod
+    def rows(report: RunReport) -> List[Sequence[object]]:
+        reliable = report.reliable
+        return [
+            ["client failure (fault window)", f"{report.failure_during_faults:.4f}"],
+            ["client failure (post-recovery)", f"{report.failure_post_recovery:.4f}"],
+            ["vSwitch failures detected", report.failures_detected],
+            ["vSwitch recoveries detected", report.recoveries_detected],
+            ["degraded group refreshes", report.degraded_refreshes],
+            ["controller resyncs", report.resyncs],
+            ["reliable installs sent/acked", f"{reliable['sent']}/{reliable['acked']}"],
+            ["reliable retries / abandoned", f"{reliable['retries']}/{reliable['abandoned']}"],
+            ["channel msgs dropped/duplicated", f"{report.channel_drops}/{report.channel_duplicates}"],
+            ["invariant checks / violations", f"{report.invariant_checks}/{len(report.violations)}"],
+            ["recovery grace window (s)", f"{report.grace:.2f}"],
+        ]
+
+    @staticmethod
+    def closing(report: RunReport) -> List[str]:
+        sections = []
+        if report.scorecard is not None:
+            firings = sum(s.firings for s in report.scorecard.rules.values())
+            sections.append(f"alerts: {len(report.alert_timeline)} "
+                            f"transitions, {firings} firings")
+        if report.postmortem_enabled:
+            dropped = (f" ({report.postmortems_dropped} past the cap)"
+                       if report.postmortems_dropped else "")
+            sections.append(f"postmortems: {len(report.postmortems)} bundles "
+                            f"captured{dropped}")
+        verdict = "HEALTHY" if report.healthy else "DEGRADED"
+        sections.append(f"verdict: {verdict} (post-recovery failure "
+                        f"{report.failure_post_recovery:.2%}, "
+                        f"{len(report.violations)} violations)")
+        return sections

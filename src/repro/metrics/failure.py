@@ -9,19 +9,21 @@ traces."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from repro.metrics.recorder import PacketRecorder
 
 
 def client_flow_failure_fraction(
     client_tap: PacketRecorder,
-    server_tap: PacketRecorder,
+    server_tap: Union[PacketRecorder, Iterable[PacketRecorder]],
     start: Optional[float] = None,
     end: Optional[float] = None,
 ) -> float:
     """Fraction of flows the client sent whose packets never reached the
-    server, computed from the two packet traces.
+    server, computed from the two packet traces.  ``server_tap`` may be
+    several sink taps (a multi-destination workload): a flow failed
+    when none of them ever saw it.
 
     ``start``/``end`` (on the client's first-send time) restrict the
     computation to a measurement window, excluding warm-up/cool-down.
@@ -35,7 +37,8 @@ def client_flow_failure_fraction(
     }
     if not sent:
         return 0.0
-    arrived = server_tap.received_flow_keys()
+    taps = [server_tap] if isinstance(server_tap, PacketRecorder) else server_tap
+    arrived = set().union(*(tap.received_flow_keys() for tap in taps))
     failed = sum(1 for key in sent if key not in arrived)
     return failed / len(sent)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
+from repro.sim.process import PeriodicTimer
 
 
 class TimeSeries:
@@ -43,12 +44,18 @@ def sample_periodically(
     probe: Callable[[], float],
     interval: float,
     until: Optional[float] = None,
-) -> None:
-    """Schedule periodic sampling of ``probe()`` into ``series``."""
+) -> PeriodicTimer:
+    """Sample ``probe()`` into ``series`` every ``interval`` seconds (the
+    last sample no later than ``until``); ``stop()`` the returned timer
+    to end the sampling early."""
 
     def _tick() -> None:
         series.add(sim.now, probe())
         if until is None or sim.now + interval <= until:
-            sim.schedule(interval, _tick)
+            timer.rearm()
 
-    sim.schedule(interval, _tick)
+    # Foreground events, like the chain this replaces: the samples keep
+    # an otherwise idle run alive until ``until``.
+    timer = PeriodicTimer(sim, interval, _tick, daemon=False)
+    timer.start()
+    return timer

@@ -45,7 +45,7 @@ class FlightRecorder:
         self._sim: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    # Wiring (called by Observability.bind / run_chaos)
+    # Wiring (called by Observability.bind / faults.scenario.run)
     # ------------------------------------------------------------------
     def bind(self, sim: Any, run: int = 0) -> None:
         """Attach the event ring to ``sim``'s dispatch loop."""

@@ -394,12 +394,7 @@ class HealthEngine:
     def export_timeline(self, path: str) -> int:
         """Write the timeline JSONL to ``path`` (behind the schema
         header); returns the transition record count."""
-        from repro.obs.schema import write_schema_header
+        from repro.obs.schema import write_jsonl
 
-        text = self.timeline_jsonl()
-        with open(path, "w") as handle:
-            write_schema_header(handle, "alert_timeline")
-            handle.write(text)
-            if text:
-                handle.write("\n")
+        write_jsonl(path, "alert_timeline", self.timeline_jsonl())
         return len(self.timeline)

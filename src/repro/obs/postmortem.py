@@ -76,7 +76,7 @@ class PostmortemCollector:
     """Builds bundles on alert firings and invariant violations.
 
     Wire it up with ``health.on_transition = collector.on_alert`` and
-    ``checker.on_violation = collector.on_violation`` (run_chaos does
+    ``checker.on_violation = collector.on_violation`` (scenario.run does
     both when ``postmortem=True``).  The collector only reads — it
     never schedules events or mutates model state, so a collecting run
     stays bit-identical to a non-collecting one.

@@ -52,6 +52,15 @@ def write_schema_header(handle: Any, kind: str) -> None:
     handle.write("\n")
 
 
+def write_jsonl(path: str, kind: str, text: str) -> None:
+    """Write headerless JSONL ``text`` (may be empty) to ``path`` behind
+    the ``kind`` schema header."""
+    with open(path, "w") as handle:
+        write_schema_header(handle, kind)
+        if text:
+            handle.write(text + "\n")
+
+
 def is_schema_record(record: Any) -> bool:
     return isinstance(record, dict) and record.get("type") == "schema"
 

@@ -20,15 +20,17 @@ in-payload) and a self-contained HTML report, extending the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ScotchConfig
+from repro.faults.scenario import RunReport, Scenario, register, run
 from repro.net.flow import FlowKey, FlowSpec
-from repro.obs import Observability, observed
 from repro.obs.profiler import EngineProfiler
 from repro.obs.scorecard import canonical_json, html_head
+from repro.testbed.deployment import build_deployment
 from repro.testbed.report import format_table
+from repro.traffic import SpoofedFlood
 
 #: Version of the telemetry scorecard JSON payload.  Deliberately NOT a
 #: JSONL schema kind (repro.obs.schema.SCHEMA_VERSIONS): the artifact is
@@ -46,47 +48,10 @@ _MONITORING_CALLBACKS = (
 
 
 @dataclass
-class TelemetryRunScore:
-    """One mode/rate point of the accuracy-vs-overhead trade."""
-
-    mode: str
-    #: Sampling period N (0 for pure polling).
-    period: int
-    true_elephants: int
-    flagged: int
-    flagged_true: int
-    migrations_completed: int
-    #: Mean seconds from elephant flow start to its first threshold
-    #: crossing in a stats dump (None when nothing was flagged).
-    mean_detection_delay: Optional[float]
-    #: Mean seconds from elephant flow start to completed migration.
-    mean_migration_delay: Optional[float]
-    polls_sent: int
-    reply_entries: int
-    sample_reports: int
-    sample_records: int
-    estimates_emitted: int
-    #: Total flow-measurement control-channel bytes (stats.bytes.*).
-    monitoring_bytes: int
-    #: Monitoring callbacks' share of total callback wall time.
-    controller_cpu_share: float
-
-    @property
-    def recall(self) -> float:
-        if self.true_elephants == 0:
-            return 1.0
-        return self.flagged_true / self.true_elephants
-
-    @property
-    def precision(self) -> float:
-        if self.flagged == 0:
-            return 1.0
-        return self.flagged_true / self.flagged
-
-
-@dataclass
 class TelemetryScorecard:
-    """All runs of one scorecard sweep (first run is the poll baseline)."""
+    """All runs of one scorecard sweep (first run is the poll baseline);
+    each is a ``telemetry_point`` :class:`RunReport`, one mode/rate
+    point of the accuracy-vs-overhead trade."""
 
     seed: int
     duration: float
@@ -94,162 +59,162 @@ class TelemetryScorecard:
     elephants: int
     mice: int
     elephant_packet_threshold: int
-    runs: List[TelemetryRunScore] = field(default_factory=list)
+    runs: List[RunReport] = field(default_factory=list)
 
     @property
-    def baseline(self) -> Optional[TelemetryRunScore]:
-        for run in self.runs:
-            if run.mode == "poll":
-                return run
+    def baseline(self) -> Optional[RunReport]:
+        for point in self.runs:
+            if point.mode == "poll":
+                return point
         return None
 
-    def byte_reduction(self, run: TelemetryRunScore) -> float:
+    def byte_reduction(self, point: RunReport) -> float:
         """Monitoring-byte reduction factor vs. the poll baseline."""
         baseline = self.baseline
-        if baseline is None or run.monitoring_bytes == 0:
+        if baseline is None or point.monitoring_bytes == 0:
             return 0.0
-        return baseline.monitoring_bytes / run.monitoring_bytes
+        return baseline.monitoring_bytes / point.monitoring_bytes
 
 
 # ----------------------------------------------------------------------
 # Scenario
 # ----------------------------------------------------------------------
-def run_telemetry_point(
-    config: ScotchConfig,
-    seed: int = 1,
-    duration: float = 8.0,
-    attack_rate: float = 800.0,
-    elephants: int = 8,
-    mice: int = 10,
-    elephant_packets: int = 600,
-    elephant_pps: float = 300.0,
-    mouse_packets: int = 100,
-    mouse_pps: float = 200.0,
-) -> TelemetryRunScore:
-    """One measured run of the scorecard scenario under ``config``.
+#: Start times of the injected flows: elephant i at 1.5 + 0.25 i, decoy
+#: mouse i at 1.75 + 0.25 i (both during the flood).
+ELEPHANT_START, MOUSE_START, FLOW_SPACING = 1.5, 1.75, 0.25
+
+
+def monitoring_counters(metrics) -> Dict[str, int]:
+    """Final values of the flow-measurement cost counters in ``metrics``
+    (zeros for counters never touched); ``monitoring_bytes`` totals the
+    ``stats.bytes.*`` control-channel byte counters."""
+
+    def value(name: str) -> int:
+        counter = metrics.counters.get(name)
+        return counter.value if counter is not None else 0
+
+    return {
+        "polls_sent": value("stats.polls_sent"),
+        "reply_entries": value("stats.reply_entries"),
+        "sample_reports": value("stats.sample_reports"),
+        "sample_records": value("stats.sample_records"),
+        "estimates_emitted": value("telemetry.estimates_emitted"),
+        "monitoring_bytes": sum(value(f"stats.bytes.{kind}")
+                                for kind in ("requests", "replies", "samples")),
+    }
+
+
+@register
+class TelemetryPoint(Scenario):
+    """One measured run of the scorecard scenario under a given config.
 
     The spoofed flood (fig. 3's stress shape) congests the edge switch
     so new flows ride the overlay; the elephants and decoy mice enter on
     the attacked port during the flood.  Runs under a private
-    metrics-only Observability (the run_chaos idiom), so an
-    observability-off caller still gets counters without perturbing the
-    process default.
-    """
-    from repro.testbed.deployment import build_deployment
-    from repro.traffic import SpoofedFlood
+    metrics-only Observability, so an observability-off caller still
+    gets counters without perturbing the process default; ``duration``
+    is the flood length (the run drains one more second)."""
 
-    private = Observability(trace=False, metrics=True)
-    with observed(private):
-        dep = build_deployment(seed=seed, racks=2, mesh_per_rack=1, config=config)
-        sim = dep.sim
-        profiler = EngineProfiler()
-        profiler.attach(sim)
+    name = "telemetry_point"
+    duration = 8.0
+    knobs = {"attack_rate": 800.0, "elephants": 8, "mice": 10,
+             "elephant_packets": 600, "elephant_pps": 300.0,
+             "mouse_packets": 100, "mouse_pps": 200.0}
+    private_metrics = True
+    drain = 1.0
+
+    def build(self):
+        return build_deployment(seed=self.seed, racks=2, mesh_per_rack=1,
+                                config=self.config)
+
+    def traffic(self, dep) -> None:
+        knobs = self.knobs
+        self.profiler = EngineProfiler()
+        self.profiler.attach(dep.sim)
         server_ip = dep.servers[0].ip
+        SpoofedFlood(dep.sim, dep.attacker, server_ip,
+                     rate_fps=knobs["attack_rate"]).start(
+            at=0.5, stop_at=self.duration)
 
-        flood = SpoofedFlood(sim, dep.attacker, server_ip, rate_fps=attack_rate)
-        flood.start(at=0.5, stop_at=duration)
+        def inject(kind, count, subnet, base_port, first_start, packet_size):
+            keys = []
+            for index in range(count):
+                key = FlowKey(f"10.99.{subnet}.{index + 1}", server_ip, 6,
+                              base_port + index, 80)
+                keys.append(key)
+                dep.attacker.start_flow(FlowSpec(
+                    key=key,
+                    start_time=first_start + FLOW_SPACING * index,
+                    size_packets=knobs[f"{kind}_packets"],
+                    packet_size=packet_size,
+                    rate_pps=knobs[f"{kind}_pps"],
+                    batch=5,
+                ))
+            return keys
 
-        elephant_keys: List[FlowKey] = []
-        for index in range(elephants):
-            key = FlowKey(f"10.99.1.{index + 1}", server_ip, 6, 6000 + index, 80)
-            elephant_keys.append(key)
-            dep.attacker.start_flow(FlowSpec(
-                key=key,
-                start_time=1.5 + 0.25 * index,
-                size_packets=elephant_packets,
-                packet_size=1000,
-                rate_pps=elephant_pps,
-                batch=5,
-            ))
-        mouse_keys: List[FlowKey] = []
-        for index in range(mice):
-            key = FlowKey(f"10.99.2.{index + 1}", server_ip, 6, 7000 + index, 80)
-            mouse_keys.append(key)
-            dep.attacker.start_flow(FlowSpec(
-                key=key,
-                start_time=1.75 + 0.25 * index,
-                size_packets=mouse_packets,
-                packet_size=400,
-                rate_pps=mouse_pps,
-                batch=5,
-            ))
+        self.elephant_keys = inject("elephant", knobs["elephants"], 1, 6000,
+                                    ELEPHANT_START, 1000)
+        inject("mouse", knobs["mice"], 2, 7000, MOUSE_START, 400)
 
-        sim.run(until=duration + 1.0)
-
+    def measures(self, dep) -> Dict[str, object]:
+        config = self.config
         # Ground truth: injected elephants that actually sent past the
         # threshold *and* rode the overlay (only overlay flows are
         # visible to §5.3 monitoring — an elephant admitted straight to
         # a physical path needs no migration).
-        threshold = config.elephant_packet_threshold
         sent = dep.attacker.sent_tap.records
+        flow_db = dep.scotch.flow_db
         truth = set()
-        for key in elephant_keys:
+        for key in self.elephant_keys:
             record = sent.get(key)
-            if record is None or record.packets_sent < threshold:
+            if (record is None
+                    or record.packets_sent < config.elephant_packet_threshold):
                 continue
-            info = dep.scotch.flow_db.get(key)
-            if info is not None and info.entry_vswitch is not None:
-                truth.add(key)
-            elif info is not None and info.migrated_at is not None:
+            info = flow_db.get(key)
+            if info is not None and (info.entry_vswitch is not None
+                                     or info.migrated_at is not None):
                 truth.add(key)
 
         flagged_at = dict(dep.scotch.migrator.elephants_flagged)
         flagged_true = truth & set(flagged_at)
-        starts = {
-            key: 1.5 + 0.25 * index for index, key in enumerate(elephant_keys)
-        }
-        detection_delays = [
-            flagged_at[key] - starts[key] for key in sorted(flagged_true)
-        ]
-        migration_delays = []
-        for key in sorted(truth):
-            info = dep.scotch.flow_db.get(key)
-            if info is not None and info.migrated_at is not None:
-                migration_delays.append(info.migrated_at - starts[key])
+        starts = {key: ELEPHANT_START + FLOW_SPACING * index
+                  for index, key in enumerate(self.elephant_keys)}
+        detection_delays = [flagged_at[key] - starts[key]
+                            for key in sorted(flagged_true)]
+        migration_delays = [flow_db.get(key).migrated_at - starts[key]
+                            for key in sorted(truth)
+                            if flow_db.get(key).migrated_at is not None]
 
-        counters = private.metrics.counters
+        def mean(delays: List[float]) -> Optional[float]:
+            return sum(delays) / len(delays) if delays else None
 
-        def count(name: str) -> int:
-            counter = counters.get(name)
-            return counter.value if counter is not None else 0
-
-        monitoring_bytes = (
-            count("stats.bytes.requests")
-            + count("stats.bytes.replies")
-            + count("stats.bytes.samples")
-        )
-        total_wall = sum(s.total_s for s in profiler.callbacks.values())
+        callbacks = self.profiler.callbacks
+        total_wall = sum(s.total_s for s in callbacks.values())
         monitoring_wall = sum(
-            s.total_s
-            for name, s in profiler.callbacks.items()
-            if any(fragment in name for fragment in _MONITORING_CALLBACKS)
-        )
-
-    return TelemetryRunScore(
-        mode=config.stats_mode,
-        period=config.sampling_period if config.stats_mode in ("sample", "hybrid") else 0,
-        true_elephants=len(truth),
-        flagged=len(flagged_at),
-        flagged_true=len(flagged_true),
-        migrations_completed=dep.scotch.migrator.migrations_completed,
-        mean_detection_delay=(
-            sum(detection_delays) / len(detection_delays)
-            if detection_delays else None
-        ),
-        mean_migration_delay=(
-            sum(migration_delays) / len(migration_delays)
-            if migration_delays else None
-        ),
-        polls_sent=count("stats.polls_sent"),
-        reply_entries=count("stats.reply_entries"),
-        sample_reports=count("stats.sample_reports"),
-        sample_records=count("stats.sample_records"),
-        estimates_emitted=count("telemetry.estimates_emitted"),
-        monitoring_bytes=monitoring_bytes,
-        controller_cpu_share=(
-            monitoring_wall / total_wall if total_wall > 0 else 0.0
-        ),
-    )
+            s.total_s for name, s in callbacks.items()
+            if any(fragment in name for fragment in _MONITORING_CALLBACKS))
+        sampling = config.stats_mode in ("sample", "hybrid")
+        return {
+            "mode": config.stats_mode,
+            # Sampling period N (0 for pure polling).
+            "period": config.sampling_period if sampling else 0,
+            "true_elephants": len(truth),
+            "flagged": len(flagged_at),
+            "flagged_true": len(flagged_true),
+            "recall": len(flagged_true) / len(truth) if truth else 1.0,
+            "precision": (len(flagged_true) / len(flagged_at)
+                          if flagged_at else 1.0),
+            "migrations_completed": dep.scotch.migrator.migrations_completed,
+            # Mean seconds from elephant flow start to its first
+            # threshold crossing in a stats dump (None: nothing flagged)
+            # and to its completed migration.
+            "mean_detection_delay": mean(detection_delays),
+            "mean_migration_delay": mean(migration_delays),
+            **monitoring_counters(self.metrics),
+            # Monitoring callbacks' share of total callback wall time.
+            "controller_cpu_share": (monitoring_wall / total_wall
+                                     if total_wall > 0 else 0.0),
+        }
 
 
 def run_telemetry_scorecard(
@@ -265,8 +230,6 @@ def run_telemetry_scorecard(
 ) -> TelemetryScorecard:
     """The full sweep: a poll baseline plus one sample run per period
     (and optionally a hybrid run at the first period)."""
-    from dataclasses import replace
-
     base = base_config or ScotchConfig()
     card = TelemetryScorecard(
         seed=seed,
@@ -286,13 +249,9 @@ def run_telemetry_scorecard(
             replace(base, stats_mode="hybrid", sampling_period=periods[0])
         )
     for config in configs:
-        card.runs.append(run_telemetry_point(
-            config,
-            seed=seed,
-            duration=duration,
-            attack_rate=attack_rate,
-            elephants=elephants,
-            mice=mice,
+        card.runs.append(run(
+            "telemetry_point", seed, duration, config=config,
+            attack_rate=attack_rate, elephants=elephants, mice=mice,
             **scenario_kwargs,
         ))
     return card
@@ -301,33 +260,11 @@ def run_telemetry_scorecard(
 # ----------------------------------------------------------------------
 # Rendering (canonical JSON / ASCII / HTML)
 # ----------------------------------------------------------------------
-def _run_payload(card: TelemetryScorecard, run: TelemetryRunScore) -> Dict:
-    return {
-        "mode": run.mode,
-        "period": run.period,
-        "true_elephants": run.true_elephants,
-        "flagged": run.flagged,
-        "flagged_true": run.flagged_true,
-        "recall": round(run.recall, 6),
-        "precision": round(run.precision, 6),
-        "migrations_completed": run.migrations_completed,
-        "mean_detection_delay": (
-            round(run.mean_detection_delay, 6)
-            if run.mean_detection_delay is not None else None
-        ),
-        "mean_migration_delay": (
-            round(run.mean_migration_delay, 6)
-            if run.mean_migration_delay is not None else None
-        ),
-        "polls_sent": run.polls_sent,
-        "reply_entries": run.reply_entries,
-        "sample_reports": run.sample_reports,
-        "sample_records": run.sample_records,
-        "estimates_emitted": run.estimates_emitted,
-        "monitoring_bytes": run.monitoring_bytes,
-        "byte_reduction": round(card.byte_reduction(run), 6),
-        "controller_cpu_share": round(run.controller_cpu_share, 6),
-    }
+def _run_payload(card: TelemetryScorecard, point: RunReport) -> Dict:
+    payload = {name: round(value, 6) if isinstance(value, float) else value
+               for name, value in point.measures.items()}
+    payload["byte_reduction"] = round(card.byte_reduction(point), 6)
+    return payload
 
 
 def telemetry_scorecard_json(card: TelemetryScorecard) -> str:
@@ -345,28 +282,30 @@ def telemetry_scorecard_json(card: TelemetryScorecard) -> str:
         "elephants": card.elephants,
         "mice": card.mice,
         "elephant_packet_threshold": card.elephant_packet_threshold,
-        "telemetry_runs": [_run_payload(card, run) for run in card.runs],
+        "telemetry_runs": [_run_payload(card, point) for point in card.runs],
     }
     return canonical_json(payload)
 
 
 def _rows(card: TelemetryScorecard) -> List[List[object]]:
     rows = []
-    for run in card.runs:
-        label = run.mode if run.period == 0 else f"{run.mode} 1/{run.period}"
+    for point in card.runs:
+        label = (point.mode if point.period == 0
+                 else f"{point.mode} 1/{point.period}")
         rows.append([
             label,
-            f"{run.recall:.2f}",
-            f"{run.precision:.2f}",
-            (f"{run.mean_detection_delay:.2f}s"
-             if run.mean_detection_delay is not None else "-"),
-            (f"{run.mean_migration_delay:.2f}s"
-             if run.mean_migration_delay is not None else "-"),
-            run.polls_sent,
-            run.sample_reports,
-            run.monitoring_bytes,
-            (f"{card.byte_reduction(run):.1f}x" if run.mode != "poll" else "1.0x"),
-            f"{run.controller_cpu_share * 100:.2f}%",
+            f"{point.recall:.2f}",
+            f"{point.precision:.2f}",
+            (f"{point.mean_detection_delay:.2f}s"
+             if point.mean_detection_delay is not None else "-"),
+            (f"{point.mean_migration_delay:.2f}s"
+             if point.mean_migration_delay is not None else "-"),
+            point.polls_sent,
+            point.sample_reports,
+            point.monitoring_bytes,
+            (f"{card.byte_reduction(point):.1f}x"
+             if point.mode != "poll" else "1.0x"),
+            f"{point.controller_cpu_share * 100:.2f}%",
         ])
     return rows
 

@@ -20,29 +20,31 @@ new-flow rate multiplies — the §1 motivating scenario where the
 physical switch's control path saturates and Scotch must spread
 Packet-Ins over the overlay.
 
-``run_scale`` is the engine's macro benchmark: it reports wall-clock,
-total events dispatched (``Simulator.events_fired``) and events/sec
-separately for the build and run phases, plus peak RSS.
-``benchmarks/bench_scale_engine.py`` drives it and emits
-``BENCH_scale.json``; the CLI exposes it as ``repro scale``.
+The ``scale`` scenario entry at the bottom is the engine's macro
+benchmark: its report carries wall-clock, total events dispatched
+(``Simulator.events_fired``) and events/sec separately for the build
+and run phases.  ``benchmarks/bench_scale_engine.py`` drives it and
+emits ``BENCH_scale.json``; the CLI exposes it as ``repro scale``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.controller.controller import OpenFlowController
 from repro.core.app import ScotchApp
 from repro.core.config import ScotchConfig
 from repro.core.overlay import ScotchOverlay
 from repro.core.policy import PolicyRegistry
+from repro.faults.scenario import RunReport, Scenario, register
+from repro.metrics.failure import client_flow_failure_fraction
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
 from repro.switch.profiles import OPEN_VSWITCH, PICA8_PRONTO_3780
 from repro.switch.switch import PhysicalSwitch, VSwitch
+from repro.telemetry.scorecard import monitoring_counters
 from repro.testbed.deployment import FABRIC_BPS, HOST_BPS
 from repro.traffic import NewFlowSource
 
@@ -68,49 +70,6 @@ class ScaleDeployment:
     @property
     def vswitch_count(self) -> int:
         return len(self.host_vswitches) + len(self.mesh_vswitches)
-
-
-@dataclass
-class ScaleResult:
-    """What one scale run measured."""
-
-    seed: int
-    vswitches: int
-    mesh: int
-    host_vswitches: int
-    tunnels: int
-    targets: int
-    duration: float
-    base_rate_fps: float
-    crowd_rate_fps: float
-    flows_started: int
-    client_failure: float
-    edge_punts: int
-    build_wall: float
-    build_events: int
-    run_wall: float
-    run_events: int
-    events_per_sec: float
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    def summary(self) -> str:
-        text = (
-            f"scale: {self.vswitches} vSwitches ({self.mesh} mesh + "
-            f"{self.host_vswitches} host), {self.tunnels} tunnels, "
-            f"{self.flows_started} flows over {self.duration:.1f}s sim\n"
-            f"  build: {self.build_wall:.2f}s wall, {self.build_events} events\n"
-            f"  run:   {self.run_wall:.2f}s wall, {self.run_events} events "
-            f"-> {self.events_per_sec:,.0f} events/sec\n"
-            f"  client failure {self.client_failure:.4f}, "
-            f"edge punts {self.edge_punts}"
-        )
-        if "monitoring_bytes" in self.extras:
-            text += (
-                f"\n  monitoring: {self.extras['stats_polls']:.0f} polls, "
-                f"{self.extras['sample_reports']:.0f} sample reports, "
-                f"{self.extras['monitoring_bytes']:,.0f} control-channel bytes"
-            )
-        return text
 
 
 def build_scale_overlay(
@@ -203,121 +162,101 @@ def build_scale_overlay(
     )
 
 
-def run_scale(
-    seed: int = 0,
-    host_vswitches: int = 480,
-    mesh: int = 24,
-    tors: int = 8,
-    targets: int = 16,
-    duration: float = 5.0,
-    base_rate_fps: float = 20.0,
-    crowd_multiplier: float = 10.0,
-    crowd_at: float = 1.5,
-    crowd_until: float = 3.5,
-    config: Optional[ScotchConfig] = None,
-) -> ScaleResult:
-    """Build the scale overlay and run the flash crowd through it.
+# ----------------------------------------------------------------------
+# The scale scenario entry (repro.faults.scenario.run does the running)
+# ----------------------------------------------------------------------
+@register
+class Scale(Scenario):
+    """The flash crowd over the scale overlay — the engine's macro
+    benchmark: the report carries wall-clock and
+    ``Simulator.events_fired`` separately for the build and run phases.
 
     ``base_rate_fps`` is the per-target new-flow rate before/after the
     crowd window; during ``[crowd_at, crowd_until)`` every target's rate
-    multiplies by ``crowd_multiplier``.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if crowd_multiplier < 1:
-        raise ValueError("crowd_multiplier must be >= 1")
+    multiplies by ``crowd_multiplier``."""
 
-    build_start = perf_counter()
-    dep = build_scale_overlay(
-        seed=seed,
-        host_vswitches=host_vswitches,
-        mesh=mesh,
-        tors=tors,
-        targets=targets,
-        config=config,
-    )
-    sim = dep.sim
-    build_wall = perf_counter() - build_start
-    build_events = sim.events_fired
+    name = "scale"
+    duration = 5.0
+    knobs = {"host_vswitches": 480, "mesh": 24, "tors": 8, "targets": 16,
+             "base_rate_fps": 20.0, "crowd_multiplier": 10.0,
+             "crowd_at": 1.5, "crowd_until": 3.5}
+    table_title = "Scale report"
 
-    sources = [
-        NewFlowSource(sim, dep.client, target.ip, rate_fps=base_rate_fps,
-                      rng_name=f"scale:{target.name}")
-        for target in dep.targets
-    ]
-    for source in sources:
-        source.start(at=0.25, stop_at=duration - 0.25)
+    def build(self) -> ScaleDeployment:
+        knobs = self.knobs
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if knobs["crowd_multiplier"] < 1:
+            raise ValueError("crowd_multiplier must be >= 1")
+        return build_scale_overlay(
+            seed=self.seed, host_vswitches=knobs["host_vswitches"],
+            mesh=knobs["mesh"], tors=knobs["tors"], targets=knobs["targets"],
+            config=self.config)
 
-    def crowd_on() -> None:
+    def traffic(self, dep: ScaleDeployment) -> None:
+        knobs, sim, duration = self.knobs, dep.sim, self.duration
+        base_rate = knobs["base_rate_fps"]
+        self.sources = sources = [
+            NewFlowSource(sim, dep.client, target.ip, rate_fps=base_rate,
+                          rng_name=f"scale:{target.name}")
+            for target in dep.targets
+        ]
         for source in sources:
-            source.rate_fps = base_rate_fps * crowd_multiplier
+            source.start(at=0.25, stop_at=duration - 0.25)
 
-    def crowd_off() -> None:
-        for source in sources:
-            source.rate_fps = base_rate_fps
+        def set_rate(rate_fps: float) -> None:
+            for source in sources:
+                source.rate_fps = rate_fps
 
-    if crowd_at < duration:
-        sim.schedule_at(crowd_at, crowd_on)
-        if crowd_until < duration:
-            sim.schedule_at(crowd_until, crowd_off)
+        if knobs["crowd_at"] < duration:
+            sim.schedule_at(knobs["crowd_at"], set_rate,
+                            base_rate * knobs["crowd_multiplier"])
+            if knobs["crowd_until"] < duration:
+                sim.schedule_at(knobs["crowd_until"], set_rate, base_rate)
 
-    run_start = perf_counter()
-    sim.run(until=duration)
-    run_wall = perf_counter() - run_start
-    run_events = sim.events_fired - build_events
+    def measures(self, dep: ScaleDeployment) -> Dict[str, object]:
+        base_rate = self.knobs["base_rate_fps"]
+        return {
+            "vswitches": dep.vswitch_count,
+            "mesh": len(dep.mesh_vswitches),
+            "host_vswitches": len(dep.host_vswitches),
+            "tunnels": len(dep.overlay.fabric.tunnels),
+            "targets": len(dep.targets),
+            "base_rate_fps": base_rate,
+            "crowd_rate_fps": base_rate * self.knobs["crowd_multiplier"],
+            "flows_started": sum(s.flows_started for s in self.sources),
+            # A flow counts as failed when no target server ever saw it.
+            "client_failure": client_flow_failure_fraction(
+                dep.client.sent_tap, [t.recv_tap for t in dep.targets],
+                start=0.5, end=self.duration - 0.5),
+            "edge_punts": dep.edge.datapath.punted,
+            # Monitoring-cost extras (metrics-enabled runs only): the
+            # flow-stats counters let `scotch-repro scale --stats-mode
+            # sample` show the monitoring-byte saving at scale next to
+            # the engine numbers.
+            "extras": (monitoring_counters(self.metrics)
+                       if self.metrics.enabled else {}),
+        }
 
-    # Multi-destination variant of client_flow_failure_fraction: a flow
-    # counts as failed when no target server ever saw it.
-    window_start, window_end = 0.5, duration - 0.5
-    sent = {
-        key
-        for key, record in dep.client.sent_tap.records.items()
-        if record.packets_sent > 0
-        and record.first_sent_at is not None
-        and window_start <= record.first_sent_at < window_end
-    }
-    arrived = set()
-    for target in dep.targets:
-        arrived |= target.recv_tap.received_flow_keys()
-    failure = (
-        sum(1 for key in sent if key not in arrived) / len(sent) if sent else 0.0
-    )
-    # Monitoring-cost extras (metrics-enabled runs only): the flow-stats
-    # counters let `scotch-repro scale --stats-mode sample` show the
-    # monitoring-byte saving at scale next to the engine numbers.
-    extras: Dict[str, float] = {}
-    metrics = sim.obs.metrics
-    if metrics.enabled:
-        def _count(name: str) -> float:
-            counter = metrics.counters.get(name)
-            return float(counter.value) if counter is not None else 0.0
-
-        extras["stats_polls"] = _count("stats.polls_sent")
-        extras["stats_reply_entries"] = _count("stats.reply_entries")
-        extras["sample_reports"] = _count("stats.sample_reports")
-        extras["sample_records"] = _count("stats.sample_records")
-        extras["monitoring_bytes"] = (
-            _count("stats.bytes.requests")
-            + _count("stats.bytes.replies")
-            + _count("stats.bytes.samples")
-        )
-    return ScaleResult(
-        seed=seed,
-        vswitches=dep.vswitch_count,
-        mesh=len(dep.mesh_vswitches),
-        host_vswitches=len(dep.host_vswitches),
-        tunnels=len(dep.overlay.fabric.tunnels),
-        targets=len(dep.targets),
-        duration=duration,
-        base_rate_fps=base_rate_fps,
-        crowd_rate_fps=base_rate_fps * crowd_multiplier,
-        flows_started=sum(s.flows_started for s in sources),
-        client_failure=failure,
-        edge_punts=dep.edge.datapath.punted,
-        build_wall=build_wall,
-        build_events=build_events,
-        run_wall=run_wall,
-        run_events=run_events,
-        events_per_sec=run_events / run_wall if run_wall > 0 else 0.0,
-        extras=extras,
-    )
+    @staticmethod
+    def rows(report: RunReport) -> List[Sequence[object]]:
+        rows = [
+            ["vSwitches (mesh + host)",
+             f"{report.vswitches} ({report.mesh} + {report.host_vswitches})"],
+            ["overlay tunnels", report.tunnels],
+            ["flash-crowd targets", report.targets],
+            ["flows started", report.flows_started],
+            ["client failure", f"{report.client_failure:.4f}"],
+            ["edge punts", report.edge_punts],
+            ["build wall (s) / events",
+             f"{report.build_wall:.2f}/{report.build_events}"],
+            ["run wall (s) / events",
+             f"{report.run_wall:.2f}/{report.run_events}"],
+            ["events/sec", f"{report.events_per_sec:,.0f}"],
+        ]
+        extras = report.extras
+        if extras:
+            rows.append(["monitoring polls / sample reports / bytes",
+                         f"{extras['polls_sent']}/{extras['sample_reports']}/"
+                         f"{extras['monitoring_bytes']:,}"])
+        return rows

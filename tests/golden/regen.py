@@ -138,7 +138,7 @@ def mini_chaos() -> dict:
     read-only, so the fault/alert digests are the same either way (the
     bit-identity contract) while the bundle digest pins the postmortem
     format itself."""
-    from repro.faults import FaultPlan, run_chaos
+    from repro.faults import FaultPlan, run
     from repro.obs.postmortem import bundle_jsonl
     from repro.obs.scorecard import scorecard_json
 
@@ -149,9 +149,9 @@ def mini_chaos() -> dict:
     plan.vswitch_crash(4.0, "mv0_0", down_for=1.0)
     plan.controller_outage(5.5, duration=0.5)
 
-    report = run_chaos(seed=3, duration=9.0, client_rate=50.0,
-                       attack_rate=600.0, plan=plan, health=True,
-                       postmortem=True)
+    report = run("chaos", seed=3, duration=9.0, client_rate=50.0,
+                 attack_rate=600.0, plan=plan, health=True,
+                 postmortem=True)
     return {
         "fault_log_sha256": sha256_text(report.fault_log_jsonl),
         "fault_actions": len(report.fault_log),
@@ -185,11 +185,11 @@ def pool_runs() -> dict:
     log and the detection scorecard of the chaos gauntlet (health on —
     the engine is read-only, so the logs are the same either way), and
     the event log of the flash-crowd autoscale lifecycle."""
-    from repro.cluster import run_pool_autoscale, run_pool_chaos
+    from repro.faults import run
     from repro.obs.scorecard import scorecard_json
 
-    chaos = run_pool_chaos(seed=1, health=True)
-    autoscale = run_pool_autoscale(seed=1)
+    chaos = run("pool_chaos", seed=1, health=True)
+    autoscale = run("pool_autoscale", seed=1)
     return {
         "chaos_events_sha256": sha256_text(chaos.pool_events_jsonl),
         "chaos_events": len(chaos.pool_events),
@@ -216,8 +216,8 @@ def telemetry_card() -> dict:
 
     card = run_telemetry_scorecard(seed=1, duration=4.0, attack_rate=500.0,
                                    elephants=3, mice=3, periods=(10,))
-    for run in card.runs:
-        run.controller_cpu_share = 0.0
+    for point in card.runs:
+        point.measures["controller_cpu_share"] = 0.0
     return {
         "scorecard_sha256": sha256_text(telemetry_scorecard_json(card)),
         "runs": len(card.runs),

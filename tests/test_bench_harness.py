@@ -35,6 +35,22 @@ def _write(directory, payload):
     return path
 
 
+def test_measure_pins_median_and_p95(monkeypatch):
+    """median/p95 come from repro.metrics.stats.percentile (linear
+    interpolation between order statistics)."""
+    ticks = iter([0.0, 1.0,  10.0, 12.0,  20.0, 24.0,  30.0, 33.0])
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: next(ticks))
+    timing = harness.measure(lambda: "done", repeats=4)
+    assert timing["samples"] == [1.0, 2.0, 4.0, 3.0]
+    assert timing["median"] == 2.5
+    assert timing["p95"] == pytest.approx(3.85)
+    assert (timing["min"], timing["max"]) == (1.0, 4.0)
+    assert timing["result"] == "done"
+    ticks = iter([0.0, 0.5])
+    single = harness.measure(lambda: None)
+    assert single["median"] == single["p95"] == 0.5
+
+
 def test_compare_bench_flags_regressions_only():
     base = _payload("x", 1.0)
     assert harness.compare_bench(base, _payload("x", 1.30))["flag"] == "WARN"

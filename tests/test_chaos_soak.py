@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import default_plan, run_chaos
+from repro.faults import default_plan, run
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 
@@ -26,7 +26,7 @@ SOAK_SEEDS = (1, 2, 3)
 
 @pytest.fixture(scope="module")
 def reports():
-    return {seed: run_chaos(seed=seed) for seed in SOAK_SEEDS}
+    return {seed: run("chaos", seed=seed) for seed in SOAK_SEEDS}
 
 
 @pytest.mark.parametrize("seed", SOAK_SEEDS)
@@ -66,7 +66,7 @@ def test_reliable_layer_survived_the_gauntlet(reports, seed):
 
 def test_same_seed_runs_are_byte_identical(reports):
     first = reports[SOAK_SEEDS[0]]
-    again = run_chaos(seed=SOAK_SEEDS[0])
+    again = run("chaos", seed=SOAK_SEEDS[0])
     assert again.fault_log_jsonl == first.fault_log_jsonl
     assert again.failure_during_faults == first.failure_during_faults
     assert again.failure_post_recovery == first.failure_post_recovery

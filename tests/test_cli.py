@@ -235,16 +235,16 @@ def test_health_command_full_run(capsys, tmp_path):
 # ----------------------------------------------------------------------
 def _chaos_bundle_dir(tmp_path):
     """A real (small) chaos run's exported postmortem bundles."""
-    from repro.faults import FaultPlan, run_chaos
+    from repro.faults import FaultPlan, run
     from repro.obs.postmortem import export_bundles
 
     plan = FaultPlan()
     plan.channel_loss(1.5, "edge", duration=1.0, loss=0.08, duplicate=0.02,
                       jitter=0.004)
     plan.ofa_stall(3.0, "edge", duration=0.8)
-    report = run_chaos(seed=3, duration=6.0, client_rate=50.0,
-                       attack_rate=600.0, plan=plan, health=True,
-                       postmortem=True)
+    report = run("chaos", seed=3, duration=6.0, client_rate=50.0,
+                 attack_rate=600.0, plan=plan, health=True,
+                 postmortem=True)
     assert report.postmortems
     return export_bundles(report.postmortems, str(tmp_path / "pm"))
 
@@ -336,3 +336,105 @@ def test_inspect_fault_log_and_alert_timeline(tmp_path, capsys):
     assert main(["inspect", str(timeline)]) == 0
     out = capsys.readouterr().out
     assert "Alert timeline" in out and "hot" in out and "transitions: 1" in out
+
+
+# ----------------------------------------------------------------------
+# Scenario commands: flags are validated before anything runs
+# ----------------------------------------------------------------------
+def test_pool_rejects_short_durations(capsys):
+    assert main(["pool", "--duration", "10"]) == 2
+    assert "duration" in capsys.readouterr().err
+
+
+def test_pool_scorecard_json_needs_health_before_running(tmp_path, capsys):
+    card = tmp_path / "card.json"
+    events = tmp_path / "events.jsonl"
+    assert main(["pool", "--scorecard-json", str(card),
+                 "--events", str(events)]) == 2
+    captured = capsys.readouterr()
+    assert "--health" in captured.err
+    # Nothing ran: no report on stdout, no artifact on disk.
+    assert captured.out == ""
+    assert not card.exists() and not events.exists()
+
+
+def test_pool_autoscale_rejects_health_flags(capsys):
+    assert main(["pool", "--autoscale", "--health"]) == 2
+    assert "--autoscale" in capsys.readouterr().err
+
+
+def test_telemetry_rejects_bad_periods(capsys):
+    assert main(["telemetry", "--periods", "x"]) == 2
+    assert "--periods" in capsys.readouterr().err
+    assert main(["telemetry", "--periods", "0"]) == 2
+    assert "--periods" in capsys.readouterr().err
+
+
+def test_scale_json_round_trip(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "scale.json"
+    assert main(["scale", "--host-vswitches", "8", "--mesh", "2",
+                 "--tors", "2", "--targets", "2", "--duration", "1.5",
+                 "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "Scale report" in out and f"wrote {path}" in out
+    payload = json.loads(path.read_text())
+    assert payload["scenario"] == "scale" and payload["seed"] == 1
+    assert payload["vswitches"] == 10 and payload["mesh"] == 2
+    assert payload["flows_started"] > 0
+    assert payload["run_events"] > 0 and payload["run_wall"] > 0
+    assert str(payload["flows_started"]) in out
+
+
+def test_scale_rejects_bad_sizes_and_modes(capsys):
+    assert main(["scale", "--host-vswitches", "0", "--mesh", "1"]) == 2
+    assert main(["scale", "--sampling-period", "0"]) == 2
+    assert capsys.readouterr().err
+
+
+def test_list_shows_every_registered_scenario(capsys):
+    from repro.cli import RUN_COMMANDS
+    from repro.faults import scenarios
+
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    for name in scenarios():
+        assert name in out
+    for command in RUN_COMMANDS:
+        assert f"\n{command} " in out
+    # Every entry is reachable from a command (none listed as unclaimed).
+    claimed = {s for spec in RUN_COMMANDS.values() for s in spec.scenarios}
+    assert claimed == set(scenarios())
+
+
+# The flag sets of the parent's hand-written subparsers: the registry-
+# driven parser must expose exactly these (no flag added or lost).
+_OBS = {"--trace", "--metrics", "--prom", "--sample-interval", "--profile",
+        "--causality", "--manifest"}
+_HEALTH_OUT = {"--rules", "--alert-log", "--health-report",
+               "--scorecard-json", "--postmortem-dir"}
+_CHAOS = {"--seed", "--duration", "--client-rate", "--attack-rate"}
+EXPECTED_FLAGS = {
+    "chaos": _CHAOS | {"--fault-log", "--no-health"} | _HEALTH_OUT | _OBS,
+    "health": _CHAOS | {"--no-faults", "--tolerance"} | _HEALTH_OUT | _OBS,
+    "pool": {"--seed", "--duration", "--controllers", "--switches", "--rate",
+             "--autoscale", "--health", "--events", "--fault-log",
+             "--scorecard-json"},
+    "telemetry": {"--seed", "--duration", "--attack-rate", "--elephants",
+                  "--mice", "--periods", "--hybrid", "--json", "--html"},
+    "scale": {"--seed", "--host-vswitches", "--mesh", "--tors", "--targets",
+              "--duration", "--base-rate", "--crowd-multiplier",
+              "--stats-mode", "--sampling-period", "--json"} | _OBS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+def test_scenario_command_flag_sets_are_unchanged(command, capsys):
+    import re
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert shown - {"--help"} == EXPECTED_FLAGS[command]

@@ -13,12 +13,11 @@ from repro.cluster import (
     peak_live_members,
     pool_chaos_config,
     randomized_pool_plan,
-    run_pool_autoscale,
-    run_pool_chaos,
 )
 from repro.cluster.bus import PoolBus
 from repro.cluster.pool import pool_grace
 from repro.core.config import ScotchConfig
+from repro.faults import run
 from repro.faults.plan import KINDS, POOL_KINDS, FaultEvent, FaultPlan
 from repro.openflow.messages import RoleMod, RoleStatus
 from repro.sim.engine import Simulator
@@ -254,7 +253,7 @@ def test_handled_plus_buffered_accounts_for_every_packet_in():
 # Autoscaling + rebalancing
 # ----------------------------------------------------------------------
 def test_flash_crowd_scales_up_then_cools_back_down():
-    report = run_pool_autoscale(seed=2)
+    report = run("pool_autoscale", seed=2)
     assert peak_live_members(report) >= 2
     assert report.members_live == 1  # back at the floor after cooldown
     events = [e["event"] for e in report.pool_events]
@@ -269,7 +268,7 @@ def test_flash_crowd_scales_up_then_cools_back_down():
 
 
 def test_scale_up_respects_ceiling_and_warmup():
-    report = run_pool_autoscale(seed=2)
+    report = run("pool_autoscale", seed=2)
     spawns = [e for e in report.pool_events if e["event"] == "member-spawn"]
     assert 1 <= len(spawns) <= 2  # floor 1 + ceiling 3
     times = [e["t"] for e in spawns]
@@ -300,7 +299,7 @@ def test_rebalance_moves_switch_from_hot_member_to_idle_one():
 # Chaos scenario + invariants + determinism
 # ----------------------------------------------------------------------
 def test_pool_chaos_default_plan_stays_healthy():
-    report = run_pool_chaos(seed=1)
+    report = run("pool_chaos", seed=1)
     assert report.healthy
     assert report.faults_injected == 3
     assert set(report.fault_counts) == set(POOL_KINDS)
@@ -309,16 +308,16 @@ def test_pool_chaos_default_plan_stays_healthy():
     assert report.members_live == 3
     assert len(report.acked_master) == report.switches
     for window in report.failover_windows:
-        assert window <= report.pool_grace
+        assert window <= report.grace
 
 
 def test_pool_chaos_is_byte_deterministic():
-    a = run_pool_chaos(seed=4, duration=24.0)
-    b = run_pool_chaos(seed=4, duration=24.0)
+    a = run("pool_chaos", seed=4, duration=24.0)
+    b = run("pool_chaos", seed=4, duration=24.0)
     assert a.pool_events_jsonl == b.pool_events_jsonl
     assert a.fault_log_jsonl == b.fault_log_jsonl
     assert a.packet_ins_total == b.packet_ins_total
-    c = run_pool_chaos(seed=5, duration=24.0)
+    c = run("pool_chaos", seed=5, duration=24.0)
     assert a.pool_events_jsonl != c.pool_events_jsonl
 
 
@@ -326,7 +325,7 @@ def test_split_brain_partition_converges_after_heal():
     config = pool_chaos_config(3)
     plan = FaultPlan().pool_partition(3.0, [["c0"], ["c1", "c2"]],
                                       duration=3.0)
-    report = run_pool_chaos(seed=6, plan=plan, config=config)
+    report = run("pool_chaos", seed=6, plan=plan, config=config)
     # The minority/majority split elects a second leader; after the
     # heal, precedence (higher term, then lowest id) converges on one.
     assert report.elections >= 1
@@ -336,7 +335,7 @@ def test_split_brain_partition_converges_after_heal():
 
 
 def test_pool_chaos_with_health_produces_scorecard():
-    report = run_pool_chaos(seed=1, health=True)
+    report = run("pool_chaos", seed=1, health=True)
     assert report.health_enabled
     assert report.scorecard is not None
     names = set(report.scorecard.rules)

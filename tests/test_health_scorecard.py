@@ -142,9 +142,9 @@ def test_reports_render_ascii_and_html(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def health_report():
-    from repro.faults import run_chaos
+    from repro.faults import run
 
-    return run_chaos(seed=1, health=True)
+    return run("chaos", seed=1, health=True)
 
 
 @pytest.mark.slow
@@ -173,9 +173,9 @@ def test_default_plan_full_recall_and_zero_false_positives(health_report):
 @pytest.mark.slow
 @pytest.mark.chaos
 def test_fault_free_baseline_has_zero_false_positives():
-    from repro.faults import FaultPlan, run_chaos
+    from repro.faults import FaultPlan, run
 
-    report = run_chaos(seed=1, plan=FaultPlan(), health=True)
+    report = run("chaos", seed=1, plan=FaultPlan(), health=True)
     card = report.scorecard
     assert card.clean
     # The flood is kept, so the only truth window is the synthetic
@@ -187,9 +187,9 @@ def test_fault_free_baseline_has_zero_false_positives():
 @pytest.mark.slow
 @pytest.mark.chaos
 def test_same_seed_gives_byte_identical_alert_timeline(health_report):
-    from repro.faults import run_chaos
+    from repro.faults import run
 
-    again = run_chaos(seed=1, health=True)
+    again = run("chaos", seed=1, health=True)
     assert again.alert_timeline_jsonl == health_report.alert_timeline_jsonl
     assert again.fault_log_jsonl == health_report.fault_log_jsonl
 
@@ -197,9 +197,9 @@ def test_same_seed_gives_byte_identical_alert_timeline(health_report):
 @pytest.mark.slow
 @pytest.mark.chaos
 def test_health_engine_does_not_perturb_the_model(health_report):
-    from repro.faults import run_chaos
+    from repro.faults import run
 
-    plain = run_chaos(seed=1, health=False)
+    plain = run("chaos", seed=1, health=False)
     assert not plain.health_enabled
     assert plain.scorecard is None
     assert plain.fault_log_jsonl == health_report.fault_log_jsonl

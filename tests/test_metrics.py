@@ -62,6 +62,18 @@ class TestFailureFraction:
     def test_empty_client_returns_zero(self):
         assert client_flow_failure_fraction(PacketRecorder(), PacketRecorder()) == 0.0
 
+    def test_several_sinks_count_a_flow_delivered_at_any_of_them(self):
+        client = PacketRecorder()
+        sinks = [PacketRecorder(), PacketRecorder()]
+        for sport in range(4):
+            client.on_send(packet(sport), float(sport))
+        sinks[0].on_receive(packet(0), 0.1)
+        sinks[1].on_receive(packet(1), 1.1)
+        sinks[1].on_receive(packet(0), 0.2)  # seen twice: still one flow
+        assert client_flow_failure_fraction(client, sinks) == pytest.approx(0.5)
+        assert client_flow_failure_fraction(client, sinks, start=0.0, end=2.0) == 0.0
+        assert client_flow_failure_fraction(client, []) == 1.0
+
     def test_flow_success_stats(self):
         client, server = PacketRecorder(), PacketRecorder()
         client.on_send(packet(1), 1.0)
@@ -138,6 +150,15 @@ class TestSeries:
         sample_periodically(sim, series, lambda: float(next(values)), interval=1.0, until=4.5)
         sim.run(until=10.0)
         assert series.times() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_periodic_sampling_stops_on_request(self):
+        sim = Simulator()
+        series = TimeSeries()
+        timer = sample_periodically(sim, series, lambda: 1.0, interval=1.0)
+        sim.schedule(2.5, timer.stop)
+        sim.run(until=10.0)
+        assert series.times() == [1.0, 2.0]
+        assert sim.pending == 0
 
 
 class TestStats:

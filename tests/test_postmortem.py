@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.faults import FaultPlan, run_chaos
+from repro.faults import FaultPlan, run
 from repro.faults.invariants import Violation
 from repro.obs.flight import FlightRecorder
 from repro.obs.postmortem import (
@@ -164,7 +164,7 @@ def _small_chaos():
     plan.channel_loss(1.5, "edge", duration=1.0, loss=0.08, duplicate=0.02,
                       jitter=0.004)
     plan.ofa_stall(3.0, "edge", duration=0.8)
-    return run_chaos(seed=3, duration=6.0, client_rate=50.0,
+    return run("chaos", seed=3, duration=6.0, client_rate=50.0,
                      attack_rate=600.0, plan=plan, health=True,
                      postmortem=True)
 

@@ -131,13 +131,13 @@ def test_scale_scenario_sampling_cuts_monitoring_bytes():
     """The scale scenario's half of the acceptance bar: same seed, same
     flash crowd, sample mode >= 5x cheaper with unchanged client
     outcome."""
-    from repro.testbed.scale import run_scale
+    from repro.faults import format_report, run
 
     results = {}
     for mode in ("poll", "sample"):
         with observed(Observability(trace=False, metrics=True)):
-            results[mode] = run_scale(
-                seed=2, host_vswitches=40, mesh=4, tors=2, targets=4,
+            results[mode] = run(
+                "scale", seed=2, host_vswitches=40, mesh=4, tors=2, targets=4,
                 duration=4.0,
                 config=ScotchConfig(stats_mode=mode, sampling_period=10),
             )
@@ -148,4 +148,4 @@ def test_scale_scenario_sampling_cuts_monitoring_bytes():
             >= 5.0 * sample.extras["monitoring_bytes"])
     # Estimates drive the same client-visible behaviour.
     assert sample.client_failure == pytest.approx(poll.client_failure, abs=0.05)
-    assert "monitoring:" in sample.summary()
+    assert "monitoring polls" in format_report(sample)
