@@ -224,6 +224,54 @@ def telemetry_card() -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# Workload 6 — one short point per figure/ablation runner
+# ----------------------------------------------------------------------
+def figure_points() -> dict:
+    """The bit-identical result of one short point of every runner in
+    ``repro.testbed.experiments`` (both schemes where the runner picks a
+    deployment by scheme name), so a refactor of the runners' shared
+    parts — scheme construction, flood schedule, failure metric — cannot
+    move a number."""
+    from dataclasses import asdict
+
+    from repro.switch.profiles import PICA8_PRONTO_3780
+    from repro.testbed import experiments as ex
+
+    sys.path.insert(0, os.path.join(GOLDEN_DIR, "..", "..", "benchmarks"))
+    from bench_ablation_lb import run as lb_run
+
+    points = {
+        "fig3": ex.fig3_point(PICA8_PRONTO_3780, 2000, duration=2.0),
+        "fig4": asdict(ex.fig4_point(300, duration=2.0)),
+        "fig9": ex.fig9_point(800, duration=2.0),
+        "fig10": ex.fig10_point(1400, 1000, duration=1.0),
+        "fig12": asdict(ex.fig12_run(elephant_packets=1000, elephant_pps=400.0)),
+        "fig13": ex.fig13_point(1, offered_rate=5000.0, duration=1.0),
+        "install_rate": asdict(ex.install_rate_run(400, duration=3.0)),
+        "lb_flow_hash": lb_run(False),
+        "lb_random_spray": lb_run(True),
+    }
+    for scheme in ("vanilla", "scotch"):
+        points[f"fig11_{scheme}"] = asdict(ex.fig11_run(scheme, duration=3.0))
+        points[f"fig15_{scheme}"] = asdict(ex.fig15_run(scheme, duration=4.0))
+        dep, failure = ex.tcam_run(scheme == "scotch", until=16.0)
+        points[f"tcam_{scheme}"] = {
+            "failure": failure,
+            "table_full": dep.edge.ofa.table_full_failures,
+            "routes": dep.scotch.flow_db.counts() if dep.scotch else {},
+        }
+    for scheme in ("vanilla", "proactive", "drop", "dedicated", "scotch"):
+        points[f"ablation_{scheme}"] = asdict(ex.ablation_run(scheme, duration=2.0))
+    delays = ex.fig14_run(flows=30)
+    points["fig14"] = {
+        "summary": delays.summary(),
+        "direct_sha256": sha256_text(json.dumps(delays.direct_delays)),
+        "overlay_sha256": sha256_text(json.dumps(delays.overlay_delays)),
+    }
+    return points
+
+
 def build_golden() -> dict:
     import tempfile
 
@@ -237,6 +285,7 @@ def build_golden() -> dict:
             "mini_chaos": mini_chaos(),
             "pool": pool_runs(),
             "telemetry": telemetry_card(),
+            "figures": figure_points(),
             "schemas": schema_versions(),
         }
 

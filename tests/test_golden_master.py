@@ -75,3 +75,7 @@ def test_telemetry_scorecard_json_is_golden(golden):
 
 def test_schema_versions_are_pinned(golden):
     _assert_section(golden["schemas"], regen.schema_versions(), "schemas")
+
+
+def test_figure_runner_points_are_golden(golden):
+    _assert_section(golden["figures"], regen.figure_points(), "figures")
