@@ -1,9 +1,10 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""Shared fixtures for the benchmarks.
 
-Each benchmark regenerates one table/figure of the paper: it runs the
-experiment once under pytest-benchmark (wall-clock of the simulation is
-the benchmarked quantity) and emits the figure's rows both to stdout
-(visible with ``pytest -s``) and to ``benchmarks/output/<name>.txt``.
+Each benchmark regenerates a table — ``bench_figures.py`` every figure
+and ablation of the paper, one parameter each: it runs the experiment
+once (wall-clock of the simulation is the benchmarked quantity) and
+emits the rows both to stdout (visible with ``pytest -s``) and to
+``benchmarks/output/<name>.txt``.
 """
 
 import os

@@ -7,8 +7,9 @@ Installed as ``scotch-repro`` (or run via ``python -m repro.cli``)::
     scotch-repro demo                 # quickstart: flood with/without Scotch
     scotch-repro fig 3                # regenerate a figure's table
     scotch-repro fig 13 --quick       # smaller/faster variant
-    scotch-repro ablation             # Scotch vs the §4 baselines
-    scotch-repro tcam                 # the §3.3 TCAM-bottleneck scenario
+    scotch-repro fig install_rate     # ... or an ablation's
+    scotch-repro ablation             # = fig ablation: Scotch vs the §4 baselines
+    scotch-repro tcam                 # = fig tcam: the §3.3 TCAM bottleneck
     scotch-repro chaos --seed 3       # fault injection + recovery report
     scotch-repro report -o REPORT.md  # every figure + ablation, one file
 
@@ -40,19 +41,11 @@ from repro.telemetry.scorecard import (
     format_telemetry_scorecard,
     run_telemetry_scorecard,
 )
+from repro.testbed.experiments import FIGURES, build_scheme
 from repro.testbed.report import format_table
 
-FIGURES = {
-    "3": "client flow failure vs attack rate (3 switch models)",
-    "4": "control-path profiling: Packet-In is the bottleneck",
-    "9": "maximum flow-rule insertion rate",
-    "10": "data-path loss vs rule insertion rate",
-    "11": "ingress-port differentiation (reconstructed)",
-    "12": "large-flow migration (reconstructed)",
-    "13": "overlay capacity vs mesh size (reconstructed)",
-    "14": "overlay relay delay (reconstructed)",
-    "15": "trace-driven application performance (reconstructed)",
-}
+#: Figure keys that are also subcommands of their own.
+FIGURE_COMMANDS = ("ablation", "tcam")
 
 
 def _print(text: str) -> None:
@@ -61,123 +54,11 @@ def _print(text: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Figure text producers (shared by `fig` and `report`)
-# ----------------------------------------------------------------------
-def figure_text(number: str, quick: bool) -> str:
-    from repro.testbed import experiments as ex
-
-    if number == "3":
-        duration = 4.0 if quick else 10.0
-        series = ex.fig3_series(duration=duration)
-        rows = []
-        for index, rate in enumerate(ex.FIG3_ATTACK_RATES):
-            rows.append([rate] + [series[p.name][index][1] for p in ex.FIG3_PROFILES])
-        return format_table(
-            ["attack f/s"] + [p.name for p in ex.FIG3_PROFILES], rows,
-            title="Fig. 3 — client flow failure fraction")
-    if number == "4":
-        duration = 4.0 if quick else 10.0
-        points = [ex.fig4_point(r, duration=duration) for r in (50, 100, 200, 500, 800)]
-        return format_table(
-            ["new flows/s", "Packet-In/s", "inserts/s", "successful/s"],
-            [[p.new_flow_rate, p.packet_in_rate, p.rule_insertion_rate,
-              p.successful_flow_rate] for p in points],
-            title="Fig. 4 — control path profiling (Pica8)")
-    if number == "9":
-        duration = 3.0 if quick else 6.0
-        rates = (100, 200, 400, 800, 1500, 3000)
-        return format_table(
-            ["attempted/s", "successful/s"],
-            [[r, ex.fig9_point(r, duration=duration)] for r in rates],
-            title="Fig. 9 — flow rule insertion rate (Pica8)")
-    if number == "10":
-        duration = 2.0 if quick else 5.0
-        rows = []
-        for ir in (600, 1000, 1250, 1400, 2000):
-            rows.append([ir] + [ex.fig10_point(ir, dr, duration=duration)
-                                for dr in (500, 1000, 2000)])
-        return format_table(
-            ["insert/s", "loss@500pps", "loss@1000pps", "loss@2000pps"], rows,
-            title="Fig. 10 — data path vs control path (Pica8)")
-    if number == "11":
-        duration = 6.0 if quick else 10.0
-        results = [ex.fig11_run(s, duration=duration) for s in ("vanilla", "scotch")]
-        return format_table(
-            ["scheme", "clean-port failure", "attacked-port failure"],
-            [[r.scheme, r.clean_port_failure, r.attacked_port_failure] for r in results],
-            title="Fig. 11 — ingress-port differentiation")
-    if number == "12":
-        result = ex.fig12_run(elephant_packets=2000 if quick else 6000)
-        return format_table(
-            ["migrated", "time (s)", "delivered", "rules cleaned"],
-            [[result.migrated, result.migration_time,
-              f"{result.delivered_packets}/{result.total_packets}",
-              result.overlay_rules_cleaned]],
-            title="Fig. 12 — large-flow migration")
-    if number == "13":
-        sizes = (1, 2) if quick else (1, 2, 3, 4)
-        offered = 9000.0 if quick else 20000.0
-        duration = 3.0 if quick else 5.0
-        rows = [[n, ex.fig13_point(n, offered_rate=offered, duration=duration)]
-                for n in sizes]
-        return format_table(
-            ["vSwitches", "successful flows/s"], rows,
-            title=f"Fig. 13 — overlay capacity (offered {offered:.0f} f/s)")
-    if number == "14":
-        result = ex.fig14_run(flows=60 if quick else 100)
-        summary = result.summary()
-        return format_table(
-            ["path", "mean (ms)", "p99 (ms)"],
-            [["direct", summary["direct_mean"] * 1e3, summary["direct_p99"] * 1e3],
-             ["overlay", summary["overlay_mean"] * 1e3, summary["overlay_p99"] * 1e3]],
-            title=f"Fig. 14 — relay delay (stretch {summary['stretch_mean']:.2f}x)")
-    if number == "15":
-        duration = 10.0 if quick else 20.0
-        results = [ex.fig15_run(s, duration=duration) for s in ("vanilla", "scotch")]
-        return format_table(
-            ["scheme", "flows", "failure", "mean FCT (s)", "p99 FCT (s)"],
-            [[r.scheme, r.flows_measured, r.failure_fraction, r.mean_fct, r.p99_fct]
-             for r in results],
-            title="Fig. 15 — trace-driven run")
-    raise KeyError(number)
-
-
-def ablation_text(quick: bool) -> str:
-    from repro.testbed import experiments as ex
-
-    duration = 5.0 if quick else 10.0
-    rows = []
-    for scheme in ("vanilla", "proactive", "drop", "dedicated", "scotch"):
-        result = ex.ablation_run(scheme, duration=duration)
-        rows.append([result.scheme, result.client_failure,
-                     result.total_success_rate, result.flows_visible])
-    return format_table(
-        ["scheme", "client failure", "delivered flows/s", "controller visibility"],
-        rows,
-        title="Ablation — Scotch vs baselines (flood 2000 f/s)")
-
-
-def tcam_text(quick: bool) -> str:
-    from repro.testbed.experiments import tcam_run
-
-    rows = []
-    for name, with_scotch in (("vanilla", False), ("scotch", True)):
-        dep, failure = tcam_run(with_scotch, until=15.0 if quick else 25.0)
-        overlay = dep.scotch.flow_db.counts().get("overlay", 0) if dep.scotch else 0
-        rows.append([name, failure, dep.edge.ofa.table_full_failures, overlay])
-    return format_table(
-        ["scheme", "flow failure", "TABLE_FULL errors", "flows via overlay"],
-        rows,
-        title="TCAM bottleneck (200-entry table, 100 f/s of 10-pkt flows)")
-
-
-# ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 def cmd_list(_args) -> int:
-    rows = [[f"fig {num}", desc] for num, desc in FIGURES.items()]
-    rows.append(["ablation", "Scotch vs vanilla / proactive / drop / dedicated-port"])
-    rows.append(["tcam", "the §3.3 TCAM-bottleneck scenario"])
+    rows = [[f"fig {key}", figure.description] for key, figure in FIGURES.items()]
+    rows += [[key, f"same as `fig {key}`"] for key in FIGURE_COMMANDS]
     rows.append(["report", "run everything, write one markdown report"])
     rows.append(["demo", "quickstart flood demo"])
     # The scenario commands come from the registry: each command names
@@ -216,16 +97,12 @@ def cmd_profiles(_args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from repro.controller.reactive_app import ReactiveForwardingApp
     from repro.metrics import client_flow_failure_fraction
-    from repro.testbed.deployment import build_deployment
     from repro.traffic import NewFlowSource, SpoofedFlood
 
     results = []
-    for with_scotch in (False, True):
-        dep = build_deployment(seed=args.seed, add_scotch_app=with_scotch)
-        if not with_scotch:
-            dep.controller.add_app(ReactiveForwardingApp())
+    for scheme in ("vanilla", "scotch"):
+        dep = build_scheme(scheme, seed=args.seed)
         server_ip = dep.servers[0].ip
         NewFlowSource(dep.sim, dep.client, server_ip, rate_fps=100.0).start(
             at=0.5, stop_at=12.0)
@@ -234,7 +111,7 @@ def cmd_demo(args) -> int:
         dep.sim.run(until=14.0)
         failure = client_flow_failure_fraction(
             dep.client.sent_tap, dep.servers[0].recv_tap, start=4.0, end=11.0)
-        results.append(["scotch" if with_scotch else "vanilla", failure])
+        results.append([scheme, failure])
     _print(format_table(
         ["scheme", "client failure"],
         results,
@@ -244,22 +121,12 @@ def cmd_demo(args) -> int:
 
 
 def cmd_fig(args) -> int:
-    try:
-        _print(figure_text(args.number, args.quick))
-    except KeyError:
-        print(f"unknown figure {args.number!r}; try: {', '.join(sorted(FIGURES))}",
+    figure = FIGURES.get(args.key)
+    if figure is None:
+        print(f"unknown figure {args.key!r}; try: {', '.join(FIGURES)}",
               file=sys.stderr)
         return 2
-    return 0
-
-
-def cmd_ablation(args) -> int:
-    _print(ablation_text(args.quick))
-    return 0
-
-
-def cmd_tcam(args) -> int:
-    _print(tcam_text(args.quick))
+    _print(figure.text(args.quick))
     return 0
 
 
@@ -821,14 +688,11 @@ def cmd_report(args) -> int:
         "see EXPERIMENTS.md for paper-vs-measured discussion.",
         "",
     ]
-    for number, description in FIGURES.items():
-        print(f"running fig {number} ({description}) ...", flush=True)
-        sections += [f"## Figure {number} — {description}", "",
-                     "```", figure_text(number, args.quick), "```", ""]
-    print("running ablation ...", flush=True)
-    sections += ["## Ablation — baselines", "", "```", ablation_text(args.quick), "```", ""]
-    print("running tcam ...", flush=True)
-    sections += ["## Ablation — TCAM bottleneck", "", "```", tcam_text(args.quick), "```", ""]
+    for key, figure in FIGURES.items():
+        print(f"running fig {key} ({figure.description}) ...", flush=True)
+        label = f"Figure {key}" if key.isdigit() else "Ablation"
+        sections += [f"## {label} — {figure.description}", "",
+                     "```", figure.text(args.quick), "```", ""]
     with open(args.output, "w") as handle:
         handle.write("\n".join(sections))
     print(f"wrote {args.output}")
@@ -983,21 +847,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(demo)
     demo.set_defaults(func=cmd_demo)
 
-    fig = sub.add_parser("fig", help="regenerate one paper figure")
-    fig.add_argument("number", help="figure number (3,4,9,10,11,12,13,14,15)")
-    fig.add_argument("--quick", action="store_true", help="smaller, faster variant")
-    _add_obs_flags(fig)
-    fig.set_defaults(func=cmd_fig)
-
-    ablation = sub.add_parser("ablation", help="Scotch vs the baseline schemes")
-    ablation.add_argument("--quick", action="store_true")
-    _add_obs_flags(ablation)
-    ablation.set_defaults(func=cmd_ablation)
-
-    tcam = sub.add_parser("tcam", help="the §3.3 TCAM-bottleneck scenario")
-    tcam.add_argument("--quick", action="store_true")
-    _add_obs_flags(tcam)
-    tcam.set_defaults(func=cmd_tcam)
+    fig = sub.add_parser("fig", help="regenerate one paper figure or ablation")
+    fig.add_argument("key", help=f"which one ({','.join(FIGURES)})")
+    figure_commands = [fig]
+    for key in FIGURE_COMMANDS:
+        shorthand = sub.add_parser(key, help=FIGURES[key].description)
+        shorthand.set_defaults(key=key)
+        figure_commands.append(shorthand)
+    for command in figure_commands:
+        command.add_argument("--quick", action="store_true",
+                             help="smaller, faster variant")
+        _add_obs_flags(command)
+        command.set_defaults(func=cmd_fig)
 
     report = sub.add_parser("report", help="run everything, write a markdown report")
     report.add_argument("--quick", action="store_true")

@@ -19,6 +19,7 @@ def client_flow_failure_fraction(
     server_tap: Union[PacketRecorder, Iterable[PacketRecorder]],
     start: Optional[float] = None,
     end: Optional[float] = None,
+    src_prefix: str = "",
 ) -> float:
     """Fraction of flows the client sent whose packets never reached the
     server, computed from the two packet traces.  ``server_tap`` may be
@@ -27,11 +28,14 @@ def client_flow_failure_fraction(
 
     ``start``/``end`` (on the client's first-send time) restrict the
     computation to a measurement window, excluding warm-up/cool-down.
+    ``src_prefix`` keeps only flows from matching source addresses — a
+    legitimate client sharing the attacker's host, hence its tap.
     """
     sent = {
         key
         for key, record in client_tap.records.items()
         if record.packets_sent > 0
+        and key.src_ip.startswith(src_prefix)
         and (start is None or (record.first_sent_at is not None and record.first_sent_at >= start))
         and (end is None or (record.first_sent_at is not None and record.first_sent_at < end))
     }

@@ -238,9 +238,6 @@ def figure_points() -> dict:
     from repro.switch.profiles import PICA8_PRONTO_3780
     from repro.testbed import experiments as ex
 
-    sys.path.insert(0, os.path.join(GOLDEN_DIR, "..", "..", "benchmarks"))
-    from bench_ablation_lb import run as lb_run
-
     points = {
         "fig3": ex.fig3_point(PICA8_PRONTO_3780, 2000, duration=2.0),
         "fig4": asdict(ex.fig4_point(300, duration=2.0)),
@@ -249,8 +246,8 @@ def figure_points() -> dict:
         "fig12": asdict(ex.fig12_run(elephant_packets=1000, elephant_pps=400.0)),
         "fig13": ex.fig13_point(1, offered_rate=5000.0, duration=1.0),
         "install_rate": asdict(ex.install_rate_run(400, duration=3.0)),
-        "lb_flow_hash": lb_run(False),
-        "lb_random_spray": lb_run(True),
+        "lb_flow_hash": ex.lb_run(False),
+        "lb_random_spray": ex.lb_run(True),
     }
     for scheme in ("vanilla", "scotch"):
         points[f"fig11_{scheme}"] = asdict(ex.fig11_run(scheme, duration=3.0))

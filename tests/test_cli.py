@@ -1,14 +1,41 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import importlib
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.testbed.experiments import FIGURES
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks")
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig 3" in out and "ablation" in out
+
+
+def test_every_figure_is_listed_benched_and_committed(capsys, monkeypatch):
+    """The table is the only list of figures: `list`, the bench's
+    parameters and checks, and the committed tables all follow it."""
+    assert len(FIGURES) == 13
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.syspath_prepend(BENCH_DIR)  # bench_figures imports _harness
+    bench = importlib.import_module("bench_figures")
+    (parametrize,) = [mark for mark in bench.test_figure.pytestmark
+                      if mark.name == "parametrize"]
+    assert list(parametrize.args[1]) == list(FIGURES.values())
+    assert set(bench.CHECKS) == set(FIGURES)
+    for key, figure in FIGURES.items():
+        assert f"fig {key} " in out and figure.description in out
+        assert parametrize.kwargs["ids"](figure) == figure.name
+        with open(os.path.join(BENCH_DIR, "output", f"{figure.name}.txt")) as handle:
+            assert handle.readline().rstrip("\n") == figure.title.format(**figure.full)
 
 
 def test_profiles_command(capsys):
@@ -22,7 +49,7 @@ def test_fig9_quick(capsys):
     assert main(["fig", "9", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 9" in out
-    assert "attempted/s" in out
+    assert "attempted rules/s" in out
 
 
 def test_fig4_quick(capsys):
@@ -31,10 +58,20 @@ def test_fig4_quick(capsys):
     assert "Packet-In/s" in out
 
 
-def test_unknown_figure_errors(capsys):
+def test_unknown_figure_errors(capsys, monkeypatch):
     assert main(["fig", "99"]) == 2
     err = capsys.readouterr().err
     assert "unknown figure" in err
+    assert all(key in err for key in FIGURES)
+
+    # Only the lookup is guarded: a KeyError from inside a figure's run
+    # is the runner's bug, not an unknown figure.
+    def broken(*_args, **_kwargs):
+        raise KeyError("inside the runner")
+
+    monkeypatch.setitem(FIGURES, "9", dataclasses.replace(FIGURES["9"], runner=broken))
+    with pytest.raises(KeyError, match="inside the runner"):
+        main(["fig", "9", "--quick"])
 
 
 def test_demo_command(capsys):
@@ -46,18 +83,6 @@ def test_demo_command(capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
-
-
-def test_every_figure_number_is_wired():
-    """Each advertised figure number must be handled by figure_text (no
-    drift between the list and the dispatcher)."""
-    import inspect
-
-    from repro import cli
-
-    source = inspect.getsource(cli.figure_text)
-    for number in cli.FIGURES:
-        assert f'"{number}"' in source
 
 
 def test_chrome_trace_path_derivation():
@@ -131,11 +156,13 @@ def test_prom_flag_writes_text_format(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_all_figures_run_quick(capsys):
-    """Every figure subcommand completes in --quick mode."""
-    for number in ("3", "10", "11", "12", "13", "14", "15"):
-        assert main(["fig", number, "--quick"]) == 0, f"fig {number}"
+    """Every table entry completes in --quick mode, `install_rate` and
+    `lb` included."""
+    for key, figure in FIGURES.items():
+        assert main(["fig", key, "--quick"]) == 0, f"fig {key}"
         out = capsys.readouterr().out
-        assert f"Fig. {number}" in out
+        assert figure.title.format(**figure.quick) in out
+        assert all(column in out for column in figure.columns)
 
 
 @pytest.mark.slow
@@ -154,10 +181,11 @@ def test_report_command_writes_markdown(tmp_path):
     assert main(["report", "--quick", "-o", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("# Scotch reproduction report")
-    for number in ("3", "9", "10", "13", "15"):
-        assert f"## Figure {number}" in text
-    assert "## Ablation — baselines" in text
-    assert "## Ablation — TCAM bottleneck" in text
+    assert text.count("\n## ") == len(FIGURES)
+    for key, figure in FIGURES.items():
+        label = f"Figure {key}" if key.isdigit() else "Ablation"
+        assert f"## {label} — {figure.description}\n" in text
+        assert figure.title.format(**figure.quick) in text
 
 
 def test_chaos_rejects_short_durations(capsys):

@@ -58,6 +58,14 @@ class TestFailureFraction:
         server.on_receive(packet(1), 1.1)
         assert client_flow_failure_fraction(client, server, start=0.0, end=5.0) == 0.0
         assert client_flow_failure_fraction(client, server) == pytest.approx(0.5)
+        # A source prefix separates one sender's flows in a shared tap
+        # (Fig. 11's client on the attacker's host).
+        client.on_send(Packet("10.21.0.1", "2.2.2.2", src_port=3, dst_port=80), 2.0)  # lost
+        assert client_flow_failure_fraction(client, server, src_prefix="10.21.") == 1.0
+        assert client_flow_failure_fraction(
+            client, server, start=0.0, end=5.0, src_prefix="1.1.") == 0.0
+        assert client_flow_failure_fraction(client, server, start=0.0, end=5.0) == 0.5
+        assert client_flow_failure_fraction(client, server, src_prefix="10.22.") == 0.0
 
     def test_empty_client_returns_zero(self):
         assert client_flow_failure_fraction(PacketRecorder(), PacketRecorder()) == 0.0
