@@ -9,7 +9,7 @@ the control-plane repair work it took to get there.
 from _harness import emit_bench, measure
 
 from repro.faults import format_report, run
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 
 SEEDS = (1, 2, 3)
 

@@ -11,7 +11,7 @@ observability overhead.
 import time
 
 from repro.faults import run
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 
 SEED = 1
 

@@ -13,7 +13,7 @@ from _harness import emit_bench, measure
 from repro.faults import format_report, run
 from repro.faults.plan import FaultPlan
 from repro.metrics.stats import percentile
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 
 DURATION = 20.0
 SWITCHES = 8

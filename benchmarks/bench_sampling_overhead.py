@@ -14,7 +14,7 @@ from _harness import emit_bench, measure
 
 from repro.core.config import ScotchConfig
 from repro.faults import run
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 
 SCENARIO = dict(seed=1, duration=6.0, attack_rate=500.0,
                 elephants=5, mice=5)

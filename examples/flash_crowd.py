@@ -13,7 +13,7 @@ Run:  python examples/flash_crowd.py
 """
 
 from repro.testbed.experiments import fig15_run
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 
 
 def main() -> None:

@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster import peak_live_members
 from repro.core.config import ScotchConfig
 from repro.faults import (
+    HTML,
     FaultPlan,
     default_plan,
     format_report,
@@ -36,13 +37,10 @@ from repro.faults import (
     scenarios,
     write_artifacts,
 )
-from repro.obs.scorecard import format_health_report, format_scorecard
-from repro.telemetry.scorecard import (
-    format_telemetry_scorecard,
-    run_telemetry_scorecard,
-)
+from repro.obs.artifacts import ARTIFACTS, inspect_sections, sniff_kind
+from repro.obs.report import format_table, render_html, render_text
+from repro.telemetry.scorecard import run_telemetry_scorecard
 from repro.testbed.experiments import FIGURES, build_scheme
-from repro.testbed.report import format_table
 
 #: Figure keys that are also subcommands of their own.
 FIGURE_COMMANDS = ("ablation", "tcam")
@@ -231,9 +229,7 @@ def _present_pool(report, args) -> Verdict:
 def _present_health(report, args) -> Verdict:
     """Exit 0 iff every fault class was detected with no false positives
     (with --no-faults: iff there were no false positives at all)."""
-    _print(format_health_report(report.sli_series, report.alert_timeline,
-                                run_end=report.duration, truth=report.truth))
-    _print(format_scorecard(report.scorecard))
+    _print(render_text(report.page()[1]))
     card = report.scorecard
     ok = card.clean if args.no_faults else (card.all_detected and card.clean)
     return (f"detection: recall {card.recall:.2f}  precision "
@@ -245,7 +241,7 @@ def _present_health(report, args) -> Verdict:
 
 def _present_telemetry(card, _args) -> Verdict:
     """Exit 0 iff every run kept elephant-detection recall >= 0.9."""
-    _print(format_telemetry_scorecard(card))
+    _print(render_text(card.page()[1]))
     worst = min((point.recall for point in card.runs), default=1.0)
     return (f"telemetry: worst recall {worst:.2f} across {len(card.runs)} "
             f"runs -> {'OK' if worst >= 0.9 else 'DEGRADED'}", worst >= 0.9)
@@ -283,8 +279,13 @@ _CHAOS_FLAGS: List[Flag] = [
           "spoofed flood rate keeping the overlay active"),
 ]
 #: argparse dest -> artifact kind for the _add_health_output_flags files.
-_HEALTH_OUTPUTS = {dest: dest for dest in (
-    "alert_log", "health_report", "scorecard_json", "postmortem_dir")}
+_HEALTH_OUTPUTS = {"alert_log": "alert_timeline", "health_report": HTML,
+                   "scorecard_json": "scorecard",
+                   "postmortem_dir": "postmortem"}
+#: ... for the _add_obs_flags files, and for `postmortem --jsonl`.
+OBS_ARTIFACTS = {"trace": "trace", "metrics": "metrics",
+                 "manifest": "manifest"}
+POSTMORTEM_ARTIFACTS = {"jsonl": "critpath"}
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,8 @@ class RunCommand:
     #: are not plain knobs (``scenario`` picks the entry); a ValueError
     #: is printed and exits 2 *before* anything runs.
     request: Callable[[Any], Dict[str, Any]]
-    #: argparse dest -> artifact kind (repro.faults.scenario.ARTIFACT_KINDS).
+    #: argparse dest -> artifact kind (repro.obs.artifacts.ARTIFACTS), or
+    #: HTML for the report's own page; written in this order.
     artifacts: Dict[str, str]
     #: Print the report; return (closing line or None, exit-0?).
     present: Callable[[Any, Any], Verdict] = _present_report
@@ -357,7 +359,7 @@ RUN_COMMANDS: Dict[str, RunCommand] = {
         ],
         request=_pool_request,
         artifacts={"events": "pool_events", "fault_log": "fault_log",
-                   "scorecard_json": "scorecard_json"},
+                   "scorecard_json": "scorecard"},
         present=_present_pool),
     "health": RunCommand(
         help="chaos-verified detection: SLI report + alert scorecard "
@@ -401,7 +403,7 @@ RUN_COMMANDS: Dict[str, RunCommand] = {
                   help="write a self-contained HTML scorecard"),
         ],
         request=_telemetry_request,
-        artifacts={"json": "telemetry_json", "html": "telemetry_html"},
+        artifacts={"json": "telemetry_scorecard", "html": HTML},
         present=_present_telemetry,
         runner=run_telemetry_scorecard),
     "scale": RunCommand(
@@ -436,7 +438,7 @@ RUN_COMMANDS: Dict[str, RunCommand] = {
                   help="write the full run report as JSON"),
         ],
         request=_scale_request,
-        artifacts={"json": "report_json"},
+        artifacts={"json": "run_report"},
         obs_flags=True),
 }
 
@@ -465,215 +467,54 @@ def cmd_run(args) -> int:
     return 0 if ok else 1
 
 
-def _print_postmortem_summary(path: str, summary) -> None:
-    from repro.obs.critpath import attribution_rows, format_tree
-
-    trigger = summary["trigger"]
-    rows = [["time (s)", trigger.get("t")], ["kind", trigger.get("kind")],
-            ["name", trigger.get("name")], ["event", trigger.get("event")]]
-    rows += sorted(trigger.get("detail", {}).items())
-    rows += sorted(summary["context"].items())
-    _print(format_table(["field", "value"], rows,
-                        title=f"Postmortem bundle — {path}"))
-    if summary["alerts_firing"]:
-        _print(format_table(
-            ["alert", "since (s)"],
-            [[a["alert"], a["since"]] for a in summary["alerts_firing"]],
-            title="Alerts firing at trigger"))
-    if summary["faults_open"]:
-        _print(format_table(
-            ["fault", "target", "since (s)"],
-            [[f["kind"], f["target"], f["since"]]
-             for f in summary["faults_open"]],
-            title="Faults open at trigger"))
-    if summary["bundle"]["ancestry"]:
-        _print(format_table(
-            ["depth", "event", "t (s)", "callback"],
-            [[depth, f"({a['run']},{a['seq']})", a["t"], a["callback"]]
-             for depth, a in enumerate(summary["bundle"]["ancestry"])],
-            title="Causal ancestry (newest first)"))
-    if summary["metric_deltas"]:
-        _print(format_table(
-            ["counter", "delta"], sorted(summary["metric_deltas"].items()),
-            title="Metric deltas (flight window)"))
-    if summary["attribution"]["journeys"]:
-        _print(format_table(
-            ["stage", "count", "total (s)", "share", "p50 (ms)", "p95 (ms)",
-             "p99 (ms)", "max (ms)"],
-            attribution_rows(summary["attribution"]),
-            title="Flight-window latency attribution"))
-        if summary["longest"] is not None:
-            _print(format_tree(summary["longest"]))
-    print(f"ancestry: {summary['ancestry_depth']} events  "
-          f"flight: {summary['flight_events']} events, "
-          f"{summary['flight_spans']} spans")
-
-
 def cmd_inspect(args) -> int:
-    """Summarize a JSONL file: traces get per-stage latency percentiles
-    and routes (plus critical-path attribution when the trace carries
-    causality ids), metrics files get final instrument values and
-    histogram quantiles; fault logs, alert timelines and postmortem
-    bundles are sniffed from their schema headers."""
-    from repro.obs.inspect import (
-        histogram_rows,
-        instrument_rows,
-        sniff_kind,
-        stage_rows,
-        summarize_alert_timeline,
-        summarize_fault_log,
-        summarize_metrics,
-        summarize_postmortem,
-        summarize_telemetry_scorecard,
-        summarize_trace,
-        telemetry_run_rows,
-    )
-
-    summarizers = {
-        "metrics": summarize_metrics,
-        "fault_log": summarize_fault_log,
-        "alert_timeline": summarize_alert_timeline,
-        "postmortem": summarize_postmortem,
-        "telemetry_scorecard": summarize_telemetry_scorecard,
-    }
+    """Summarize any artifact the CLI writes (the kinds of
+    repro.obs.artifacts.ARTIFACTS), told apart by its schema header or
+    its keys."""
     try:
-        kind = sniff_kind(args.trace)
-        summary = summarizers.get(kind, summarize_trace)(args.trace)
+        sections = inspect_sections(args.file)
     except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
+        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"not a JSONL trace file: {args.trace} ({exc})", file=sys.stderr)
+        print(f"not an artifact this version reads: {args.file} ({exc})",
+              file=sys.stderr)
         return 2
-    if kind == "metrics":
-        _print(format_table(
-            ["instrument", "kind", "value"],
-            instrument_rows(summary),
-            title=f"Metrics summary — {args.trace}",
-        ))
-        if summary["histograms"]:
-            _print(format_table(
-                ["histogram", "count", "mean", "p50", "p99", "min", "max"],
-                histogram_rows(summary),
-                title="Histograms",
-            ))
-        span = summary["sample_span"]
-        span_text = ("-" if span is None
-                     else f"{span[0]:.2f}s .. {span[1]:.2f}s")
-        print(f"records: {summary['records']}  samples: {summary['samples']} "
-              f"({summary['sampled_names']} instruments, {span_text})")
-        return 0
-    if kind == "fault_log":
-        rows = [[kind_, phase, count]
-                for kind_, phases in summary["kinds"].items()
-                for phase, count in phases.items()]
-        _print(format_table(["fault", "phase", "count"], rows,
-                            title=f"Fault log — {args.trace}"))
-        span = summary["span"]
-        span_text = "-" if span is None else f"{span[0]:.2f}s .. {span[1]:.2f}s"
-        print(f"actions: {summary['records']}  ({span_text})")
-        return 0
-    if kind == "alert_timeline":
-        rows = [[alert, state, count]
-                for alert, states in summary["alerts"].items()
-                for state, count in states.items()]
-        _print(format_table(["alert", "state", "count"], rows,
-                            title=f"Alert timeline — {args.trace}"))
-        span = summary["span"]
-        span_text = "-" if span is None else f"{span[0]:.2f}s .. {span[1]:.2f}s"
-        print(f"transitions: {summary['records']}  ({span_text})")
-        return 0
-    if kind == "postmortem":
-        _print_postmortem_summary(args.trace, summary)
-        return 0
-    if kind == "telemetry_scorecard":
-        _print(format_table(
-            ["mode", "recall", "precision", "bytes", "reduction", "cpu share"],
-            telemetry_run_rows(summary),
-            title=f"Telemetry scorecard — {args.trace}"))
-        print(f"runs: {summary['runs']}  seed: {summary['seed']}  "
-              f"elephants: {summary['elephants']}  "
-              f"(schema v{summary['version']})")
-        return 0
-    _print(format_table(
-        ["stage", "count", "mean (ms)", "p50 (ms)", "p99 (ms)", "max (ms)"],
-        stage_rows(summary),
-        title=f"Trace summary — {args.trace}",
-    ))
-    if summary["causality"]:
-        from repro.obs.critpath import attribution_rows, format_tree
-
-        _print(format_table(
-            ["stage", "count", "total (s)", "share", "p50 (ms)", "p95 (ms)",
-             "p99 (ms)", "max (ms)"],
-            attribution_rows(summary["attribution"]),
-            title="Packet-In latency attribution (causality trace)",
-        ))
-        if summary["longest"] is not None:
-            _print(format_tree(summary["longest"]))
-        recon = summary["attribution"]["reconciliation"]
-        print(f"attribution: {summary['attribution']['journeys']} journeys, "
-              f"{summary['attribution']['total_s']:.6f} s total, "
-              f"reconciliation max gap {recon['max_abs_gap_s']:.3e} s")
-    pktin = summary["packet_in"]
-    routes = ", ".join(f"{route}={count}" for route, count in pktin["routes"].items())
-    print(f"records: {summary['records']}  spans: {summary['spans']}  "
-          f"instants: {summary['instants']}  open spans: {summary['open_spans']}")
-    print(f"Packet-In journeys: {pktin['count']}  via overlay relay: "
-          f"{pktin['relayed']}  routes: {routes or '-'}")
+    print(render_text(sections))
     return 0
 
 
 def cmd_postmortem(args) -> int:
-    """Render a postmortem bundle (or a causality trace): console
-    summary plus optional critical-path JSONL and a self-contained HTML
-    page (trigger context, ancestry, per-stage attribution)."""
-    from repro.obs.critpath import (
-        attribute,
-        longest_chain,
-        render_html,
-        report_jsonl,
-    )
-    from repro.obs.inspect import sniff_kind, summarize_postmortem
+    """Render a postmortem bundle (or a causality trace): the `inspect`
+    summary, plus optionally the critical-path report as JSONL and the
+    same summary as a self-contained HTML page."""
+    from repro.obs.critpath import attribute, longest_chain, report_jsonl
 
     try:
-        kind = sniff_kind(args.bundle)
-    except OSError as exc:
-        print(f"cannot read bundle: {exc}", file=sys.stderr)
-        return 2
-    bundle = None
-    try:
-        if kind == "postmortem":
-            summary = summarize_postmortem(args.bundle)
-            bundle = summary["bundle"]
-            report, chain = summary["attribution"], summary["longest"]
-            title = (f"Postmortem — {bundle['trigger'].get('kind')} "
-                     f"{bundle['trigger'].get('name')}")
-            _print_postmortem_summary(args.bundle, summary)
-        elif kind == "trace":
-            from repro.obs.tracer import read_jsonl
-
-            records = read_jsonl(args.bundle)
-            report, chain = attribute(records), longest_chain(records)
-            title = f"Critical path — {args.bundle}"
-            print(f"{args.bundle}: trace with {report['journeys']} "
-                  f"Packet-In journeys")
-        else:
-            print(f"{args.bundle} is a {kind} file; postmortem wants a "
-                  f"bundle (chaos/health --postmortem-dir) or a "
+        entry = ARTIFACTS[sniff_kind(args.bundle)]
+        if entry.spans is None:
+            print(f"{args.bundle} is a {entry.kind} file; postmortem wants "
+                  f"a bundle (chaos/health --postmortem-dir) or a "
                   f"causality trace", file=sys.stderr)
             return 2
+        sections = entry.sections(args.bundle)
+        spans = entry.spans(args.bundle) if args.jsonl else []
+    except OSError as exc:
+        print(f"cannot read {args.bundle}: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, TypeError, ValueError) as exc:
         print(f"not a postmortem bundle: {args.bundle} ({exc})",
               file=sys.stderr)
         return 2
+    print(render_text(sections))
     if args.jsonl:
         with open(args.jsonl, "w") as handle:
-            handle.write(report_jsonl(report, chain))
-        print(f"critical-path report -> {args.jsonl}")
+            handle.write(report_jsonl(attribute(spans), longest_chain(spans)))
+        print(ARTIFACTS[POSTMORTEM_ARTIFACTS["jsonl"]].summary.format(
+            path=args.jsonl))
     if args.html:
         with open(args.html, "w") as handle:
-            handle.write(render_html(report, chain, bundle, title=title))
+            handle.write(render_html(f"Postmortem — {args.bundle}", sections))
         print(f"postmortem page -> {args.html}")
     return 0
 
@@ -787,15 +628,18 @@ def _run_observed(args, argv: Optional[List[str]]) -> int:
     )
     with observed(obs):
         status = args.func(args)
+
+    def written(dest: str, count: int = 0) -> str:
+        return ARTIFACTS[OBS_ARTIFACTS[dest]].summary.format(
+            count=count, path=getattr(args, dest))
+
     if args.trace:
-        lines = obs.tracer.export_jsonl(args.trace)
+        line = written("trace", obs.tracer.export_jsonl(args.trace))
         chrome = chrome_trace_path(args.trace)
         events = obs.tracer.export_chrome(chrome)
-        print(f"trace: {lines} records -> {args.trace}; "
-              f"{events} Chrome events -> {chrome}")
+        print(f"{line}; {events} Chrome events -> {chrome}")
     if args.metrics:
-        lines = obs.metrics.export_jsonl(args.metrics)
-        print(f"metrics: {lines} lines -> {args.metrics}")
+        print(written("metrics", obs.metrics.export_jsonl(args.metrics)))
     if args.prom:
         lines = obs.metrics.export_prometheus(args.prom)
         print(f"prometheus: {lines} lines -> {args.prom}")
@@ -826,7 +670,7 @@ def _run_observed(args, argv: Optional[List[str]]) -> int:
             extra={"simulators": obs.runs, "exit_status": status},
         )
         write_manifest(args.manifest, manifest)
-        print(f"manifest -> {args.manifest}")
+        print(written("manifest"))
     return status
 
 
@@ -878,10 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     inspect = sub.add_parser(
         "inspect",
-        help="summarize a JSONL trace (stage p50/p99, routes), metrics "
-             "file (instrument finals, histogram quantiles), fault log, "
-             "alert timeline or postmortem bundle")
-    inspect.add_argument("trace", help="file written by --trace or --metrics")
+        help="summarize any JSON/JSONL file a run wrote: "
+             + ", ".join(ARTIFACTS).replace("_", " "))
+    inspect.add_argument("file", help="an artifact (docs/observability.md"
+                                      "#artifacts)")
     inspect.set_defaults(func=cmd_inspect)
 
     postmortem = sub.add_parser(

@@ -28,6 +28,7 @@ from repro.core.config import ScotchConfig
 from repro.faults.plan import FaultPlan
 from repro.faults.scenario import RunReport, Scenario, chaos_config, register
 from repro.net.packet import Packet
+from repro.obs.artifacts import POOL_EVENTS
 from repro.obs.health import default_slis, pool_slis
 from repro.obs.rules import builtin_rules, pool_rules
 from repro.net.topology import Network
@@ -247,8 +248,10 @@ class PoolChaos(Scenario):
         return {
             "controllers": dep.config.controllers,
             "switches": len(dep.switches),
-            "pool_events": list(pool.events),
-            "pool_events_jsonl": pool.events_jsonl(),
+            # Named after the artifact kind: write_artifacts finds a
+            # log, and its headerless JSONL text, under the kind's name.
+            POOL_EVENTS: list(pool.events),
+            POOL_EVENTS + "_jsonl": pool.events_jsonl(),
             "packet_ins_total": pool.packet_ins_total,
             "packet_ins_handled": sum(m.packet_ins_handled
                                       for m in pool.members.values()),

@@ -43,14 +43,6 @@ class StatsPoller:
         # pending event, so stop()/start() can never double the chain).
         self._timer = PeriodicTimer(controller.sim, interval, self._tick)
 
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
-    @property
-    def _tick_event(self):
-        return self._timer.event
-
     def start(self) -> None:
         self._timer.start()
 

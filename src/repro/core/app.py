@@ -135,8 +135,7 @@ class ScotchApp(BaseApp):
         self.withdrawal = WithdrawalManager(
             self.sim, self.overlay, self.flow_db, self.schedulers, self.config
         )
-        if self.config.reliable_installs:
-            self.reliable = ReliableSender(self.sim, self.controller, self.config)
+        self.reliable = ReliableSender(self.sim, self.controller, self.config)
         self.heartbeat = HeartbeatMonitor(
             self.sim, self.controller, self.overlay, self.config,
             self.groups_installed, reliable=self.reliable,
@@ -520,16 +519,10 @@ class ScotchApp(BaseApp):
             # re-establishes state once echoes resume.
             self.degraded_activations += 1
             return
-        if self.reliable is not None:
-            # Barrier-acked, keyed: a re-send (or a failover-era refresh)
-            # supersedes a still-retrying older batch, so the switch
-            # converges on the newest rule set under channel faults.
-            self.reliable.send(dpid, [group] + mods, key=("activation", dpid))
-        else:
-            handle = self.controller.datapaths[dpid]
-            handle.send(group)
-            for mod in mods:
-                handle.send(mod)
+        # Barrier-acked, keyed: a re-send (or a failover-era refresh)
+        # supersedes a still-retrying older batch, so the switch
+        # converges on the newest rule set under channel faults.
+        self.reliable.send(dpid, [group] + mods, key=("activation", dpid))
         if resends > 0:
             self.sim.schedule(
                 self.config.activation_resend_gap, self._send_activation, dpid, resends - 1
@@ -575,8 +568,7 @@ class ScotchApp(BaseApp):
         self.heartbeat.echo_reply(dpid, message)
 
     def barrier_reply(self, dpid: str, message) -> None:
-        if self.reliable is not None:
-            self.reliable.barrier_reply(dpid, message)
+        self.reliable.barrier_reply(dpid, message)
 
     # ------------------------------------------------------------------
     # Self-healing (docs/robustness.md)
@@ -595,13 +587,12 @@ class ScotchApp(BaseApp):
         if self.heartbeat is not None:
             self.heartbeat.stop()
             self.heartbeat.start()
-        if self.reliable is not None:
-            # A pre-outage batch still retrying (e.g. a failover GroupMod
-            # whose barrier ack never came back) must not land *after*
-            # the fresh pushes below and resurrect a stale bucket set.
-            # The re-pushes re-claim every key that matters with current
-            # state, so cancel the whole in-flight keyed set first.
-            self.reliable.supersede_all()
+        # A pre-outage batch still retrying (e.g. a failover GroupMod
+        # whose barrier ack never came back) must not land *after* the
+        # fresh pushes below and resurrect a stale bucket set.  The
+        # re-pushes re-claim every key that matters with current state,
+        # so cancel the whole in-flight keyed set first.
+        self.reliable.supersede_all()
         for dpid in sorted(self.groups_installed):
             if dpid not in self.controller.datapaths:
                 continue

@@ -128,10 +128,9 @@ class ScotchConfig:
     heartbeat_miss_limit: int = 3
 
     # -- reliable installs (docs/robustness.md) ------------------------------
-    #: Send critical control state (activation rule sets, failover group
-    #: refreshes) Barrier-acknowledged with timeout + retries, so it
-    #: survives control-channel loss, flaps and vSwitch restarts.
-    reliable_installs: bool = True
+    # Critical control state (activation rule sets, failover group
+    # refreshes) is sent Barrier-acknowledged with timeout + retries, so
+    # it survives control-channel loss, flaps and vSwitch restarts.
     #: Initial barrier-acknowledgement timeout, seconds (doubles per
     #: attempt — capped exponential backoff).
     reliable_install_timeout: float = 0.3

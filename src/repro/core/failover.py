@@ -9,7 +9,7 @@ backup vSwitch.  Flows that hashed to the dead vSwitch re-appear at the
 backup as new flows (table miss -> Packet-In), exactly as the paper
 describes.  A recovered vSwitch (echo replies resume) rejoins.
 
-Robustness (docs/robustness.md): group refreshes can ride the
+Robustness (docs/robustness.md): group refreshes ride the
 controller's reliable-install layer (Barrier-acked with retries) so a
 bucket swap survives a lossy or flapping control channel, and when every
 candidate vSwitch for a switch is dead the monitor *degrades* — it skips
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import OpenFlowController
     from repro.controller.reliability import ReliableSender
     from repro.openflow.messages import EchoReply
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
 
 class HeartbeatMonitor:
@@ -42,8 +42,8 @@ class HeartbeatMonitor:
         overlay: ScotchOverlay,
         config: ScotchConfig,
         groups_installed: Set[str],
+        reliable: "ReliableSender",
         on_failover: Optional[Callable[[str], None]] = None,
-        reliable: Optional["ReliableSender"] = None,
     ):
         self.sim = sim
         self.controller = controller
@@ -53,9 +53,9 @@ class HeartbeatMonitor:
         #: activation time); only these receive bucket refreshes.
         self.groups_installed = groups_installed
         self.on_failover = on_failover
-        #: When set, group refreshes go through the Barrier-acked
-        #: reliable-install layer (keyed, so a newer refresh for the same
-        #: switch supersedes a still-retrying older one).
+        #: Group refreshes go through the Barrier-acked reliable-install
+        #: layer (keyed, so a newer refresh for the same switch
+        #: supersedes a still-retrying older one).
         self.reliable = reliable
         self._pending: Dict[str, int] = {}
         self.failures_detected = 0
@@ -71,14 +71,6 @@ class HeartbeatMonitor:
         #: Restart-safe tick chain (sim.process.PeriodicTimer owns the
         #: pending event, so stop()/start() can never double the chain).
         self._timer = PeriodicTimer(sim, config.heartbeat_interval, self._tick)
-
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
-    @property
-    def _tick_event(self) -> Optional["Event"]:
-        return self._timer.event
 
     def targets(self):
         return list(self.overlay.mesh) + list(self.overlay.backups)
@@ -143,12 +135,9 @@ class HeartbeatMonitor:
                     self.degraded_refreshes += 1
                     self._instant("failover.degraded", switch_name)
                     continue
-                if self.reliable is not None:
-                    self.reliable.send(
-                        switch_name, [group_mod], key=("group", switch_name)
-                    )
-                else:
-                    self.controller.datapaths[switch_name].send(group_mod)
+                self.reliable.send(
+                    switch_name, [group_mod], key=("group", switch_name)
+                )
             if self.on_failover is not None:
                 self.on_failover(switch_name)
 

@@ -19,7 +19,7 @@ from repro.metrics.meters import RateEstimator
 from repro.sim.process import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
     from repro.switch.profiles import SwitchProfile
 
 
@@ -56,14 +56,6 @@ class CongestionMonitor:
         #: pending event, so stop()/start() can never double the chain).
         self._timer = PeriodicTimer(sim, config.monitor_interval, self._tick)
         self._obs = sim.obs
-
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
-    @property
-    def _tick_event(self) -> Optional["Event"]:
-        return self._timer.event
 
     def watch(self, dpid: str, profile: "SwitchProfile") -> None:
         if dpid not in self._switches:

@@ -10,6 +10,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker, Violation, grace_window
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.scenario import (
+    HTML,
     RunReport,
     Scenario,
     chaos_config,
@@ -23,11 +24,11 @@ from repro.obs.scorecard import (
     Scorecard,
     TruthWindow,
     build_scorecard,
-    format_scorecard,
     truth_windows,
 )
 
 __all__ = [
+    "HTML",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
@@ -41,7 +42,6 @@ __all__ = [
     "chaos_config",
     "default_plan",
     "format_report",
-    "format_scorecard",
     "grace_window",
     "run",
     "scenarios",

@@ -129,10 +129,6 @@ class InvariantChecker:
         # check chain — the exact bug class PeriodicTimer exists to kill.
         self._timer = PeriodicTimer(sim, interval, self._tick)
 
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._timer.start()
@@ -211,9 +207,9 @@ class InvariantChecker:
                 del self._stale_since[key]
 
     def _check_reliable_layer(self) -> None:
-        reliable = getattr(self.scotch, "reliable", None) if self.scotch else None
-        if reliable is None:
+        if self.scotch is None:
             return
+        reliable = self.scotch.reliable
         limit = self.overlay.config.reliable_install_max_retries + 1
         worst = reliable.max_attempts_in_flight()
         if worst > limit:

@@ -11,8 +11,10 @@ scenario is a declarative :class:`Scenario` entry registered by name:
 ``chaos`` here, ``pool_chaos`` / ``pool_autoscale`` in
 :mod:`repro.cluster.scenario`, ``telemetry_point`` in
 :mod:`repro.telemetry.scorecard` and ``scale`` in
-:mod:`repro.testbed.scale`.  One :func:`format_report` and one
-:func:`write_artifacts` render every :class:`RunReport`.
+:mod:`repro.testbed.scale`.  One :func:`format_report` shows every
+:class:`RunReport` (as :mod:`repro.obs.report` sections) and one
+:func:`write_artifacts` writes it out, kind by kind from the artifact
+table (:mod:`repro.obs.artifacts`).
 
 The ``chaos`` entry is the canonical robustness scenario
 (docs/robustness.md): a Scotch-protected deployment under client load
@@ -36,21 +38,27 @@ from repro.faults.invariants import InvariantChecker, Violation
 from repro.faults.plan import FaultPlan
 from repro.metrics.failure import client_flow_failure_fraction
 from repro.obs import HealthEngine, Observability, get_default_obs, observed
+from repro.obs.artifacts import (
+    ALERT_TIMELINE,
+    ARTIFACTS,
+    POSTMORTEM,
+    SCORECARD,
+    write_jsonl,
+)
 from repro.obs.flight import FlightRecorder
 from repro.obs.postmortem import PostmortemCollector, export_bundles
-from repro.obs.schema import write_jsonl
+from repro.obs.report import Section, Table, Text, render_html, render_text
 from repro.obs.scorecard import (
     FLASH_CROWD,
     Scorecard,
     TruthWindow,
     build_scorecard,
-    format_scorecard,
-    render_html_report,
+    health_sections,
     scorecard_json,
+    scorecard_sections,
     truth_windows,
 )
 from repro.testbed.deployment import build_deployment
-from repro.testbed.report import format_table
 from repro.traffic import NewFlowSource, SpoofedFlood
 
 #: Phase margin between the last fault clearing and the start of the
@@ -239,6 +247,26 @@ class RunReport:
     def health_enabled(self) -> bool:
         return self.scorecard is not None
 
+    page_label = "health report"
+
+    def page(self) -> Tuple[str, List[Section]]:
+        """The health report (title, sections): what ``health`` prints
+        and ``--health-report`` writes as a page."""
+        return f"Scotch health — seed {self.seed}", health_sections(
+            self.sli_series, self.alert_timeline, self.duration, self.truth,
+            self.scorecard)
+
+    def json_artifact(self, kind: str) -> str:
+        """The text of a single-object artifact: the detection
+        scorecard, or (any other kind) the run report itself."""
+        if kind == SCORECARD:
+            return scorecard_json(self.scorecard)
+        shared = {name: getattr(self, name) for name in (
+            "scenario", "seed", "duration", "build_wall", "build_events",
+            "run_wall", "run_events", "events_per_sec")}
+        return json.dumps({**shared, **self.measures}, indent=2,
+                          sort_keys=True)
+
     @property
     def healthy(self) -> bool:
         return scenarios()[self.scenario].healthy(self)
@@ -402,97 +430,71 @@ def run(
 
 
 # ----------------------------------------------------------------------
-# The one formatter and the one artifact writer
+# The one report and the one artifact writer
 # ----------------------------------------------------------------------
 def format_report(report: RunReport) -> str:
-    """A human-readable report of any run (used by the CLI)."""
+    """A human-readable report of any run (used by the CLI): fault
+    tally, the scenario's measures, violations, the detection
+    scorecard, the closing lines."""
     entry = scenarios()[report.scenario]
-    sections = []
+    sections: List[Section] = []
     if report.fault_counts:
-        sections.append(format_table(
-            ["fault class", "injected"], sorted(report.fault_counts.items()),
-            title=entry.headline(report)))
-    sections.append(format_table(["measure", "value"], entry.rows(report),
-                                 title=entry.table_title))
+        sections.append(Table(entry.headline(report),
+                              ["fault class", "injected"],
+                              sorted(report.fault_counts.items())))
+    sections.append(Table(entry.table_title, ["measure", "value"],
+                          entry.rows(report)))
     if report.violations:
-        sections.append(format_table(
-            ["t (s)", "invariant", "detail"],
-            [[f"{v.time:.2f}", v.name, v.detail] for v in report.violations[:20]],
-            title="Invariant violations"))
+        sections.append(Table(
+            "Invariant violations", ["t (s)", "invariant", "detail"],
+            [[f"{v.time:.2f}", v.name, v.detail]
+             for v in report.violations[:20]]))
     if report.scorecard is not None:
-        sections.append(format_scorecard(report.scorecard))
-    return "\n\n".join(sections + entry.closing(report))
+        sections += scorecard_sections(report.scorecard)
+    return render_text(
+        sections + [Text(line) for line in entry.closing(report)])
 
 
-#: JSONL artifact kind -> (schema kind, report attribute holding the
-#: records, summary line); the headerless text is ``<attribute>_jsonl``.
-_JSONL_ARTIFACTS = {
-    "pool_events": ("pool_events", "pool_events", "pool events: {count}"),
-    "fault_log": ("fault_log", "fault_log", "fault log: {count} actions"),
-    "alert_log": ("alert_timeline", "alert_timeline",
-                  "alert timeline: {count} transitions"),
-}
-#: Every artifact kind, in the order the CLI reports them.  The two
-#: telemetry kinds render a telemetry sweep's TelemetryScorecard.
-ARTIFACT_KINDS = (*_JSONL_ARTIFACTS, "health_report", "scorecard_json",
-                  "postmortem_dir", "report_json",
-                  "telemetry_json", "telemetry_html")
-#: Kinds that only exist when the health engine ran.
-HEALTH_ARTIFACTS = ("alert_log", "health_report", "scorecard_json")
+#: ``write_artifacts`` key for the report's own HTML page
+#: (``report.page()``) — a rendering, not an artifact kind.
+HTML = "html"
 
 
 def _write_artifact(report: Any, kind: str, path: str) -> str:
     """Write one artifact; returns its one-line summary."""
-    if kind == "telemetry_html":
-        from repro.telemetry.scorecard import render_telemetry_html
-
-        render_telemetry_html(path, report)
-        return f"telemetry report -> {path}"
-    if kind in _JSONL_ARTIFACTS:
-        schema, attribute, summary = _JSONL_ARTIFACTS[kind]
-        write_jsonl(path, schema, getattr(report, attribute + "_jsonl"))
-        count = len(getattr(report, attribute))
-        return f"{summary.format(count=count)} -> {path}"
-    if kind == "health_report":
-        render_html_report(
-            path, report.sli_series, report.alert_timeline,
-            run_end=report.duration, truth=report.truth,
-            scorecard=report.scorecard,
-            title=f"Scotch health — seed {report.seed}")
-        return f"health report -> {path}"
-    if kind == "postmortem_dir":
-        paths = export_bundles(report.postmortems, path)
-        dropped = (f" ({report.postmortems_dropped} past the cap dropped)"
-                   if report.postmortems_dropped else "")
-        return f"postmortems: {len(paths)} bundles -> {path}{dropped}"
-    with open(path, "w") as handle:
-        if kind == "scorecard_json":
-            handle.write(scorecard_json(report.scorecard) + "\n")
-            return f"scorecard -> {path}"
-        if kind == "telemetry_json":
-            from repro.telemetry.scorecard import telemetry_scorecard_json
-
-            handle.write(telemetry_scorecard_json(report) + "\n")
-            return f"scorecard -> {path}"
-        shared = {name: getattr(report, name) for name in (
-            "scenario", "seed", "duration", "build_wall", "build_events",
-            "run_wall", "run_events", "events_per_sec")}
-        json.dump({**shared, **report.measures}, handle, indent=2,
-                  sort_keys=True)
-        handle.write("\n")
-        return f"wrote {path}"
+    if kind == HTML:
+        with open(path, "w") as handle:
+            handle.write(render_html(*report.page()))
+        return f"{report.page_label} -> {path}"
+    entry, count, suffix = ARTIFACTS[kind], 0, ""
+    if kind == POSTMORTEM:
+        count = len(export_bundles(report.postmortems, path))
+        if report.postmortems_dropped:
+            suffix = f" ({report.postmortems_dropped} past the cap dropped)"
+    elif entry.jsonl:
+        # A log the report holds under the kind's own name, next to its
+        # headerless JSONL text.
+        count = len(getattr(report, kind))
+        write_jsonl(path, kind, getattr(report, kind + "_jsonl").splitlines())
+    else:
+        with open(path, "w") as handle:
+            handle.write(report.json_artifact(kind) + "\n")
+    return entry.summary.format(count=count, path=path) + suffix
 
 
 def write_artifacts(report: Any, paths: Dict[str, Optional[str]]) -> List[str]:
-    """Write every artifact in ``paths`` (``kind -> path``; falsy paths
-    are skipped) and return one summary line per file written.  JSONL
-    kinds carry their :mod:`repro.obs.schema` header."""
-    wanted = sorted((kind for kind, path in paths.items() if path),
-                    key=ARTIFACT_KINDS.index)
-    missing = [kind for kind in wanted
-               if kind in HEALTH_ARTIFACTS and report.scorecard is None]
-    if missing:
-        raise ValueError(f"{', '.join(missing)} need a health=True run")
+    """Write every artifact in ``paths`` — artifact kind (or
+    :data:`HTML`) -> path; falsy paths are skipped — in the order given,
+    and return one summary line per file written."""
+    wanted = [kind for kind, path in paths.items() if path]
+    unknown = [kind for kind in wanted if kind != HTML and kind not in ARTIFACTS]
+    if unknown:
+        raise ValueError(f"no artifact kind {', '.join(unknown)}")
+    if isinstance(report, RunReport) and report.scorecard is None:
+        missing = [kind for kind in wanted
+                   if kind in (ALERT_TIMELINE, SCORECARD, HTML)]
+        if missing:
+            raise ValueError(f"{', '.join(missing)} need a health=True run")
     return [_write_artifact(report, kind, paths[kind]) for kind in wanted]
 
 
@@ -559,7 +561,7 @@ class Chaos(Scenario):
             "recoveries_detected": heartbeat.recoveries_detected,
             "degraded_refreshes": heartbeat.degraded_refreshes,
             "resyncs": dep.scotch.resyncs,
-            "reliable": {name: getattr(reliable, name) if reliable else 0
+            "reliable": {name: getattr(reliable, name)
                          for name in ("sent", "acked", "retries", "abandoned",
                                       "superseded")},
             "channel_drops": sum(c.to_switch_dropped + c.to_controller_dropped

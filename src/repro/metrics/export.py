@@ -112,13 +112,9 @@ def write_flow_records_jsonl(path: str, tap: PacketRecorder) -> int:
 def read_flow_records_jsonl(path: str) -> List[Dict[str, object]]:
     """Load a JSONL file produced by :func:`write_flow_records_jsonl`;
     same record shape as :func:`read_flow_records`."""
-    out: List[Dict[str, object]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    from repro.obs.artifacts import read_jsonl
+
+    return read_jsonl(path)
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -15,18 +15,18 @@ durations:
 * :func:`longest_chain` extracts the single slowest journey with its
   ordered stages — the critical path a person should look at first.
 
-Rendered by ``scotch-repro inspect`` (attribution table + span tree)
-and ``scotch-repro postmortem`` (JSONL + self-contained HTML).
+Shown by ``scotch-repro inspect`` and ``scotch-repro postmortem``
+(:func:`attribution_sections`: attribution table + span tree, as text
+or as a page) and exported as JSONL by ``postmortem --jsonl``.
 """
 
 from __future__ import annotations
 
-import html as _html
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.stats import percentile
 from repro.obs.path import SPAN_PACKET_IN
+from repro.obs.report import Section, Table, Text, canonical_json
 
 #: Name of the reconciliation pseudo-stage: journey time not covered by
 #: any stage span (queueing hand-offs, scheduling slack).
@@ -189,120 +189,71 @@ def format_tree(journey: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def attribution_sections(report: Dict[str, Any],
+                         chain: Optional[Dict[str, Any]],
+                         title: str) -> List[Section]:
+    """The attribution table and the longest chain's span tree — or,
+    with no completed journeys, a note on the page saying so."""
+    if not report["journeys"]:
+        return [Text("No completed Packet-In journeys in this window "
+                     "(causality tracing off, or none finished).",
+                     title=title, page_only=True)]
+    sections: List[Section] = [
+        Table(title, ["stage", "count", "total (s)", "share", "p50 (ms)",
+                      "p95 (ms)", "p99 (ms)", "max (ms)"],
+              attribution_rows(report))]
+    if chain is not None:
+        sections.append(Text(format_tree(chain), title="Longest chain"))
+    return sections
+
+
+def attribution_line(report: Dict[str, Any]) -> str:
+    return (f"attribution: {report['journeys']} journeys, "
+            f"{report['total_s']:.6f} s total, reconciliation max gap "
+            f"{report['reconciliation']['max_abs_gap_s']:.3e} s")
+
+
 def report_jsonl(report: Dict[str, Any],
                  chain: Optional[Dict[str, Any]] = None) -> str:
-    """Attribution report as JSON lines (summary, then one line per
-    stage, then the longest chain when given)."""
-    lines = [json.dumps({"type": "critpath_summary",
-                         "journeys": report["journeys"],
-                         "total_s": report["total_s"],
-                         **report["reconciliation"]},
-                        sort_keys=True, separators=(",", ":"))]
+    """Attribution report as JSON lines behind the ``critpath`` schema
+    header: the summary, then one line per stage, then the longest
+    chain when given.  :func:`read_report` is the inverse."""
+    from repro.obs.artifacts import CRITPATH, schema_line
+
+    lines = [schema_line(CRITPATH),
+             canonical_json({"type": "critpath_summary",
+                             "journeys": report["journeys"],
+                             "total_s": report["total_s"],
+                             **report["reconciliation"]})]
     for name, stats in report["stages"].items():
-        lines.append(json.dumps({"type": "critpath_stage", "stage": name,
-                                 **{k: stats[k] for k in sorted(stats)}},
-                                sort_keys=True, separators=(",", ":")))
+        lines.append(canonical_json(
+            {"type": "critpath_stage", "stage": name, **stats}))
     if chain is not None:
         plain = {k: v for k, v in chain.items() if k != "stages"}
         plain["stages"] = [
             {"name": s["name"], "t0": s["t0"], "t1": s["t1"]}
             for s in chain["stages"]
         ]
-        lines.append(json.dumps({"type": "critpath_longest", **plain},
-                                sort_keys=True, separators=(",", ":")))
+        lines.append(canonical_json({"type": "critpath_longest", **plain}))
     return "\n".join(lines) + "\n"
 
 
-def render_html(report: Dict[str, Any],
-                chain: Optional[Dict[str, Any]] = None,
-                bundle: Optional[Dict[str, Any]] = None,
-                title: str = "Postmortem") -> str:
-    """A self-contained HTML page: trigger context (when a bundle is
-    given), the per-stage attribution table with share bars, and the
-    longest-chain breakdown.  No external assets."""
-    esc = _html.escape
-
-    def table(headers: List[str], rows: List[List[Any]]) -> str:
-        head = "".join(f"<th>{esc(str(h))}</th>" for h in headers)
-        body = "\n".join(
-            "<tr>" + "".join(f"<td>{esc(str(cell))}</td>" for cell in row)
-            + "</tr>"
-            for row in rows)
-        return (f"<table><thead><tr>{head}</tr></thead>"
-                f"<tbody>{body}</tbody></table>")
-
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        f"<title>{esc(title)}</title>",
-        "<style>body{font:14px/1.5 -apple-system,Segoe UI,sans-serif;"
-        "margin:2em auto;max-width:64em;color:#222}"
-        "table{border-collapse:collapse;margin:1em 0}"
-        "td,th{border:1px solid #ccc;padding:.3em .6em;text-align:right}"
-        "th{background:#f4f4f4}td:first-child,th:first-child{text-align:left}"
-        ".bar{background:#4a90d9;height:.8em;display:inline-block}"
-        "pre{background:#f8f8f8;border:1px solid #ddd;padding:1em;"
-        "overflow-x:auto}</style></head><body>",
-        f"<h1>{esc(title)}</h1>",
-    ]
-    if bundle is not None:
-        trigger = bundle.get("trigger", {})
-        parts.append("<h2>Trigger</h2>")
-        rows = [["time (s)", trigger.get("t")],
-                ["kind", trigger.get("kind")],
-                ["name", trigger.get("name")],
-                ["event", trigger.get("event")]]
-        for key, value in sorted(trigger.get("detail", {}).items()):
-            rows.append([key, value])
-        parts.append(table(["field", "value"], rows))
-        if bundle.get("alerts_firing"):
-            parts.append("<h2>Alerts firing</h2>")
-            parts.append(table(["alert", "since (s)"],
-                               [[a["alert"], a["since"]]
-                                for a in bundle["alerts_firing"]]))
-        if bundle.get("faults_open"):
-            parts.append("<h2>Faults open</h2>")
-            parts.append(table(["fault", "target", "since (s)"],
-                               [[f["kind"], f["target"], f["since"]]
-                                for f in bundle["faults_open"]]))
-        if bundle.get("ancestry"):
-            parts.append("<h2>Causal ancestry (newest first)</h2>")
-            parts.append(table(
-                ["depth", "event", "t (s)", "callback"],
-                [[depth, f"({a['run']},{a['seq']})", a["t"], a["callback"]]
-                 for depth, a in enumerate(bundle["ancestry"])]))
-        deltas = bundle.get("flight", {}).get("metric_deltas", {})
-        if deltas:
-            parts.append("<h2>Metric deltas (flight window)</h2>")
-            parts.append(table(["counter", "delta"],
-                               sorted(deltas.items())))
-    parts.append("<h2>Per-stage latency attribution</h2>")
-    if report["journeys"]:
-        rows_html = []
-        for name, stats in report["stages"].items():
-            width = max(1, int(round(stats["share"] * 200)))
-            rows_html.append(
-                f"<tr><td>{esc(name)}</td><td>{stats['count']}</td>"
-                f"<td>{stats['total_s']:.6f}</td>"
-                f"<td><span class='bar' style='width:{width}px'></span> "
-                f"{stats['share'] * 100:.1f}%</td>"
-                f"<td>{stats['p50_ms']:.4f}</td>"
-                f"<td>{stats['p95_ms']:.4f}</td>"
-                f"<td>{stats['p99_ms']:.4f}</td>"
-                f"<td>{stats['max_ms']:.4f}</td></tr>")
-        parts.append(
-            "<table><thead><tr><th>stage</th><th>count</th><th>total s</th>"
-            "<th>share</th><th>p50 ms</th><th>p95 ms</th><th>p99 ms</th>"
-            "<th>max ms</th></tr></thead><tbody>"
-            + "\n".join(rows_html) + "</tbody></table>")
-        parts.append(
-            f"<p>{report['journeys']} journeys, "
-            f"{report['total_s']:.6f} s total; reconciliation max gap "
-            f"{report['reconciliation']['max_abs_gap_s']:.3e} s.</p>")
-    else:
-        parts.append("<p>No completed Packet-In journeys in this window "
-                     "(causality tracing off, or none finished).</p>")
-    if chain is not None:
-        parts.append("<h2>Longest chain</h2>")
-        parts.append(f"<pre>{esc(format_tree(chain))}</pre>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
+def read_report(records: List[Dict[str, Any]],
+                ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """``(report, chain)`` back from :func:`report_jsonl` payload
+    records, in the shapes :func:`attribute` / :func:`longest_chain`
+    return."""
+    report: Dict[str, Any] = {"journeys": 0, "total_s": 0.0, "stages": {},
+                              "reconciliation": {}}
+    chain = None
+    for record in records:
+        body = {k: v for k, v in record.items() if k != "type"}
+        if record["type"] == "critpath_summary":
+            report["journeys"] = body.pop("journeys")
+            report["total_s"] = body.pop("total_s")
+            report["reconciliation"] = body
+        elif record["type"] == "critpath_stage":
+            report["stages"][body.pop("stage")] = body
+        elif record["type"] == "critpath_longest":
+            chain = body
+    return report, chain

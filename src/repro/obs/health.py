@@ -213,14 +213,6 @@ class HealthEngine:
         self._history: List[_Snapshot] = []
         self._max_window = max((s.window for s in self.slis), default=1.0)
 
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
-    @property
-    def _tick_event(self) -> Optional[Any]:
-        return self._timer.event
-
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
         if self._timer.running:
@@ -394,7 +386,7 @@ class HealthEngine:
     def export_timeline(self, path: str) -> int:
         """Write the timeline JSONL to ``path`` (behind the schema
         header); returns the transition record count."""
-        from repro.obs.schema import write_jsonl
+        from repro.obs.artifacts import ALERT_TIMELINE, write_jsonl
 
-        write_jsonl(path, "alert_timeline", self.timeline_jsonl())
+        write_jsonl(path, ALERT_TIMELINE, self.timeline_jsonl().splitlines())
         return len(self.timeline)

@@ -17,7 +17,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-MANIFEST_VERSION = 1
+from repro.obs.artifacts import ARTIFACTS, MANIFEST
+
+MANIFEST_VERSION = ARTIFACTS[MANIFEST].version
 
 
 def _as_plain(value: Any) -> Any:
@@ -74,8 +76,3 @@ def write_manifest(path: str, manifest: Dict[str, Any]) -> None:
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def read_manifest(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        return json.load(handle)

@@ -19,11 +19,10 @@ Export is JSONL, matching the tracer's format family:
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.schema import is_schema_record, write_schema_header
+from repro.obs.report import canonical_json
 
 #: Default histogram buckets for control-path latencies, seconds
 #: (100 µs .. 10 s, roughly logarithmic).
@@ -195,36 +194,28 @@ class MetricsRegistry:
     def export_jsonl(self, path: str) -> int:
         """Write samples then final instrument states (after the schema
         header); returns the payload line count."""
-        lines = 0
-        with open(path, "w") as handle:
-            write_schema_header(handle, "metrics")
+        from repro.obs.artifacts import METRICS, write_jsonl
 
-            def emit(record: Dict[str, Any]) -> None:
-                nonlocal lines
-                handle.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")))
-                handle.write("\n")
-                lines += 1
-
-            for run, t, name, value in self.samples:
-                emit({"type": "sample", "run": run, "t": t,
-                      "name": name, "value": value})
-            for name in sorted(self.counters):
-                emit({"type": "counter", "name": name,
-                      "value": self.counters[name].value})
-            for name in sorted(self.gauges):
-                emit({"type": "gauge", "name": name,
-                      "value": self.gauges[name].read()})
-            for name in sorted(self.histograms):
-                histogram = self.histograms[name]
-                emit({
-                    "type": "histogram", "name": name,
-                    "buckets": list(histogram.buckets),
-                    "counts": list(histogram.counts),
-                    "count": histogram.count, "sum": histogram.sum,
-                    "min": histogram.min, "max": histogram.max,
-                })
-        return lines
+        records: List[Dict[str, Any]] = [
+            {"type": "sample", "run": run, "t": t, "name": name, "value": value}
+            for run, t, name, value in self.samples]
+        records += [{"type": "counter", "name": name,
+                     "value": self.counters[name].value}
+                    for name in sorted(self.counters)]
+        records += [{"type": "gauge", "name": name,
+                     "value": self.gauges[name].read()}
+                    for name in sorted(self.gauges)]
+        for name in sorted(self.histograms):
+            histogram = self.histograms[name]
+            records.append({
+                "type": "histogram", "name": name,
+                "buckets": list(histogram.buckets),
+                "counts": list(histogram.counts),
+                "count": histogram.count, "sum": histogram.sum,
+                "min": histogram.min, "max": histogram.max,
+            })
+        write_jsonl(path, METRICS, map(canonical_json, records))
+        return len(records)
 
     def to_prometheus(self) -> str:
         """Final instrument states in the Prometheus text exposition
@@ -303,14 +294,6 @@ class MetricsSampler:
 
         self._timer = PeriodicTimer(sim, interval, self._tick)
 
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
-    @property
-    def _tick_event(self) -> Optional[Any]:
-        return self._timer.event
-
     def start(self) -> None:
         self._timer.start()
 
@@ -323,18 +306,3 @@ class MetricsSampler:
         self.registry.sample(self.sim.now, run=self.run)
         self.ticks += 1
         self._timer.rearm()
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a metrics file exported by
-    :meth:`MetricsRegistry.export_jsonl` (schema header skipped)."""
-    out: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                if not is_schema_record(record):
-                    out.append(record)
-    return out
-

@@ -21,16 +21,15 @@ Bundles contain only simulation-derived values (no wall clock, no
 platform strings, no object reprs), so two same-seed runs emit
 byte-identical bundle files — ``tests/test_postmortem.py`` pins this.
 Serialization is JSONL with typed records behind a schema header
-(:mod:`repro.obs.schema`, kind ``postmortem``).
+(:mod:`repro.obs.artifacts`, kind ``postmortem``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.obs.schema import is_schema_record, schema_line
+from repro.obs.report import canonical_json
 
 #: Keep at most this many bundles per run (first-N; later triggers are
 #: counted in ``dropped`` rather than collected).
@@ -158,30 +157,29 @@ class PostmortemCollector:
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
-def _dump(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def bundle_jsonl(bundle: Dict[str, Any]) -> str:
     """One bundle as JSONL: schema header, then typed records, in a
     fixed order — byte-identical across same-seed runs."""
-    lines = [schema_line("postmortem")]
-    lines.append(_dump({"type": "trigger", **bundle["trigger"]}))
+    from repro.obs.artifacts import POSTMORTEM, schema_line
+
+    lines = [schema_line(POSTMORTEM)]
+    lines.append(canonical_json({"type": "trigger", **bundle["trigger"]}))
     for depth, ancestor in enumerate(bundle["ancestry"]):
-        lines.append(_dump({"type": "ancestor", "depth": depth, **ancestor}))
+        lines.append(canonical_json(
+            {"type": "ancestor", "depth": depth, **ancestor}))
     flight = bundle["flight"]
     for event in flight["events"]:
-        lines.append(_dump({"type": "flight_event", **event}))
+        lines.append(canonical_json({"type": "flight_event", **event}))
     for span in flight["spans"]:
-        lines.append(_dump({"type": "flight_span", "span": span}))
+        lines.append(canonical_json({"type": "flight_span", "span": span}))
     for name, delta in flight["metric_deltas"].items():
-        lines.append(_dump({"type": "metric_delta", "name": name,
-                            "delta": delta}))
+        lines.append(canonical_json(
+            {"type": "metric_delta", "name": name, "delta": delta}))
     for alert in bundle["alerts_firing"]:
-        lines.append(_dump({"type": "alert_context", **alert}))
+        lines.append(canonical_json({"type": "alert_context", **alert}))
     for fault in bundle["faults_open"]:
-        lines.append(_dump({"type": "fault_open", **fault}))
-    lines.append(_dump({"type": "context", **bundle["context"]}))
+        lines.append(canonical_json({"type": "fault_open", **fault}))
+    lines.append(canonical_json({"type": "context", **bundle["context"]}))
     return "\n".join(lines) + "\n"
 
 
@@ -206,36 +204,31 @@ def export_bundles(bundles: List[Dict[str, Any]], directory: str) -> List[str]:
 
 def read_bundle(path: str) -> Dict[str, Any]:
     """Load a bundle file back into the in-memory bundle shape."""
+    from repro.obs.artifacts import read_jsonl
+
     bundle: Dict[str, Any] = {
         "trigger": {}, "ancestry": [],
         "flight": {"events": [], "spans": [], "metric_deltas": {}},
         "alerts_firing": [], "faults_open": [], "context": {},
     }
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if is_schema_record(record):
-                continue
-            kind = record.pop("type", None)
-            if kind == "trigger":
-                bundle["trigger"] = record
-            elif kind == "ancestor":
-                record.pop("depth", None)
-                bundle["ancestry"].append(record)
-            elif kind == "flight_event":
-                bundle["flight"]["events"].append(record)
-            elif kind == "flight_span":
-                bundle["flight"]["spans"].append(record["span"])
-            elif kind == "metric_delta":
-                bundle["flight"]["metric_deltas"][record["name"]] = \
-                    record["delta"]
-            elif kind == "alert_context":
-                bundle["alerts_firing"].append(record)
-            elif kind == "fault_open":
-                bundle["faults_open"].append(record)
-            elif kind == "context":
-                bundle["context"] = record
+    for record in read_jsonl(path):
+        kind = record.pop("type", None)
+        if kind == "trigger":
+            bundle["trigger"] = record
+        elif kind == "ancestor":
+            record.pop("depth", None)
+            bundle["ancestry"].append(record)
+        elif kind == "flight_event":
+            bundle["flight"]["events"].append(record)
+        elif kind == "flight_span":
+            bundle["flight"]["spans"].append(record["span"])
+        elif kind == "metric_delta":
+            bundle["flight"]["metric_deltas"][record["name"]] = \
+                record["delta"]
+        elif kind == "alert_context":
+            bundle["alerts_firing"].append(record)
+        elif kind == "fault_open":
+            bundle["faults_open"].append(record)
+        elif kind == "context":
+            bundle["context"] = record
     return bundle

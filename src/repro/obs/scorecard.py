@@ -14,17 +14,24 @@ the firing to start up to ``tolerance`` seconds after the window ends
 hold time).  The scorecard is pure data + pure functions over
 deterministic inputs, so it is as reproducible as the run itself.
 
-Also here: the end-of-run health report renderers — ASCII (SLI
-sparklines + alert bands, for terminals and tests) and a dependency-free
-single-file HTML report (inline SVG time series with alert/truth bands).
+Also here: the end-of-run health report (:func:`health_sections` — SLI
+time series with alert/truth bands, the alert timeline, the scorecard),
+as sections for :mod:`repro.obs.report` to render as text or as a page.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.report import (
+    Bands,
+    Chart,
+    Section,
+    Table,
+    Text,
+    canonical_json,
+)
 from repro.obs.rules import AlertRule
 
 #: The synthetic fault class covering deliberate flood traffic: the
@@ -223,12 +230,10 @@ def build_scorecard(
 
 
 # ----------------------------------------------------------------------
-# ASCII rendering
+# Report sections (rendered by repro.obs.report)
 # ----------------------------------------------------------------------
-def format_scorecard(scorecard: Scorecard) -> str:
-    """The scorecard as ASCII tables (CLI / chaos report)."""
-    from repro.testbed.report import format_table
-
+def scorecard_sections(scorecard: Scorecard) -> List[Section]:
+    """The scorecard as two tables and a summary line."""
     class_rows = []
     for cls in sorted(scorecard.classes):
         score = scorecard.classes[cls]
@@ -245,207 +250,49 @@ def format_scorecard(scorecard: Scorecard) -> str:
             name, score.firings, score.true_positives,
             score.false_positives, f"{score.precision:.2f}",
         ])
-    sections = [
-        format_table(
-            ["fault class", "injected", "detected", "recall",
-             "latency (s)", "detected by"],
-            class_rows, title="Detection scorecard — per fault class"),
-        format_table(
-            ["rule", "firings", "true pos", "false pos", "precision"],
-            rule_rows, title="Detection scorecard — per rule"),
-        (f"detection: recall {scorecard.recall:.2f}, precision "
-         f"{scorecard.precision:.2f}, {len(scorecard.false_positives)} "
-         f"false positives (match tolerance {scorecard.tolerance:.1f}s)"),
+    return [
+        Table("Detection scorecard — per fault class",
+              ["fault class", "injected", "detected", "recall",
+               "latency (s)", "detected by"], class_rows),
+        Table("Detection scorecard — per rule",
+              ["rule", "firings", "true pos", "false pos", "precision"],
+              rule_rows),
+        Text(f"detection: recall {scorecard.recall:.2f}, precision "
+             f"{scorecard.precision:.2f}, {len(scorecard.false_positives)} "
+             f"false positives (match tolerance {scorecard.tolerance:.1f}s)"),
     ]
-    return "\n\n".join(sections)
 
 
-_SPARK = " .:-=+*#%@"
-
-
-def _sparkline(points: Sequence[Tuple[float, float]], t0: float, t1: float,
-               width: int) -> Tuple[str, float]:
-    """Downsample a time series to a character strip; returns (strip,
-    observed max)."""
-    cells = [[] for _ in range(width)]
-    top = 0.0
-    span = max(t1 - t0, 1e-9)
-    for t, value in points:
-        index = min(width - 1, max(0, int((t - t0) / span * width)))
-        cells[index].append(value)
-        top = max(top, value)
-    strip = []
-    for bucket in cells:
-        if not bucket:
-            strip.append(" ")
-            continue
-        peak = max(bucket)
-        level = 0 if top <= 0 else int(peak / top * (len(_SPARK) - 1))
-        strip.append(_SPARK[max(0, min(len(_SPARK) - 1, level))])
-    return "".join(strip), top
-
-
-def _band(intervals: Sequence[Tuple[float, float]], t0: float, t1: float,
-          width: int, mark: str = "#") -> str:
-    """Render activity intervals as a character band."""
-    strip = [" "] * width
-    span = max(t1 - t0, 1e-9)
-    for start, end in intervals:
-        lo = max(0, int((start - t0) / span * width))
-        hi = min(width, max(lo + 1, int((end - t0) / span * width) + 1))
-        for index in range(lo, hi):
-            strip[index] = mark
-    return "".join(strip)
-
-
-def format_health_report(
-    series: Dict[str, List[Tuple[float, float]]],
-    timeline: Sequence[Dict[str, object]],
-    run_end: float,
-    truth: Sequence[TruthWindow] = (),
-    width: int = 64,
-) -> str:
-    """ASCII health report: one sparkline per SLI, one alert band per
-    rule, one ground-truth band per fault class."""
-    t0 = 0.0
-    lines = [f"Health report — 0..{run_end:.1f}s, {width} columns "
-             f"(sparkline peak in brackets)"]
-    label_width = max([len(n) for n in series] or [0])
-    firings = firings_from_timeline(timeline, run_end)
-    rule_names = sorted({f[0] for f in firings})
-    for name in rule_names:
-        label_width = max(label_width, len(name) + 2)
-    for cls in sorted({w.cls for w in truth}):
-        label_width = max(label_width, len(cls) + 2)
-    for name, points in series.items():
-        strip, top = _sparkline(points, t0, run_end, width)
-        lines.append(f"{name:<{label_width}} |{strip}| [{top:g}]")
-    if rule_names:
-        lines.append("")
-        lines.append("alerts (#### = firing):")
-        for name in rule_names:
-            intervals = [(f[1], f[2]) for f in firings if f[0] == name]
-            lines.append(f"  {name:<{label_width - 2}} "
-                         f"|{_band(intervals, t0, run_end, width)}|")
-    if truth:
-        lines.append("")
-        lines.append("ground truth (==== = fault active):")
-        for cls in sorted({w.cls for w in truth}):
-            intervals = [(w.t0, w.t1) for w in truth if w.cls == cls]
-            lines.append(f"  {cls:<{label_width - 2}} "
-                         f"|{_band(intervals, t0, run_end, width, mark='=')}|")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# HTML rendering
-# ----------------------------------------------------------------------
-_HTML_HEAD = """<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>Scotch health report</title>
-<style>
- body { font-family: system-ui, sans-serif; margin: 1.5rem; color: #222; }
- h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 1.6rem; }
- .chart { margin: 0.6rem 0; }
- .chart .name { font: 12px monospace; margin-bottom: 2px; }
- svg { background: #fafafa; border: 1px solid #ddd; }
- table { border-collapse: collapse; font-size: 0.85rem; }
- th, td { border: 1px solid #ccc; padding: 2px 8px; text-align: left; }
- .legend { font-size: 0.8rem; color: #555; }
-</style></head><body>
-"""
-
-
-def _svg_series(points: Sequence[Tuple[float, float]], run_end: float,
-                firings: Sequence[Tuple[float, float]],
-                truth: Sequence[Tuple[float, float]],
-                width: int = 720, height: int = 60) -> str:
-    """One SLI chart: truth bands (amber), alert bands (red), polyline."""
-    top = max([v for _, v in points] or [0.0]) or 1.0
-    span = max(run_end, 1e-9)
-
-    def x(t: float) -> float:
-        return round(t / span * width, 2)
-
-    def y(v: float) -> float:
-        return round(height - (v / top) * (height - 4) - 2, 2)
-
-    parts = [f'<svg width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">']
-    for start, end in truth:
-        parts.append(f'<rect x="{x(start)}" y="0" '
-                     f'width="{max(1.0, x(end) - x(start))}" '
-                     f'height="{height}" fill="#f6c344" opacity="0.25"/>')
-    for start, end in firings:
-        parts.append(f'<rect x="{x(start)}" y="0" '
-                     f'width="{max(1.0, x(end) - x(start))}" '
-                     f'height="{height}" fill="#d33" opacity="0.30"/>')
-    if points:
-        coords = " ".join(f"{x(t)},{y(v)}" for t, v in points)
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="#3366cc" stroke-width="1.2"/>')
-    parts.append(f'<text x="4" y="12" font-size="10" fill="#777">'
-                 f'max {top:g}</text>')
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def render_html_report(
-    path: str,
+def health_sections(
     series: Dict[str, List[Tuple[float, float]]],
     timeline: Sequence[Dict[str, object]],
     run_end: float,
     truth: Sequence[TruthWindow] = (),
     scorecard: Optional[Scorecard] = None,
-    title: str = "Scotch health report",
-) -> None:
-    """Write a self-contained HTML health report (inline SVG, no JS,
-    no external assets)."""
+) -> List[Section]:
+    """The end-of-run health report: every SLI's time series with the
+    alert firings and the ground-truth fault windows as bands, the
+    alert timeline (on the page only — a terminal gets the bands), and
+    the detection scorecard when one was built."""
     firings = firings_from_timeline(timeline, run_end)
-    truth_intervals = [(w.t0, w.t1) for w in truth]
-    out = [_HTML_HEAD, f"<h1>{title}</h1>",
-           f'<p class="legend">0&ndash;{run_end:.1f}s &middot; '
-           "amber bands: injected faults (ground truth) &middot; "
-           "red bands: firing alerts</p>"]
-    out.append("<h2>SLI time series</h2>")
-    for name, points in series.items():
-        rule_bands = [(f[1], f[2]) for f in firings]
-        out.append(f'<div class="chart"><div class="name">{name}</div>'
-                   + _svg_series(points, run_end, rule_bands, truth_intervals)
-                   + "</div>")
-    out.append("<h2>Alert timeline</h2>")
-    out.append("<table><tr><th>t (s)</th><th>alert</th><th>state</th>"
-               "<th>SLI</th><th>value</th><th>severity</th></tr>")
-    for record in timeline:
-        out.append(
-            "<tr>"
-            f"<td>{record['t']}</td><td>{record['alert']}</td>"
-            f"<td>{record['state']}</td><td>{record['sli']}</td>"
-            f"<td>{record['value']}</td><td>{record['severity']}</td>"
-            "</tr>")
-    out.append("</table>")
+    sections: List[Section] = [
+        Chart("Health report", run_end, series, bands=(
+            Bands("alerts", "firing", "#", "#d33", {
+                name: [(t0, t1) for rule, t0, t1 in firings if rule == name]
+                for name in sorted({rule for rule, _, _ in firings})}),
+            Bands("ground truth", "fault active", "=", "#f6c344", {
+                cls: [(w.t0, w.t1) for w in truth if w.cls == cls]
+                for cls in sorted({w.cls for w in truth})}),
+        )),
+        Table("Alert timeline",
+              ["t (s)", "alert", "state", "SLI", "value", "severity"],
+              [[record.get(key) for key in
+                ("t", "alert", "state", "sli", "value", "severity")]
+               for record in timeline], page_only=True),
+    ]
     if scorecard is not None:
-        out.append("<h2>Detection scorecard</h2>")
-        out.append("<pre>" + format_scorecard(scorecard) + "</pre>")
-    out.append("</body></html>\n")
-    with open(path, "w") as handle:
-        handle.write("\n".join(out))
-
-
-def canonical_json(payload: object) -> str:
-    """The repo-wide canonical JSON form: sorted keys, compact
-    separators — byte-identical for equal payloads, so scorecard
-    artifacts can be digest-pinned.  Shared by the detection scorecard
-    and the telemetry accuracy scorecard
-    (:mod:`repro.telemetry.scorecard`)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def html_head(title: str) -> str:
-    """The shared self-contained HTML prologue (no JS, no external
-    assets) with ``title`` substituted — so every report the repo emits
-    looks the same."""
-    return _HTML_HEAD.replace("<title>Scotch health report</title>",
-                              f"<title>{title}</title>")
+        sections += scorecard_sections(scorecard)
+    return sections
 
 
 def scorecard_json(scorecard: Scorecard) -> str:
@@ -479,3 +326,17 @@ def scorecard_json(scorecard: Scorecard) -> str:
         ],
     }
     return canonical_json(payload)
+
+
+def scorecard_from_payload(payload: Dict[str, Any]) -> Scorecard:
+    """The inverse of :func:`scorecard_json` (latencies come back
+    rounded to the microsecond; every count is exact)."""
+    return Scorecard(
+        classes={cls: ClassScore(cls, s["injected"], s["detected"],
+                                 list(s["latencies"]), list(s["detected_by"]))
+                 for cls, s in payload["classes"].items()},
+        rules={name: RuleScore(name, s["firings"], s["true_positives"])
+               for name, s in payload["rules"].items()},
+        false_positives=[(f["rule"], f["t0"], f["t1"])
+                         for f in payload["false_positives"]],
+        tolerance=payload["tolerance"])

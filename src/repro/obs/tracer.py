@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.schema import is_schema_record, write_schema_header
+from repro.obs.report import canonical_json
 
 #: Instant-event scope in the Chrome format ("t" = thread).
 _CHROME_INSTANT_SCOPE = "t"
@@ -163,13 +163,10 @@ class Tracer:
     def export_jsonl(self, path: str) -> int:
         """Write one record per line (after the schema header); returns
         the payload record count."""
+        from repro.obs.artifacts import TRACE, write_jsonl
+
         records = self.records()
-        with open(path, "w") as handle:
-            write_schema_header(handle, "trace")
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")))
-                handle.write("\n")
+        write_jsonl(path, TRACE, map(canonical_json, records))
         return len(records)
 
     def export_chrome(self, path: str) -> int:
@@ -210,17 +207,3 @@ def chrome_events(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             base.update(ph="X", dur=round((t1 - t0) * 1e6, 3))
         events.append(base)
     return events
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a trace exported by :meth:`Tracer.export_jsonl` (the schema
-    header, when present, is skipped)."""
-    out: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                if not is_schema_record(record):
-                    out.append(record)
-    return out

@@ -68,14 +68,6 @@ class PacketSampler:
         # pending event, so stop()/start() can never double the chain).
         self._timer = PeriodicTimer(sim, export_interval, self._tick)
 
-    @property
-    def _running(self) -> bool:
-        return self._timer.running
-
-    @property
-    def _flush_event(self):
-        return self._timer.event
-
     # ------------------------------------------------------------------
     # Fast path
     # ------------------------------------------------------------------

@@ -14,28 +14,27 @@ and each replay is scored on:
   of monitoring callbacks (engine profiler).
 
 The scorecard is emitted as canonical JSON (digest-stable; versioned
-in-payload) and a self-contained HTML report, extending the
-:mod:`repro.obs.scorecard` idioms.
+in-payload — artifact kind ``telemetry_scorecard``) and, from the same
+report sections as the text table, a self-contained HTML page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ScotchConfig
 from repro.faults.scenario import RunReport, Scenario, register, run
 from repro.net.flow import FlowKey, FlowSpec
+from repro.obs.artifacts import ARTIFACTS, TELEMETRY_SCORECARD
 from repro.obs.profiler import EngineProfiler
-from repro.obs.scorecard import canonical_json, html_head
+from repro.obs.report import Section, Table, Text, canonical_json, render_text
 from repro.testbed.deployment import build_deployment
-from repro.testbed.report import format_table
 from repro.traffic import SpoofedFlood
 
-#: Version of the telemetry scorecard JSON payload.  Deliberately NOT a
-#: JSONL schema kind (repro.obs.schema.SCHEMA_VERSIONS): the artifact is
-#: one canonical JSON object, versioned in-payload.
-TELEMETRY_SCORECARD_VERSION = 1
+#: Version of the telemetry scorecard JSON payload: the artifact is one
+#: canonical JSON object, versioned in-payload.
+TELEMETRY_SCORECARD_VERSION = ARTIFACTS[TELEMETRY_SCORECARD].version
 
 #: Profiler qualname fragments counted as monitoring work when
 #: computing the controller CPU share.
@@ -74,6 +73,26 @@ class TelemetryScorecard:
         if baseline is None or point.monitoring_bytes == 0:
             return 0.0
         return baseline.monitoring_bytes / point.monitoring_bytes
+
+    page_label = "telemetry report"
+
+    def page(self) -> Tuple[str, List[Section]]:
+        """The scorecard (title, sections): what ``telemetry`` prints
+        and ``--html`` writes as a page."""
+        return "Sampled-telemetry accuracy / overhead scorecard", [
+            Table(f"Telemetry scorecard — seed {self.seed}, "
+                  f"{self.duration:.0f}s, flood {self.attack_rate:.0f} fps, "
+                  f"{self.elephants} elephants (threshold "
+                  f"{self.elephant_packet_threshold} pkts), {self.mice} mice",
+                  _HEADERS, _rows(self)),
+            Text("reduction = poll-baseline monitoring bytes / this run's "
+                 "monitoring bytes; cpu share = monitoring callbacks' share "
+                 "of total callback wall time (profiler; wall-clock derived, "
+                 "not deterministic).", page_only=True),
+        ]
+
+    def json_artifact(self, kind: str) -> str:
+        return telemetry_scorecard_json(self)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +277,7 @@ def run_telemetry_scorecard(
 
 
 # ----------------------------------------------------------------------
-# Rendering (canonical JSON / ASCII / HTML)
+# Rendering (canonical JSON; text and page come from ``card.page()``)
 # ----------------------------------------------------------------------
 def _run_payload(card: TelemetryScorecard, point: RunReport) -> Dict:
     payload = {name: round(value, 6) if isinstance(value, float) else value
@@ -274,7 +293,7 @@ def telemetry_scorecard_json(card: TelemetryScorecard) -> str:
     therefore the one non-deterministic field; everything else is
     bit-stable for equal seeds."""
     payload = {
-        "kind": "telemetry_scorecard",
+        "kind": TELEMETRY_SCORECARD,
         "version": TELEMETRY_SCORECARD_VERSION,
         "seed": card.seed,
         "duration": card.duration,
@@ -316,35 +335,4 @@ _HEADERS = ["mode", "recall", "prec", "det delay", "mig delay",
 
 def format_telemetry_scorecard(card: TelemetryScorecard) -> str:
     """ASCII accuracy/overhead table."""
-    title = (
-        f"Telemetry scorecard — seed {card.seed}, {card.duration:.0f}s, "
-        f"flood {card.attack_rate:.0f} fps, {card.elephants} elephants "
-        f"(threshold {card.elephant_packet_threshold} pkts), {card.mice} mice"
-    )
-    return format_table(_HEADERS, _rows(card), title=title)
-
-
-def render_telemetry_html(path: str, card: TelemetryScorecard) -> None:
-    """Self-contained HTML report (shared styling, no JS)."""
-    out = [html_head("Scotch telemetry scorecard"),
-           "<h1>Sampled-telemetry accuracy / overhead scorecard</h1>",
-           f'<p class="legend">seed {card.seed} &middot; '
-           f"{card.duration:.0f}s sim &middot; flood {card.attack_rate:.0f} "
-           f"fps &middot; {card.elephants} elephants "
-           f"(threshold {card.elephant_packet_threshold} packets) &middot; "
-           f"{card.mice} decoy mice</p>"]
-    out.append("<h2>Runs</h2>")
-    out.append("<table><tr>" + "".join(f"<th>{h}</th>" for h in _HEADERS)
-               + "</tr>")
-    for row in _rows(card):
-        out.append("<tr>" + "".join(f"<td>{cell}</td>" for cell in row)
-                   + "</tr>")
-    out.append("</table>")
-    out.append(
-        '<p class="legend">reduction = poll-baseline monitoring bytes / '
-        "this run's monitoring bytes; cpu share = monitoring callbacks' "
-        "share of total callback wall time (profiler; wall-clock derived, "
-        "not deterministic).</p>")
-    out.append("</body></html>\n")
-    with open(path, "w") as handle:
-        handle.write("\n".join(out))
+    return render_text(card.page()[1])

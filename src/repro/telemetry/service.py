@@ -101,14 +101,6 @@ class SamplingStatsService:
         )
         self._started = False
 
-    @property
-    def _running(self) -> bool:
-        return self._started
-
-    @property
-    def _tick_event(self):
-        return self._timer.event
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -169,7 +161,7 @@ class SamplingStatsService:
                 sampler.stop()
                 if dpid in self.network:
                     self.network[dpid].datapath.sampler = None
-            elif not sampler._running:
+            elif not sampler._timer.running:
                 sampler.start()
 
     # ------------------------------------------------------------------

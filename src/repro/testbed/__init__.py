@@ -9,7 +9,7 @@ one runner per reproduced figure; the benchmarks print their output.
 """
 
 from repro.testbed.deployment import Deployment, build_deployment
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 from repro.testbed.single_switch import SingleSwitchTestbed, build_single_switch
 
 __all__ = [

@@ -38,7 +38,7 @@ from repro.switch.profiles import (
 )
 from repro.switch.switch import OpenFlowSwitch, VSwitch
 from repro.testbed.deployment import Deployment, build_deployment
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 from repro.testbed.single_switch import SERVER_IP, build_single_switch
 from repro.traffic import NewFlowSource, SpoofedFlood
 from repro.traffic.sizes import FixedSize, HeavyTailedSizes

@@ -289,11 +289,12 @@ def build_golden() -> dict:
 
 def schema_versions() -> dict:
     """Pin every JSONL schema version: bumping one in
-    repro.obs.schema without regenerating here is a test failure, so
+    repro.obs.artifacts without regenerating here is a test failure, so
     format changes stay deliberate."""
-    from repro.obs.schema import SCHEMA_VERSIONS
+    from repro.obs.artifacts import ARTIFACTS
 
-    return dict(sorted(SCHEMA_VERSIONS.items()))
+    return {kind: entry.version for kind, entry in sorted(ARTIFACTS.items())
+            if entry.jsonl}
 
 
 def main() -> int:

@@ -124,7 +124,9 @@ def test_fig4_quick_with_observability(tmp_path, capsys):
 
 def test_inspect_missing_file_errors(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "nope.jsonl")]) == 2
-    assert "cannot read trace" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "nope.jsonl" in err
+    assert "trace" not in err  # it could have been any kind of file
 
 
 def test_inspect_metrics_file(tmp_path, capsys):
@@ -291,10 +293,13 @@ def test_postmortem_command_renders_jsonl_and_html(tmp_path, capsys):
     assert "ancestry:" in out and "flight:" in out
     lines = [json.loads(line)
              for line in jsonl.read_text().strip().splitlines()]
-    assert lines[0]["type"] == "critpath_summary"
+    assert lines[0] == {"type": "schema", "schema": "critpath", "version": 1}
+    assert lines[1]["type"] == "critpath_summary"
+    # The page is the printed summary: the same sections, as HTML.
     page = html.read_text()
     assert page.startswith("<!DOCTYPE html>")
-    assert "Trigger" in page and "Per-stage latency attribution" in page
+    assert "Postmortem bundle" in page and "Causal ancestry" in page
+    assert "latency attribution" in page
 
 
 def test_inspect_sniffs_postmortem_bundle(tmp_path, capsys):

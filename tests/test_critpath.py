@@ -11,14 +11,16 @@ from repro.obs.critpath import (
     UNATTRIBUTED,
     attribute,
     attribution_rows,
+    attribution_sections,
     format_tree,
     has_causality,
     journeys,
     longest_chain,
-    render_html,
+    read_report,
     report_jsonl,
 )
 from repro.obs.path import SPAN_PACKET_IN
+from repro.obs.report import render_html, render_text
 from repro.testbed.single_switch import SERVER_IP, build_single_switch
 from repro.traffic import NewFlowSource, SpoofedFlood
 
@@ -111,8 +113,9 @@ def test_report_jsonl_and_html():
     records = _synthetic_trace()
     report = attribute(records)
     chain = longest_chain(records)
-    lines = [json.loads(line)
-             for line in report_jsonl(report, chain).splitlines()]
+    header, *lines = [json.loads(line)
+                      for line in report_jsonl(report, chain).splitlines()]
+    assert header == {"type": "schema", "schema": "critpath", "version": 1}
     assert lines[0]["type"] == "critpath_summary"
     assert lines[0]["journeys"] == 2
     stage_lines = [l for l in lines if l["type"] == "critpath_stage"]
@@ -120,12 +123,20 @@ def test_report_jsonl_and_html():
     assert lines[-1]["type"] == "critpath_longest"
     assert [s["name"] for s in lines[-1]["stages"]] == [
         "ofa.queue", "controller.handle"]
-    page = render_html(report, chain, title="T")
+    # The reader inverts the writer: same report, same tree.
+    loaded, loaded_chain = read_report(lines)
+    assert loaded == report
+    assert format_tree(loaded_chain) == format_tree(chain)
+    sections = attribution_sections(report, chain, "Attribution")
+    page = render_html("T", sections)
     assert page.startswith("<!DOCTYPE html>")
     assert "ofa.queue" in page and "Longest chain" in page
-    # Empty traces render the explanatory fallback, not a broken table.
-    empty = render_html(attribute([]))
-    assert "No completed Packet-In journeys" in empty
+    assert "ofa.queue" in render_text(sections)
+    # Empty traces render the explanatory fallback, not a broken table
+    # (on the page; a terminal gets nothing).
+    empty = attribution_sections(attribute([]), None, "Attribution")
+    assert "No completed Packet-In journeys" in render_html("T", empty)
+    assert render_text(empty) == ""
 
 
 # ----------------------------------------------------------------------

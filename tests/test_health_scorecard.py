@@ -5,16 +5,17 @@ import json
 
 import pytest
 
+from repro.obs.report import render_html, render_text
 from repro.obs.rules import parse_rules
 from repro.obs.scorecard import (
     FLASH_CROWD,
     TruthWindow,
     build_scorecard,
     firings_from_timeline,
-    format_health_report,
-    format_scorecard,
-    render_html_report,
+    health_sections,
+    scorecard_from_payload,
     scorecard_json,
+    scorecard_sections,
     truth_windows,
 )
 
@@ -115,26 +116,46 @@ def test_scorecard_json_is_deterministic():
     assert payload["classes"]["channel_loss"]["detected_by"] == ["r"]
     assert payload["rules"]["r"]["true_positives"] == 1
     assert scorecard_json(card) == scorecard_json(card)
+    # What `inspect card.json` shows is what the run printed.
+    loaded = scorecard_from_payload(payload)
+    assert (render_text(scorecard_sections(loaded))
+            == render_text(scorecard_sections(card)))
 
 
-def test_reports_render_ascii_and_html(tmp_path):
+def test_reports_render_ascii_and_html():
     series = {"sli.a": [(0.0, 0.0), (1.0, 5.0), (2.0, 1.0)]}
     timeline = _firing("r", 0.5, 1.5)
     truth = (TruthWindow("channel_loss", "edge", 0.4, 1.2),)
-    text = format_health_report(series, timeline, run_end=2.0, truth=truth)
+    text = render_text(health_sections(series, timeline, run_end=2.0,
+                                       truth=truth))
     assert "sli.a" in text
     assert "r" in text and "channel_loss" in text
+    assert "Alert timeline" not in text  # the bands stand in for it
     card = build_scorecard(parse_rules("r: s > 1 detects channel_loss"),
                            timeline, list(truth), run_end=2.0)
-    assert "Detection scorecard" in format_scorecard(card)
-    path = str(tmp_path / "health.html")
-    render_html_report(path, series, timeline, run_end=2.0, truth=truth,
-                       scorecard=card)
-    with open(path) as handle:
-        html = handle.read()
+    assert "Detection scorecard" in render_text(scorecard_sections(card))
+    html = render_html("Health", health_sections(
+        series, timeline, run_end=2.0, truth=truth, scorecard=card))
     assert html.startswith("<!DOCTYPE html")
     assert "<svg" in html and "sli.a" in html
+    assert "Alert timeline" in html
     assert "Detection scorecard" in html
+
+
+def test_pages_escape_names_from_rule_files():
+    """Rule names come from a user's --rules file; the one HTML
+    renderer escapes every title, label and cell."""
+    name = 'a<b>&"c'
+    timeline = _firing(name, 0.5, 1.5)
+    truth = [TruthWindow("channel_loss", "edge", 0.4, 1.2)]
+    card = build_scorecard(parse_rules(f"{name}: s > 1 detects channel_loss"),
+                           timeline, truth, run_end=2.0)
+    assert name in card.rules
+    html = render_html(f"Health — {name}", health_sections(
+        {name: [(0.0, 1.0)]}, timeline, run_end=2.0, truth=truth,
+        scorecard=card))
+    assert name not in html
+    assert html.count("a&lt;b&gt;&amp;&quot;c") >= 5  # title, h1, chart, timeline, scorecard
 
 
 # ----------------------------------------------------------------------

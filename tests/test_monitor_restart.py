@@ -60,9 +60,9 @@ def test_heartbeat_stop_cancels_tick_event():
     dep = _deployment()
     heartbeat = dep.scotch.heartbeat
     dep.sim.run(until=1.0)
-    assert heartbeat._tick_event is not None
+    assert heartbeat._timer.event is not None
     heartbeat.stop()
-    assert heartbeat._tick_event is None
+    assert heartbeat._timer.event is None
     # And no new echoes are sent while stopped.
     echoes = _count_echoes(dep)
     dep.sim.run(until=4.0)
@@ -132,9 +132,9 @@ def test_congestion_monitor_stop_cancels_tick():
     monitor.start()
     sim.run(until=0.5)
     monitor.stop()
-    assert monitor._tick_event is None
+    assert monitor._timer.event is None
     sim.run(until=2.0)  # nothing left but cancelled daemons
-    assert not monitor._running
+    assert not monitor._timer.running
 
 
 # ----------------------------------------------------------------------

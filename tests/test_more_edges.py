@@ -31,7 +31,7 @@ def test_heartbeat_stop_halts_echoes():
     dep.sim.run(until=8.0)
     # Stats polls continue but echoes stop; allow the poller's share.
     # Count only EchoRequests via the heartbeat's pending map growth:
-    assert hb._running is False
+    assert hb._timer.running is False
 
 
 def test_start_flow_in_past_rejected():

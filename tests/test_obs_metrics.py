@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.artifacts import read_jsonl
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     Histogram,
@@ -9,7 +10,6 @@ from repro.obs.metrics import (
     MetricsSampler,
     bucket_quantile,
     prometheus_name,
-    read_jsonl,
 )
 from repro.sim.engine import Simulator
 

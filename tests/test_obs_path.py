@@ -7,8 +7,8 @@ import pytest
 
 from repro.obs import Observability, observed
 from repro.obs import path as obs_path
-from repro.obs.inspect import stage_rows, summarize_trace
-from repro.obs.manifest import build_manifest, read_manifest, write_manifest
+from repro.obs.artifacts import ARTIFACTS, load_json, summarize_trace
+from repro.obs.manifest import build_manifest, write_manifest
 from repro.testbed.single_switch import SERVER_IP, build_single_switch
 from repro.traffic import NewFlowSource
 
@@ -73,8 +73,8 @@ def test_inspect_summarizes_stages(tmp_path):
     pktin = summary["packet_in"]
     assert pktin["count"] == stages[obs_path.SPAN_PACKET_IN]["count"]
     assert sum(pktin["routes"].values()) == pktin["count"]
-    rows = stage_rows(summary)
-    assert [row[0] for row in rows] == sorted(stages)
+    table = ARTIFACTS["trace"].sections(str(path))[0]
+    assert [row[0] for row in table.rows] == sorted(stages)
 
 
 @pytest.mark.slow
@@ -125,7 +125,7 @@ def test_manifest_roundtrip(tmp_path):
     )
     path = str(tmp_path / "manifest.json")
     write_manifest(path, manifest)
-    loaded = read_manifest(path)
+    loaded = load_json(path)
     assert loaded == json.loads(json.dumps(manifest))  # JSON-clean
     assert loaded["manifest_version"] == 1
     assert loaded["seed"] == 42

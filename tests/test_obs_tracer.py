@@ -2,7 +2,8 @@
 
 import json
 
-from repro.obs.tracer import Tracer, chrome_events, read_jsonl
+from repro.obs.artifacts import read_jsonl
+from repro.obs.tracer import Tracer, chrome_events
 from repro.sim.engine import Simulator
 
 

@@ -125,7 +125,7 @@ def test_health_engine_restart_does_not_double_ticks():
     sim.run(until=4.0)
     assert engine.ticks - window1 <= window1 + 1
     engine.stop()
-    assert engine._tick_event is None
+    assert engine._timer.event is None
 
 
 def test_metrics_sampler_restart_does_not_double_ticks():
@@ -138,7 +138,7 @@ def test_metrics_sampler_restart_does_not_double_ticks():
     sim.run(until=4.0)
     assert sampler.ticks - window1 <= window1 + 1
     sampler.stop()
-    assert sampler._tick_event is None
+    assert sampler._timer.event is None
 
 
 def test_invariant_checker_restart_does_not_double_checks():

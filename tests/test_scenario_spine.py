@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.faults import (
+    HTML,
     FaultPlan,
     RunReport,
     Scenario,
@@ -125,31 +126,33 @@ def test_one_formatter_renders_every_section(pool_report):
 
 
 def test_write_artifacts_kinds_headers_and_order(pool_report, tmp_path):
+    # Keys are the artifact table's kinds (HTML: the report's own page);
+    # the files are written, and reported, in the order given.
     paths = {
-        "scorecard_json": str(tmp_path / "card.json"),
-        "fault_log": str(tmp_path / "faults.jsonl"),
         "pool_events": str(tmp_path / "events.jsonl"),
-        "alert_log": str(tmp_path / "alerts.jsonl"),
-        "health_report": str(tmp_path / "health.html"),
-        "report_json": str(tmp_path / "report.json"),
-        "postmortem_dir": None,  # falsy paths are skipped
+        "fault_log": str(tmp_path / "faults.jsonl"),
+        "alert_timeline": str(tmp_path / "alerts.jsonl"),
+        HTML: str(tmp_path / "health.html"),
+        "scorecard": str(tmp_path / "card.json"),
+        "postmortem": None,  # falsy paths are skipped
+        "run_report": str(tmp_path / "report.json"),
     }
     lines = write_artifacts(pool_report, paths)
     assert [line.split(":")[0].split(" ->")[0] for line in lines] == [
         "pool events", "fault log", "alert timeline", "health report",
-        "scorecard", f"wrote {paths['report_json']}"]
-    for kind, schema in (("fault_log", "fault_log"),
-                         ("pool_events", "pool_events"),
-                         ("alert_log", "alert_timeline")):
+        "scorecard", f"wrote {paths['run_report']}"]
+    assert lines[::-1] == write_artifacts(
+        pool_report, dict(reversed(paths.items())))
+    for kind in ("fault_log", "pool_events", "alert_timeline"):
         first, *rest = Path(paths[kind]).read_text().splitlines()
-        assert json.loads(first) == {"type": "schema", "schema": schema,
+        assert json.loads(first) == {"type": "schema", "schema": kind,
                                      "version": 1}
         assert all(json.loads(line) for line in rest)
     assert (Path(paths["fault_log"]).read_text().split("\n", 1)[1]
             == pool_report.fault_log_jsonl + "\n")
-    assert json.loads(Path(paths["scorecard_json"]).read_text())["rules"]
-    assert Path(paths["health_report"]).read_text().startswith("<!DOCTYPE")
-    payload = json.loads(Path(paths["report_json"]).read_text())
+    assert json.loads(Path(paths["scorecard"]).read_text())["rules"]
+    assert Path(paths[HTML]).read_text().startswith("<!DOCTYPE")
+    payload = json.loads(Path(paths["run_report"]).read_text())
     assert payload["scenario"] == "pool_chaos"
     assert payload["packet_ins_total"] == pool_report.packet_ins_total
 
@@ -157,7 +160,7 @@ def test_write_artifacts_kinds_headers_and_order(pool_report, tmp_path):
 def test_write_artifacts_rejects_what_the_run_cannot_provide(tmp_path):
     report = run("pool_chaos", seed=1)
     with pytest.raises(ValueError, match="health=True"):
-        write_artifacts(report, {"scorecard_json": str(tmp_path / "c.json")})
+        write_artifacts(report, {"scorecard": str(tmp_path / "c.json")})
     with pytest.raises(ValueError):
         write_artifacts(report, {"no_such_kind": str(tmp_path / "x")})
     assert list(tmp_path.iterdir()) == []
@@ -191,5 +194,5 @@ def test_lifecycle_objects_have_one_construction_site(needle):
 
 def test_cli_writes_no_artifact_itself():
     cli = (SRC / "cli.py").read_text()
-    assert "write_schema_header(" not in cli
+    assert "write_jsonl(" not in cli and "schema_line(" not in cli
     assert cli.count("write_artifacts(") == 1

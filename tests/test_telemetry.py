@@ -320,11 +320,11 @@ def test_dynamic_targets_detach_and_reattach_samplers():
     targets.clear()
     sim.run(until=0.6)
     assert sw.datapath.sampler is None
-    assert not sampler._running
+    assert not sampler._timer.running
     targets.append("s0")
     sim.run(until=1.1)
     assert sw.datapath.sampler is service.samplers["s0"]
-    assert service.samplers["s0"]._running
+    assert service.samplers["s0"]._timer.running
 
 
 def test_service_stop_detaches_everything():

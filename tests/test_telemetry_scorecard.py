@@ -12,10 +12,10 @@ pytestmark = pytest.mark.slow  # scenario-scale runs (several seconds each)
 
 from repro.core.config import ScotchConfig
 from repro.obs import Observability, observed
+from repro.obs.report import render_html
 from repro.telemetry.scorecard import (
     TELEMETRY_SCORECARD_VERSION,
     format_telemetry_scorecard,
-    render_telemetry_html,
     run_telemetry_scorecard,
     telemetry_scorecard_json,
 )
@@ -95,36 +95,29 @@ def test_scorecard_json_is_canonical_and_deterministic(card, payload):
     assert strip_cpu(rerun) == strip_cpu(payload)
 
 
-def test_ascii_and_html_renderings(card, tmp_path):
+def test_ascii_and_html_renderings(card):
     text = format_telemetry_scorecard(card)
     assert "Telemetry scorecard" in text
     assert "sample 1/10" in text
     assert "recall" in text
-    path = tmp_path / "telemetry.html"
-    render_telemetry_html(str(path), card)
-    html = path.read_text()
+    assert "poll-baseline" not in text  # the legend is for the page
+    html = render_html(*card.page())
     assert html.startswith("<!DOCTYPE html>")
     assert "accuracy / overhead scorecard" in html
     assert "sample 1/10" in html
+    assert "poll-baseline" in html
     assert "</html>" in html
 
 
 def test_inspect_sniffs_and_summarizes_scorecard(card, tmp_path):
-    from repro.obs.inspect import (
-        sniff_kind,
-        summarize_telemetry_scorecard,
-        telemetry_run_rows,
-    )
+    from repro.obs.artifacts import ARTIFACTS, sniff_kind
 
     path = tmp_path / "telemetry.json"
     path.write_text(telemetry_scorecard_json(card) + "\n")
     assert sniff_kind(str(path)) == "telemetry_scorecard"
-    summary = summarize_telemetry_scorecard(str(path))
-    assert summary["version"] == TELEMETRY_SCORECARD_VERSION
-    assert summary["modes"] == ["poll", "sample 1/10"]
-    rows = telemetry_run_rows(summary)
-    assert len(rows) == 2
-    assert rows[1][0] == "sample 1/10"
+    table, line = ARTIFACTS["telemetry_scorecard"].sections(str(path))
+    assert f"(schema v{TELEMETRY_SCORECARD_VERSION})" in line.text
+    assert [row[0] for row in table.rows] == ["poll", "sample 1/10"]
 
 
 def test_scale_scenario_sampling_cuts_monitoring_bytes():

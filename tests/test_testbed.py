@@ -6,7 +6,7 @@ from repro.net.host import Host
 from repro.switch.profiles import HP_PROCURVE_6600, OPEN_VSWITCH
 from repro.switch.switch import PhysicalSwitch, VSwitch
 from repro.testbed.deployment import build_deployment
-from repro.testbed.report import format_table
+from repro.obs.report import format_table
 from repro.testbed.single_switch import SERVER_IP, build_single_switch
 
 
