@@ -7,12 +7,11 @@ the paper's qualitative claim, quoted in the check's docstring.  Pick
 one with ``-k <name>`` (``-k fig13``, ``-k ablation_lb``).
 
 The tables are seed-deterministic: a run that changes a committed
-``.txt`` is a behaviour change.  Fig. 3 is also a tracked perf scenario
-and emits ``BENCH_fig03.json``.
+``.txt`` is a behaviour change.  Nothing here is timed — every timing
+is ``benchmarks/e2e``'s job.
 """
 
 import pytest
-from _harness import emit_bench, measure
 
 from repro.testbed.experiments import FIG3_PROFILES, FIGURES, Fig14Result
 
@@ -301,13 +300,6 @@ def test_every_figure_has_a_check():
 
 @pytest.mark.parametrize("figure", FIGURES.values(), ids=lambda figure: figure.name)
 def test_figure(figure, emit):
-    timing = measure(figure.run, warmup=0, repeats=1)
-    results = timing["result"]
-    if figure.name == "fig03":
-        emit_bench("fig03", timing, workload={
-            "duration": figure.full["duration"],
-            "profiles": [p.name for p in FIG3_PROFILES],
-            "attack_rates": list(figure.sweep),
-        })
+    results = figure.run()
     emit(figure.name, figure.render(results))
     CHECKS[figure.key](results)

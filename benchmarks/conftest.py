@@ -2,8 +2,7 @@
 
 Each benchmark regenerates a table — ``bench_figures.py`` every figure
 and ablation of the paper, one parameter each: it runs the experiment
-once (wall-clock of the simulation is the benchmarked quantity) and
-emits the rows both to stdout (visible with ``pytest -s``) and to
+once and emits the rows both to stdout (visible with ``pytest -s``) and to
 ``benchmarks/output/<name>.txt``.
 """
 

@@ -20,7 +20,7 @@ Run:  python examples/attack_forensics.py
 """
 
 from repro.core.security import BLOCK, SecurityApp
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

@@ -11,9 +11,10 @@ Run:  python examples/custom_topology.py
 
 from repro.controller import OpenFlowController
 from repro.core import ScotchApp, ScotchOverlay, SecurityApp
-from repro.metrics import client_flow_failure_fraction, sparkline
-from repro.metrics.series import TimeSeries, sample_periodically
 from repro.net.builders import leaf_spine
+from repro.net.tap import client_flow_failure_fraction
+from repro.obs.report import sparkline
+from repro.sim.process import PeriodicTimer
 from repro.switch.switch import VSwitch
 from repro.traffic import NewFlowSource, SpoofedFlood
 
@@ -50,15 +51,18 @@ def main() -> None:
     legit = NewFlowSource(sim, client, victim.ip, rate_fps=80.0)
     legit.start(at=0.5, stop_at=14.0)
 
-    # 5. Instrument: overlay share over time.
-    overlay_share = TimeSeries("overlay fraction")
-    sample_periodically(
-        sim, overlay_share,
-        lambda: (lambda c: c.get("overlay", 0) / max(1, sum(c.values())))(
-            scotch.flow_db.counts()),
-        interval=1.0, until=15.0)
+    # 5. Instrument: overlay share, sampled once a second.
+    overlay_share = []
 
-    sim.run(until=16.0)
+    def sample() -> None:
+        counts = scotch.flow_db.counts()
+        overlay_share.append(counts.get("overlay", 0) / max(1, sum(counts.values())))
+        sampler.rearm()
+
+    sampler = PeriodicTimer(sim, 1.0, sample)
+    sampler.start()
+
+    sim.run(until=15.5)
 
     failure = client_flow_failure_fraction(
         client.sent_tap, victim.recv_tap, start=4.0, end=13.0)
@@ -69,7 +73,7 @@ def main() -> None:
     print(f"security reports       : {len(security.reports)} "
           f"(first names {security.reports[0].switch} port "
           f"{security.reports[0].port})" if security.reports else "security reports: none")
-    print(f"overlay share timeline : {sparkline(overlay_share.values())}")
+    print(f"overlay share timeline : {sparkline(overlay_share)}")
 
 
 if __name__ == "__main__":

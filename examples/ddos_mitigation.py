@@ -14,7 +14,7 @@ Demonstrates the paper's §5 machinery in one run:
 Run:  python examples/ddos_mitigation.py
 """
 
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

@@ -11,7 +11,7 @@ vSwitch comes back, its echoes resume and it rejoins the overlay.
 Run:  python examples/failover.py
 """
 
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.controller.reactive_app import ReactiveForwardingApp
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

@@ -10,8 +10,8 @@ site's server — with the extra relay delay the WAN implies.
 Run:  python examples/wan_overlay.py
 """
 
-from repro.metrics import client_flow_failure_fraction
-from repro.metrics.stats import mean
+from repro.net.tap import client_flow_failure_fraction
+from repro.obs.metrics import mean
 from repro.testbed.wan import build_wan_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

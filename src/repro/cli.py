@@ -95,7 +95,7 @@ def cmd_profiles(_args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from repro.metrics import client_flow_failure_fraction
+    from repro.net.tap import client_flow_failure_fraction
     from repro.traffic import NewFlowSource, SpoofedFlood
 
     results = []

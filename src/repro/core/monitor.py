@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.config import ScotchConfig
-from repro.metrics.meters import RateEstimator
 from repro.sim.process import PeriodicTimer
+from repro.sim.ratelimit import RateEstimator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator

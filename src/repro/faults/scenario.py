@@ -36,7 +36,7 @@ from repro.core.config import ScotchConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker, Violation
 from repro.faults.plan import FaultPlan
-from repro.metrics.failure import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.obs import HealthEngine, Observability, get_default_obs, observed
 from repro.obs.artifacts import (
     ALERT_TIMELINE,

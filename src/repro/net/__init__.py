@@ -3,9 +3,10 @@
 This package models the data plane the paper's testbed runs on: Ethernet/
 IP/TCP-style packets with MPLS/GRE encapsulation stacks, finite-rate
 links with drop-tail queues, a topology registry (backed by networkx),
-GRE/MPLS tunnels over the physical fabric, traffic-terminating hosts, and
-the stateful middleboxes used by the policy-consistency design (paper
-Fig. 8).
+GRE/MPLS tunnels over the physical fabric, traffic-terminating hosts
+with tcpdump-style taps (:mod:`repro.net.tap`, which also computes the
+§3.2 client flow failure fraction from them), and the stateful
+middleboxes used by the policy-consistency design (paper Fig. 8).
 
 Topology builders (linear / leaf-spine / fat-tree) live in
 :mod:`repro.net.builders`; import them from there directly — they depend

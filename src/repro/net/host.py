@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.metrics.recorder import PacketRecorder
 from repro.net.flow import FlowSpec
 from repro.net.node import Node
 from repro.net.packet import TCP_DATA, TCP_SYN, Packet
+from repro.net.tap import PacketRecorder
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -1,13 +1,19 @@
-"""Packet recording — the simulator's tcpdump.
+"""Packet recording — the simulator's tcpdump — and the paper's §3.2
+metric computed from it.
 
 Hosts attach a :class:`PacketRecorder` to their NIC; the recorder indexes
-traffic by flow key, which is all the §3.2 failure-fraction computation
-and the trace-driven experiment's FCT computation need.
+traffic by flow key, which is all the failure-fraction computation and
+the trace-driven experiment's FCT computation need.
+
+"We define the client flow failure fraction to be the fraction of client
+flows that are not able to pass through the switch and reach the server.
+The client flow failure fraction is computed using the collected network
+traces." (§3.2) — :func:`client_flow_failure_fraction`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Union
 
 from repro.net.flow import FlowKey, FlowRecord
 from repro.net.packet import Packet
@@ -48,14 +54,8 @@ class PacketRecorder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def flows(self) -> List[FlowRecord]:
-        return list(self.records.values())
-
     def flow(self, key: FlowKey) -> Optional[FlowRecord]:
         return self.records.get(key)
-
-    def flow_keys(self) -> Set[FlowKey]:
-        return set(self.records.keys())
 
     def sent_flow_keys(self) -> Set[FlowKey]:
         return {k for k, r in self.records.items() if r.packets_sent > 0}
@@ -70,3 +70,36 @@ class PacketRecorder:
             for k, r in self.records.items()
             if r.first_received_at is not None and start <= r.first_received_at < end
         }
+
+
+def client_flow_failure_fraction(
+    client_tap: PacketRecorder,
+    server_tap: Union[PacketRecorder, Iterable[PacketRecorder]],
+    start: Optional[float] = None,
+    end: Optional[float] = None,
+    src_prefix: str = "",
+) -> float:
+    """Fraction of flows the client sent whose packets never reached the
+    server, computed from the two packet traces.  ``server_tap`` may be
+    several sink taps (a multi-destination workload): a flow failed
+    when none of them ever saw it.
+
+    ``start``/``end`` (on the client's first-send time) restrict the
+    computation to a measurement window, excluding warm-up/cool-down.
+    ``src_prefix`` keeps only flows from matching source addresses — a
+    legitimate client sharing the attacker's host, hence its tap.
+    """
+    sent = {
+        key
+        for key, record in client_tap.records.items()
+        if record.packets_sent > 0
+        and key.src_ip.startswith(src_prefix)
+        and (start is None or (record.first_sent_at is not None and record.first_sent_at >= start))
+        and (end is None or (record.first_sent_at is not None and record.first_sent_at < end))
+    }
+    if not sent:
+        return 0.0
+    taps = [server_tap] if isinstance(server_tap, PacketRecorder) else server_tap
+    arrived = set().union(*(tap.received_flow_keys() for tap in taps))
+    failed = sum(1 for key in sent if key not in arrived)
+    return failed / len(sent)

@@ -44,7 +44,6 @@ from typing import (
     Optional,
 )
 
-from repro.metrics.stats import mean, percentile
 from repro.obs.critpath import (
     attribute,
     attribution_line,
@@ -53,7 +52,7 @@ from repro.obs.critpath import (
     longest_chain,
     read_report,
 )
-from repro.obs.metrics import bucket_quantile
+from repro.obs.metrics import bucket_quantile, mean, percentile
 from repro.obs.path import SPAN_PACKET_IN
 from repro.obs.postmortem import read_bundle
 from repro.obs.report import Section, Table, Text, canonical_json

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.metrics.stats import percentile
+from repro.obs.metrics import percentile
 from repro.obs.path import SPAN_PACKET_IN
 from repro.obs.report import Section, Table, Text, canonical_json
 

@@ -19,8 +19,11 @@ Export is JSONL, matching the tracer's format family:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.obs.report import canonical_json
 
@@ -144,6 +147,54 @@ def bucket_quantile(
     if hi is not None and result > hi:
         result = hi
     return result
+
+
+# Exact statistics of raw samples (setup latencies, FCTs, delays) — the
+# counterpart of ``bucket_quantile`` where every observation was kept.
+def mean(values: Iterable[float]) -> float:
+    data = list(values)
+    if not data:
+        raise ValueError("mean of empty sequence")
+    return sum(data) / len(data)
+
+
+def stddev(values: Iterable[float]) -> float:
+    data = list(values)
+    if len(data) < 2:
+        return 0.0
+    mu = mean(data)
+    return math.sqrt(sum((x - mu) ** 2 for x in data) / (len(data) - 1))
+
+
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Linear-interpolated percentile, pct in [0, 100]."""
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if not 0 <= pct <= 100:
+        raise ValueError("pct must be in [0, 100]")
+    data = sorted(values)
+    if len(data) == 1:
+        return data[0]
+    rank = (pct / 100) * (len(data) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return data[low]
+    frac = rank - low
+    return data[low] * (1 - frac) + data[high] * frac
+
+
+def cdf_points(values: Sequence[float], points: int = 50) -> List[Tuple[float, float]]:
+    """(value, cumulative fraction) pairs suitable for plotting a CDF."""
+    if not values:
+        return []
+    data = sorted(values)
+    n = len(data)
+    step = max(1, n // points)
+    out = [(data[i], (i + 1) / n) for i in range(0, n, step)]
+    if out[-1][0] != data[-1]:
+        out.append((data[-1], 1.0))
+    return out
 
 
 class MetricsRegistry:

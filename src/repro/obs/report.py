@@ -125,15 +125,30 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-_SPARK = " .:-=+*#%@"
+#: The one glyph ramp of every text chart, lowest to highest.
+_SPARK = "▁▂▃▄▅▆▇█"
 #: Character columns of a text chart.
 _CHART_COLUMNS = 64
 
 
-def _sparkline(points: Sequence[Tuple[float, float]], end: float,
-               width: int) -> Tuple[str, float]:
-    """Downsample a time series to a character strip; returns (strip,
-    observed max)."""
+def sparkline(values: Sequence[float]) -> str:
+    """One glyph per value, scaled between the smallest and the largest
+    (the curve-shape strip under a figure's table)."""
+    if not values:
+        return ""
+    low = min(values)
+    span = max(values) - low
+    if span <= 0:
+        return _SPARK[0] * len(values)
+    return "".join(_SPARK[int((value - low) / span * (len(_SPARK) - 1))]
+                   for value in values)
+
+
+def _time_strip(points: Sequence[Tuple[float, float]], end: float,
+                width: int) -> Tuple[str, float]:
+    """Downsample a time series to ``width`` time buckets, each showing
+    its peak scaled between zero and the observed max (blank where no
+    sample fell); returns (strip, observed max)."""
     cells: List[List[float]] = [[] for _ in range(width)]
     top = 0.0
     span = max(end, 1e-9)
@@ -173,7 +188,7 @@ def _chart_text(chart: Chart) -> str:
                       + [len(name) + 2 for bands in chart.bands
                          for name in bands.rows] or [0])
     for name, points in chart.series.items():
-        strip, top = _sparkline(points, chart.end, width)
+        strip, top = _time_strip(points, chart.end, width)
         lines.append(f"{name:<{label_width}} |{strip}| [{top:g}]")
     for bands in chart.bands:
         if not bands.rows:
@@ -183,6 +198,49 @@ def _chart_text(chart: Chart) -> str:
         for name, intervals in bands.rows.items():
             strip = _band_strip(intervals, chart.end, width, bands.mark)
             lines.append(f"  {name:<{label_width - 2}} |{strip}|")
+    return "\n".join(lines)
+
+
+def ascii_plot(
+    points: Sequence[Tuple[float, float]],
+    width: int = 60,
+    height: int = 12,
+    x_label: str = "",
+    y_label: str = "",
+) -> str:
+    """A scatter/step plot of (x, y) points on a character grid."""
+    if not points:
+        return "(no data)"
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x_low, x_high = min(xs), max(xs)
+    y_low, y_high = min(ys), max(ys)
+    x_span = x_high - x_low or 1.0
+    y_span = y_high - y_low or 1.0
+
+    grid = [[" "] * width for _ in range(height)]
+    for x, y in points:
+        col = int((x - x_low) / x_span * (width - 1))
+        row = int((y - y_low) / y_span * (height - 1))
+        grid[height - 1 - row][col] = "*"
+
+    lines: List[str] = []
+    top_label = f"{y_high:g}"
+    bottom_label = f"{y_low:g}"
+    pad = max(len(top_label), len(bottom_label))
+    for index, row in enumerate(grid):
+        if index == 0:
+            prefix = top_label.rjust(pad)
+        elif index == height - 1:
+            prefix = bottom_label.rjust(pad)
+        else:
+            prefix = " " * pad
+        lines.append(f"{prefix} |{''.join(row)}")
+    lines.append(" " * pad + " +" + "-" * width)
+    x_axis = f"{x_low:g}".ljust(width - len(f"{x_high:g}")) + f"{x_high:g}"
+    lines.append(" " * pad + "  " + x_axis)
+    if x_label or y_label:
+        lines.append(" " * pad + f"  x: {x_label}   y: {y_label}".rstrip())
     return "\n".join(lines)
 
 

@@ -3,9 +3,9 @@
 This package is the substrate for the whole reproduction: a deterministic
 event loop (:mod:`repro.sim.engine`), generator-based processes
 (:mod:`repro.sim.process`), bounded and round-robin queues
-(:mod:`repro.sim.queues`), rate-limited servers and token buckets
-(:mod:`repro.sim.ratelimit`), and reproducible named random streams
-(:mod:`repro.sim.rng`).
+(:mod:`repro.sim.queues`), rate-limited servers, token buckets and the
+arrival-rate estimator (:mod:`repro.sim.ratelimit`), and reproducible
+named random streams (:mod:`repro.sim.rng`).
 
 Determinism contract: given the same seed and the same sequence of
 schedule calls, a simulation replays identically.  Events that share a

@@ -9,11 +9,17 @@ a full buffer are dropped (and counted), which is exactly the behaviour
 observed in the paper's Figs. 3/4/9.
 
 :class:`TokenBucket` models policing (drop-only baseline).
+
+:class:`RateEstimator` is the arrival-rate estimator used inside the OFA
+model (insertion-rate dependent behaviour, Figs. 9/10) and by the Scotch
+congestion monitor (Packet-In rate per switch, §4.2): a sliding window of
+recent event timestamps.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.queues import BoundedQueue
@@ -126,3 +132,38 @@ class TokenBucket:
             return True
         self.denied += 1
         return False
+
+
+class RateEstimator:
+    """Sliding-window arrival-rate estimator.
+
+    Keeps the last ``window_events`` event times (optionally age-bounded
+    by ``window_seconds``) and reports ``(n - 1) / span``.  Returns 0
+    until two events have been seen.
+    """
+
+    def __init__(self, window_events: int = 32, window_seconds: Optional[float] = None):
+        if window_events < 2:
+            raise ValueError("window must hold at least two events")
+        self._times: Deque[float] = deque(maxlen=window_events)
+        self.window_seconds = window_seconds
+        self.total_events = 0
+
+    def observe(self, now: float, count: int = 1) -> None:
+        for _ in range(count):
+            self._times.append(now)
+        self.total_events += count
+
+    def rate(self, now: Optional[float] = None) -> float:
+        times = self._times
+        if self.window_seconds is not None and now is not None:
+            cutoff = now - self.window_seconds
+            while times and times[0] < cutoff:
+                times.popleft()
+        if len(times) < 2:
+            return 0.0
+        span = times[-1] - times[0]
+        if span <= 0:
+            # A burst at one instant: treat as very fast, bounded for sanity.
+            return float(len(times)) * 1e6
+        return (len(times) - 1) / span

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.metrics.meters import RateEstimator
 from repro.obs import path as obs_path
 from repro.openflow.messages import (
     ADD,
@@ -53,7 +52,7 @@ from repro.openflow.messages import (
     RoleMod,
     RoleStatus,
 )
-from repro.sim.ratelimit import RateLimitedServer
+from repro.sim.ratelimit import RateEstimator, RateLimitedServer
 from repro.switch.flow_table import FlowEntry, TableFullError
 from repro.switch.group_table import GroupEntry
 

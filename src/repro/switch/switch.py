@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.node import Node
 from repro.openflow.channel import ControlChannel
+from repro.sim.process import PeriodicTimer
 from repro.switch.actions import Action
 from repro.switch.datapath import Datapath
 from repro.switch.flow_table import FlowEntry
@@ -65,9 +66,9 @@ class OpenFlowSwitch(Node):
             if expiry_sweep_interval is not None
             else self.EXPIRY_SWEEP_INTERVAL
         )
-        self._sweep_interval = interval
         if interval > 0:
-            sim.schedule(interval, self._sweep, daemon=True)
+            self._sweep_timer = PeriodicTimer(sim, interval, self._sweep)
+            self._sweep_timer.start()
         if sim.obs.metrics.enabled:
             # Table-0 (TCAM on hardware) occupancy — the §3.3 bottleneck.
             sim.obs.metrics.gauge(
@@ -85,7 +86,7 @@ class OpenFlowSwitch(Node):
         if self.alive:
             for table in self.datapath.tables:
                 table.expire(self.sim.now)
-        self.sim.schedule(self._sweep_interval, self._sweep, daemon=True)
+        self._sweep_timer.rearm()
 
     # ------------------------------------------------------------------
     # Data plane entry

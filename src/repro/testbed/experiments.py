@@ -20,11 +20,11 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.controller.reactive_app import ReactiveForwardingApp
 from repro.core.baselines import DedicatedPortApp, DropPolicingApp, ProactiveApp
 from repro.core.config import ScotchConfig
-from repro.metrics import client_flow_failure_fraction
-from repro.metrics.plot import ascii_plot, sparkline
-from repro.metrics.stats import cdf_points, mean, percentile, stddev
 from repro.net.flow import FlowKey, FlowSpec
+from repro.net.tap import client_flow_failure_fraction
 from repro.net.topology import Network
+from repro.obs.metrics import cdf_points, mean, percentile, stddev
+from repro.obs.report import ascii_plot, format_table, sparkline
 from repro.openflow.messages import FlowMod
 from repro.sim.engine import Simulator
 from repro.switch.actions import Output
@@ -38,7 +38,6 @@ from repro.switch.profiles import (
 )
 from repro.switch.switch import OpenFlowSwitch, VSwitch
 from repro.testbed.deployment import Deployment, build_deployment
-from repro.obs.report import format_table
 from repro.testbed.single_switch import SERVER_IP, build_single_switch
 from repro.traffic import NewFlowSource, SpoofedFlood
 from repro.traffic.sizes import FixedSize, HeavyTailedSizes

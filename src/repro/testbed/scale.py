@@ -38,8 +38,8 @@ from repro.core.config import ScotchConfig
 from repro.core.overlay import ScotchOverlay
 from repro.core.policy import PolicyRegistry
 from repro.faults.scenario import RunReport, Scenario, register
-from repro.metrics.failure import client_flow_failure_fraction
 from repro.net.host import Host
+from repro.net.tap import client_flow_failure_fraction
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
 from repro.switch.profiles import OPEN_VSWITCH, PICA8_PRONTO_3780

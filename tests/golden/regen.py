@@ -90,7 +90,7 @@ def engine_workload() -> dict:
 def traced_run(tmp_path: str) -> dict:
     """A small flood-under-Scotch run with the tracer on; digests the
     exported trace JSONL and pins the run's measured outcome."""
-    from repro.metrics.failure import client_flow_failure_fraction
+    from repro.net.tap import client_flow_failure_fraction
     from repro.obs import Observability, observed
     from repro.testbed.deployment import build_deployment
     from repro.traffic import NewFlowSource, SpoofedFlood

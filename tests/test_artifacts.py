@@ -210,6 +210,41 @@ def test_cmd_inspect_has_no_per_kind_code():
     assert not (SRC / "obs/inspect.py").exists()
 
 
+def test_one_metrics_package_and_one_benchmark_stack():
+    """The legacy measurement package and bench harness are gone, with
+    no shim and no mention left in code, docs or CI (this file names
+    them; ``benchmarks/e2e`` is the one benchmark stack)."""
+    gone = re.compile(r"repro\.metrics|_harness|emit_bench"
+                      r"|REPRO_BENCH_DIR|REPRO_SCALE_SIZE")
+    places = [ROOT / name for name in (
+        "src", "tests", "examples", "docs", ".github", "README.md",
+        "DESIGN.md", "CONTRIBUTING.md")]
+    places += sorted((ROOT / "benchmarks").glob("*.py"))
+    files = [path for place in places
+             for path in ([place] if place.is_file() else place.rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts
+             and path != Path(__file__).resolve()]
+    assert len(files) > 200
+    assert [path.relative_to(ROOT).as_posix() for path in files
+            if gone.search(path.read_text(errors="ignore"))] == []
+    assert not (SRC / "metrics").exists()
+
+
+def test_obs_gains_no_import_of_the_layers_that_import_it():
+    """``sim/engine.py`` imports ``repro.obs.base``, so a module that
+    ``obs/__init__`` pulls in may not import the engine or ``repro.net``
+    back.  The daemons' timer and the flight recorder's callback names
+    are the whole allowance: recorders and estimators that need more
+    live in ``net`` and ``sim``."""
+    found = {(name, module) for name, text in _sources().items()
+             if name.startswith("obs/")
+             for module in re.findall(
+                 r"^\s*(?:from|import) (repro\.(?:sim|net)[\w.]*)", text, re.M)}
+    assert found == {("obs/health.py", "repro.sim.process"),
+                     ("obs/metrics.py", "repro.sim.process"),
+                     ("obs/flight.py", "repro.sim.engine")}
+
+
 # ----------------------------------------------------------------------
 # Docs
 # ----------------------------------------------------------------------

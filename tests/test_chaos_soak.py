@@ -50,6 +50,9 @@ def test_soak_ends_healthy(reports, seed):
     report = reports[seed]
     assert report.violations == []
     assert report.invariant_checks > 20
+    # The gauntlet must actually hurt while it is running, and the
+    # system must self-heal to near-zero client impact.
+    assert report.failure_during_faults > report.failure_post_recovery
     assert report.failure_post_recovery < 0.05
     assert report.flows_started > 0
     assert report.healthy

@@ -25,7 +25,7 @@ def test_every_figure_is_listed_benched_and_committed(capsys, monkeypatch):
     assert len(FIGURES) == 13
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    monkeypatch.syspath_prepend(BENCH_DIR)  # bench_figures imports _harness
+    monkeypatch.syspath_prepend(BENCH_DIR)
     bench = importlib.import_module("bench_figures")
     (parametrize,) = [mark for mark in bench.test_figure.pytestmark
                       if mark.name == "parametrize"]
@@ -157,17 +157,6 @@ def test_prom_flag_writes_text_format(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_all_figures_run_quick(capsys):
-    """Every table entry completes in --quick mode, `install_rate` and
-    `lb` included."""
-    for key, figure in FIGURES.items():
-        assert main(["fig", key, "--quick"]) == 0, f"fig {key}"
-        out = capsys.readouterr().out
-        assert figure.title.format(**figure.quick) in out
-        assert all(column in out for column in figure.columns)
-
-
-@pytest.mark.slow
 def test_ablation_and_tcam_commands(capsys):
     assert main(["ablation", "--quick"]) == 0
     out = capsys.readouterr().out
@@ -179,15 +168,19 @@ def test_ablation_and_tcam_commands(capsys):
 
 @pytest.mark.slow
 def test_report_command_writes_markdown(tmp_path):
+    """Every table entry completes in --quick mode, `install_rate` and
+    `lb` included; `fig KEY --quick` prints the same `figure.text`."""
     out = tmp_path / "REPORT.md"
     assert main(["report", "--quick", "-o", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("# Scotch reproduction report")
-    assert text.count("\n## ") == len(FIGURES)
-    for key, figure in FIGURES.items():
+    sections = text.split("\n## ")[1:]
+    assert len(sections) == len(FIGURES)
+    for (key, figure), section in zip(FIGURES.items(), sections):
         label = f"Figure {key}" if key.isdigit() else "Ablation"
-        assert f"## {label} — {figure.description}\n" in text
-        assert figure.title.format(**figure.quick) in text
+        assert section.startswith(f"{label} — {figure.description}\n")
+        assert figure.title.format(**figure.quick) in section
+        assert all(column in section for column in figure.columns)
 
 
 def test_chaos_rejects_short_durations(capsys):

@@ -311,6 +311,24 @@ def test_pool_chaos_default_plan_stays_healthy():
         assert window <= report.grace
 
 
+@pytest.mark.parametrize("members", [2, 4])
+def test_pool_survives_staggered_member_crashes(members):
+    """One crash per spare member, 4 s apart and 6 s long, under 400 f/s
+    over 8 switches: every failover window stays inside the lease bound
+    whatever the pool size."""
+    plan = FaultPlan()
+    for index in range(1, members):
+        plan.pool_member_crash(4.0 + 4.0 * (index - 1), f"c{index}",
+                               down_for=6.0)
+    report = run("pool_chaos", seed=7, duration=20.0, controllers=members,
+                 switches=8, rate_fps=400.0, plan=plan)
+    assert report.healthy
+    assert report.double_installs == 0
+    assert len(report.acked_master) == 8
+    assert report.failover_windows
+    assert max(report.failover_windows) <= report.grace
+
+
 def test_pool_chaos_is_byte_deterministic():
     a = run("pool_chaos", seed=4, duration=24.0)
     b = run("pool_chaos", seed=4, duration=24.0)

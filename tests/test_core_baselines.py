@@ -2,7 +2,7 @@
 
 from repro.core.baselines import DedicatedPortApp, DropPolicingApp, ProactiveApp
 from repro.core.config import ScotchConfig
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.switch.profiles import OPEN_VSWITCH
 from repro.switch.switch import VSwitch
 from repro.testbed.deployment import build_deployment

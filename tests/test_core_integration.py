@@ -10,8 +10,8 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.core.config import PRIORITY_SCOTCH_DEFAULT, ScotchConfig
-from repro.metrics import client_flow_failure_fraction
 from repro.net.flow import FlowKey, FlowSpec
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

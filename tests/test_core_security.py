@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import ScotchConfig
 from repro.core.security import BLOCK, PRIORITY_MITIGATION, SecurityApp
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

@@ -10,7 +10,7 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 

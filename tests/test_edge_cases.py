@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.metrics.meters import RateEstimator
 from repro.net.host import Host
 from repro.net.node import Node
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
+from repro.sim.ratelimit import RateEstimator
 from repro.switch.match import Match
 from repro.switch.flow_table import FlowEntry, FlowTable
 from repro.switch.actions import Drop

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.config import ScotchConfig
-from repro.metrics import client_flow_failure_fraction
 from repro.net.packet import GreHeader, Packet
+from repro.net.tap import client_flow_failure_fraction
 from repro.net.topology import Network
 from repro.net.tunnel import GRE, MPLS, TunnelFabric
 from repro.sim.engine import Simulator

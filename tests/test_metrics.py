@@ -3,14 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.failure import client_flow_failure_fraction, flow_success_stats
-from repro.metrics.meters import Ewma, RateEstimator, WindowRateMeter
-from repro.metrics.recorder import PacketRecorder
-from repro.metrics.series import TimeSeries, sample_periodically
-from repro.metrics.stats import cdf_points, mean, percentile, stddev
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
-from repro.sim.engine import Simulator
+from repro.net.tap import PacketRecorder, client_flow_failure_fraction
+from repro.obs.metrics import cdf_points, mean, percentile, stddev
+from repro.sim.ratelimit import RateEstimator
 
 
 def packet(sport=1):
@@ -82,16 +79,6 @@ class TestFailureFraction:
         assert client_flow_failure_fraction(client, sinks, start=0.0, end=2.0) == 0.0
         assert client_flow_failure_fraction(client, []) == 1.0
 
-    def test_flow_success_stats(self):
-        client, server = PacketRecorder(), PacketRecorder()
-        client.on_send(packet(1), 1.0)
-        client.on_send(packet(2), 1.0)
-        server.on_receive(packet(1), 1.1)
-        stats = flow_success_stats(client, server)
-        assert stats.flows_seen == 2
-        assert stats.flows_succeeded == 1
-        assert stats.success_fraction == 0.5
-
 
 class TestMeters:
     def test_rate_estimator_steady_rate(self):
@@ -116,57 +103,6 @@ class TestMeters:
     def test_rate_estimator_validation(self):
         with pytest.raises(ValueError):
             RateEstimator(window_events=1)
-
-    def test_ewma(self):
-        ewma = Ewma(alpha=0.5)
-        assert ewma.get(7.0) == 7.0
-        ewma.update(10.0)
-        ewma.update(0.0)
-        assert ewma.get() == pytest.approx(5.0)
-
-    def test_ewma_validation(self):
-        with pytest.raises(ValueError):
-            Ewma(alpha=0.0)
-
-    def test_window_rate_meter(self):
-        meter = WindowRateMeter(bin_seconds=1.0)
-        for i in range(10):
-            meter.observe(0.5)
-        for i in range(20):
-            meter.observe(1.5)
-        series = dict(meter.series())
-        assert series[0.0] == 10.0
-        assert series[1.0] == 20.0
-        assert meter.rate_in(0.0, 2.0) == pytest.approx(15.0)
-
-
-class TestSeries:
-    def test_reductions(self):
-        series = TimeSeries()
-        series.add(0.0, 1.0)
-        series.add(1.0, 3.0)
-        series.add(2.0, 5.0)
-        assert series.last() == 5.0
-        assert series.max() == 5.0
-        assert series.mean_over(0.0, 2.0) == 2.0
-        assert len(series) == 3
-
-    def test_periodic_sampling(self):
-        sim = Simulator()
-        series = TimeSeries()
-        values = iter(range(100))
-        sample_periodically(sim, series, lambda: float(next(values)), interval=1.0, until=4.5)
-        sim.run(until=10.0)
-        assert series.times() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_periodic_sampling_stops_on_request(self):
-        sim = Simulator()
-        series = TimeSeries()
-        timer = sample_periodically(sim, series, lambda: 1.0, interval=1.0)
-        sim.schedule(2.5, timer.stop)
-        sim.run(until=10.0)
-        assert series.times() == [1.0, 2.0]
-        assert sim.pending == 0
 
 
 class TestStats:

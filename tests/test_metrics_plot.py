@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.metrics.plot import ascii_plot, sparkline
+from repro.obs.report import ascii_plot, sparkline
 
 
 class TestSparkline:

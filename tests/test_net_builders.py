@@ -6,8 +6,8 @@ import pytest
 from repro.controller.controller import OpenFlowController
 from repro.core.app import ScotchApp
 from repro.core.overlay import ScotchOverlay
-from repro.metrics import client_flow_failure_fraction
 from repro.net.builders import fat_tree, leaf_spine, linear
+from repro.net.tap import client_flow_failure_fraction
 from repro.switch.switch import VSwitch
 from repro.traffic import NewFlowSource, SpoofedFlood
 

@@ -15,7 +15,7 @@ pytestmark = pytest.mark.slow
 
 from contextlib import nullcontext
 
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.obs import Observability, observed
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood

@@ -4,7 +4,7 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.metrics import client_flow_failure_fraction
+from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.wan import build_wan_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 
