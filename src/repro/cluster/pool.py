@@ -59,10 +59,6 @@ from repro.switch.match import Match
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import ScotchConfig
-    from repro.sim.engine import Simulator
-
-ROLE_MASTER = "master"
-ROLE_SLAVE = "slave"
 
 #: Failover-window buckets: lease expiry + election + handoff lives in
 #: the 0.1 s .. 10 s decades, same shape as the control-path buckets.

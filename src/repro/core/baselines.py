@@ -173,7 +173,6 @@ class ProactiveApp(BaseApp):
     def start(self) -> None:
         from repro.controller.routing import Router
         from repro.net.host import Host
-        from repro.switch.switch import OpenFlowSwitch
 
         router = Router(self.network)
         hosts = [n for n in self.network.nodes.values() if isinstance(n, Host)]

@@ -21,7 +21,6 @@ LB_TABLE = 2
 # Rule priorities (paper Fig. 8: red physical rules beat green overlay
 # rules; static tunnel label-switching beats everything reactive).
 # ----------------------------------------------------------------------
-PRIORITY_TUNNEL = 3000
 PRIORITY_PHYSICAL_FLOW = 100  # red per-flow rules
 PRIORITY_OVERLAY_PIN = 20  # §5.5 withdrawal: keep residual flows on overlay
 PRIORITY_SCOTCH_DEFAULT = 10  # green shared default-to-overlay rules

@@ -33,9 +33,6 @@ class BuiltTopology:
     #: Layer name -> switch names (e.g. "leaf", "spine", "core"...).
     layers: Dict[str, List[str]] = field(default_factory=dict)
 
-    def host_ips(self) -> List[str]:
-        return [h.ip for h in self.hosts]
-
 
 def linear(
     n_switches: int,

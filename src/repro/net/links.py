@@ -23,13 +23,14 @@ DEFAULT_QUEUE = 1000
 
 
 class DirectedLink:
-    """One direction of a link, delivering into ``dst_node.receive``.
+    """One direction of a link, delivering into ``dst_node``.
 
     The link is a FIFO server with a deterministic service time
     (``wire_bits / rate_bps``) and nothing can perturb a packet once it
     is accepted, so the whole serialize→propagate pipeline is computed
-    arithmetically at transmit time and the simulation carries exactly
-    one event per packet (the delivery).  Serialization-start times are
+    arithmetically at transmit time and handed to ``dst_node.arrive``: at
+    most one event per packet (the delivery; none at a switch, whose
+    datapath admits arrivals itself).  Serialization-start times are
     kept per pending packet so the drop-tail decision sees the same
     queue depth the explicit per-stage events used to maintain.
     """
@@ -82,19 +83,11 @@ class DirectedLink:
         done = start + (packet.size + packet._overhead) * 8 * packet.count / self.rate_bps
         self._busy_until = done
         pending.append(start)
-        self.sim.schedule_at(done + self.delay, self._deliver, packet)
+        self.dst_node.arrive(packet, self.dst_port_no, done + self.delay, self)
 
     def _deliver(self, packet: "Packet") -> None:
         self.delivered += packet.count
         self.dst_node.receive(packet, self.dst_port_no)
-
-    @property
-    def backlog(self) -> int:
-        now = self.sim.now
-        pending = self._pending_starts
-        while pending and pending[0] <= now:
-            pending.popleft()
-        return len(pending)
 
 
 def connect(
@@ -112,26 +105,7 @@ def connect(
     """
     port_a = node_a.allocate_port()
     port_b = node_b.allocate_port()
-    port_a.attach(
-        DirectedLink(
-            sim,
-            rate_bps,
-            delay,
-            node_b,
-            port_b.port_no,
-            queue_packets,
-            name=f"{port_a.name}->{port_b.name}",
-        )
-    )
-    port_b.attach(
-        DirectedLink(
-            sim,
-            rate_bps,
-            delay,
-            node_a,
-            port_a.port_no,
-            queue_packets,
-            name=f"{port_b.name}->{port_a.name}",
-        )
-    )
+    for src, dst in ((port_a, port_b), (port_b, port_a)):
+        src.attach(DirectedLink(sim, rate_bps, delay, dst.node, dst.port_no, queue_packets,
+                                name=f"{src.name}->{dst.name}"))
     return port_a, port_b

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.links import DirectedLink
     from repro.net.packet import Packet
     from repro.net.ports import Port
     from repro.sim.engine import Simulator
@@ -43,6 +44,12 @@ class Node:
             if port.link is not None and port.link.dst_node.name == neighbor_name:
                 return port
         return None
+
+    def arrive(self, packet: "Packet", in_port: int, at: float, link: "DirectedLink") -> None:
+        """``link`` will deliver ``packet`` on ``in_port`` at time ``at``:
+        by default one delivery event then.  A node that can account for
+        the arrival itself (a switch datapath) overrides this."""
+        self.sim.schedule_at(at, link._deliver, packet)
 
     def receive(self, packet: "Packet", in_port: int) -> None:
         """Handle a packet arriving on ``in_port``.  Subclasses override."""

@@ -25,11 +25,9 @@ from repro.net.flow import FlowKey
 _packet_ids = itertools.count(1)
 
 PROTO_TCP = 6
-PROTO_UDP = 17
 
 TCP_SYN = "SYN"
 TCP_DATA = "DATA"
-TCP_FIN = "FIN"
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,6 @@ SPAN_CHANNEL = "channel.to_controller"
 SPAN_HANDLE = "controller.handle"
 SPAN_INSTALL = "ofa.install"
 
-STAGE_SPANS = (SPAN_OFA_QUEUE, SPAN_CHANNEL, SPAN_HANDLE, SPAN_INSTALL,
-               SPAN_PACKET_IN)
-
 
 def punt_begin(obs: Any, packet: Any, switch: str, in_port: int, reason: str) -> None:
     """The data plane handed a packet to the OFA: open the journey span

@@ -91,17 +91,6 @@ class Event:
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
                  "fired", "_sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
-                 daemon: bool = False, sim: Optional["Simulator"] = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.daemon = daemon
-        self.fired = False
-        self._sim = sim
-
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent; safe after firing.
 
@@ -122,9 +111,6 @@ class Event:
         # eventually reaches this timestamp.
         self.callback = None  # type: ignore[assignment]
         self.args = ()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))

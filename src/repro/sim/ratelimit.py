@@ -147,12 +147,10 @@ class RateEstimator:
             raise ValueError("window must hold at least two events")
         self._times: Deque[float] = deque(maxlen=window_events)
         self.window_seconds = window_seconds
-        self.total_events = 0
 
     def observe(self, now: float, count: int = 1) -> None:
         for _ in range(count):
             self._times.append(now)
-        self.total_events += count
 
     def rate(self, now: Optional[float] = None) -> float:
         times = self._times

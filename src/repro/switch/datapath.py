@@ -6,15 +6,43 @@ the flow tables from table 0, executing the winning entry's actions
 (which may jump to a later table, hand the packet to a select group, or
 punt to the OFA on a table miss).
 
-The effective forwarding rate is queried from the OFA per packet — this
+The effective forwarding rate is queried from the OFA per service — this
 is the Fig. 10 coupling: when the OFA is committing rules beyond the
 degradation knee, table lookups stall and the budget collapses, so the
 data path itself starts dropping even though the links are idle.
+
+**One event per packet-hop.**  The datapath is a FIFO server that admits
+arrivals lazily.  A link fires no delivery event at a switch: it hands
+:meth:`Datapath.arrive` the packet and its arrival time ``at``, which is
+noted on a heap with one :meth:`Datapath._step` booked at ``at + count /
+pps``, the earliest instant that service can complete.  A step admits,
+in ``(at, seq)`` order, every arrival with ``at <= now`` — count
+``link.delivered``, drop on a dead switch, drop-tail on ``INGRESS_BUFFER``,
+queue behind a train in service, else start service as of ``at`` at the
+OFA's capacity at ``at`` — then completes the train that is due (its
+lookup sees every rule committed by then) and chains the next queued one
+at ``now``.  It is float-identical to admitting at ``at``, by three rules:
+
+1. What admission reads (``switch.alive``, the OFA's install-rate meter)
+   changes only after :meth:`Datapath.settle`: ``OpenFlowSwitch.fail`` /
+   ``recover`` and ``OpenFlowAgent._handle_flow_mod`` call it first.
+2. :meth:`Datapath.submit` (an arrival *now*) admits before returning,
+   so ``dropped_no_buffer`` is current for a direct caller.
+3. The booked time divides by the fastest rate the profile can return,
+   so a slower (degraded) service gets a second event at its true
+   completion and nothing is scheduled into the past.
+
+Tie rule: an arrival at exactly a completion instant is admitted before
+the completion pops the queue (an eager server goes by engine sequence);
+they differ only with exactly ``INGRESS_BUFFER`` trains queued, where the
+arrival is dropped.  ``link.delivered`` and ``dropped_no_buffer`` are
+written at admission, at most one full-rate service time after ``at``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.net.packet import GreHeader, MplsHeader, Packet
@@ -34,6 +62,7 @@ from repro.switch.flow_table import FlowTable
 from repro.switch.group_table import GroupTable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.links import DirectedLink
     from repro.sim.engine import Simulator
     from repro.switch.switch import OpenFlowSwitch
 
@@ -60,8 +89,14 @@ class Datapath:
         ]
         self.groups = GroupTable()
         self.miss_policy = MISS_TO_CONTROLLER
+        #: Noted, not yet admitted: ``(at, seq, packet, in_port, link)``.
+        self._arrivals: List[tuple] = []
+        self._arrival_seq = 0
+        #: Admitted trains waiting behind ``_serving``, the one in service:
+        #: ``(completion time, packet, in_port)`` or None when idle.
         self._queue: Deque[Tuple[Packet, int]] = deque()
-        self._busy = False
+        self._serving: Optional[Tuple[float, Packet, int]] = None
+        self._fastest_pps = max(profile.datapath_pps, profile.datapath_degraded_pps)
         self.processed = 0
         self.dropped_no_buffer = 0
         self.dropped_no_route = 0
@@ -79,37 +114,60 @@ class Datapath:
     # ------------------------------------------------------------------
     # Ingress / service loop
     # ------------------------------------------------------------------
+    def arrive(self, packet: Packet, in_port: int, at: float,
+               link: Optional["DirectedLink"] = None) -> None:
+        """Note a train reaching ``in_port`` at ``at`` (>= now) and book
+        the earliest instant its service can complete."""
+        self._arrival_seq += 1
+        heappush(self._arrivals, (at, self._arrival_seq, packet, in_port, link))
+        self.sim.schedule_at(at + packet.count / self._fastest_pps, self._step)
+
     def submit(self, packet: Packet, in_port: int) -> None:
-        """Accept a packet from a port; drop-tail on the ingress buffer."""
-        if len(self._queue) >= INGRESS_BUFFER:
-            self.dropped_no_buffer += packet.count
+        """Accept a packet arriving now; admitted before returning (rule 2)."""
+        self.arrive(packet, in_port, self.sim.now)
+        self.settle()
+
+    def settle(self) -> None:
+        """Admit, in ``(at, seq)`` order, every arrival due by now.  Run
+        it before changing anything admission reads (rule 1)."""
+        now = self.sim.now
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] <= now:
+            at, _, packet, in_port, link = heappop(arrivals)
+            if link is not None:
+                link.delivered += packet.count
+            if not self.switch.alive:
+                continue
+            if len(self._queue) >= INGRESS_BUFFER:
+                self.dropped_no_buffer += packet.count
+            elif self._serving is not None:
+                self._queue.append((packet, in_port))
+            else:
+                self._start(packet, in_port, at, booked=True)
+
+    def _start(self, packet: Packet, in_port: int, start: float, booked: bool) -> None:
+        """Put a train in service as of ``start``; schedule its completion
+        unless a step is already ``booked`` there (idle, full rate)."""
+        capacity = self.switch.ofa.datapath_capacity(start)
+        done = start + packet.count / capacity
+        self._serving = (done, packet, in_port)
+        if not booked or capacity != self._fastest_pps:
+            self.sim.schedule_at(done, self._step)
+
+    def _step(self) -> None:
+        """One event: admit what has arrived, complete what is due, and
+        chain the next queued train."""
+        self.settle()
+        serving = self._serving
+        if serving is None or serving[0] > self.sim.now:
             return
-        self._queue.append((packet, in_port))
-        if not self._busy:
-            self._begin_service()
-
-    def _capacity(self) -> float:
-        ofa = self.switch.ofa
-        if ofa is not None:
-            return ofa.datapath_capacity()
-        return self.switch.profile.datapath_pps
-
-    def _begin_service(self) -> None:
-        self._busy = True
-        packet, in_port = self._queue.popleft()
-        ofa = self.switch.ofa
-        capacity = (
-            ofa.datapath_capacity() if ofa is not None else self.switch.profile.datapath_pps
-        )
-        self.sim.schedule(packet.count / capacity, self._serve, packet, in_port)
-
-    def _serve(self, packet: Packet, in_port: int) -> None:
+        _, packet, in_port = serving
         self.processed += packet.count
         self.process(packet, in_port)
         if self._queue:
-            self._begin_service()
+            self._start(*self._queue.popleft(), self.sim.now, booked=False)
         else:
-            self._busy = False
+            self._serving = None
 
     # ------------------------------------------------------------------
     # Pipeline

@@ -99,10 +99,6 @@ class FlowEntry:
         self.packets += packets
         self.bytes += nbytes
 
-    def _beats(self, other: "FlowEntry") -> bool:
-        """OpenFlow winner ordering: higher priority, then older entry."""
-        return (self.priority, -self.entry_id) > (other.priority, -other.entry_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlowEntry #{self.entry_id} p{self.priority} {self.match!r}>"
 

@@ -26,7 +26,7 @@ This module encodes the paper's three core measurements:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.obs import path as obs_path
 from repro.openflow.messages import (
@@ -221,9 +221,9 @@ class OpenFlowAgent:
             raise TypeError(f"OFA cannot handle {type(message).__name__}")
 
     # -- rule installation ---------------------------------------------
-    def attempted_install_rate(self) -> float:
-        """Current attempted FlowMod-ADD rate estimate (rules/second)."""
-        return self._attempt_meter.rate(self.sim.now)
+    def attempted_install_rate(self, at: Optional[float] = None) -> float:
+        """Attempted FlowMod-ADD rate (rules/second) as of ``at`` (default now)."""
+        return self._attempt_meter.rate(self.sim.now if at is None else at)
 
     def _success_probability(self, attempted_rate: float) -> float:
         """P(commit) such that successful-rate follows the Fig. 9 curve."""
@@ -251,6 +251,8 @@ class OpenFlowAgent:
             obs_path.SPAN_INSTALL, track=f"switch:{self.switch.name}",
             switch=self.switch.name,
         ) if tracer.enabled else -1
+        # Admit due arrivals before the meter they read moves (datapath.py rule 1).
+        self.switch.datapath.settle()
         self._attempt_meter.observe(self.sim.now)
         if self._rng.random() > self._success_probability(self.attempted_install_rate()):
             self.installs_failed += 1
@@ -409,8 +411,8 @@ class OpenFlowAgent:
     # ------------------------------------------------------------------
     # Data-path interaction (Fig. 10)
     # ------------------------------------------------------------------
-    def datapath_capacity(self) -> float:
-        """Effective forwarding budget given current rule-write activity."""
-        if self.attempted_install_rate() > self.profile.degradation_knee:
+    def datapath_capacity(self, at: Optional[float] = None) -> float:
+        """Effective forwarding budget given rule writes as of ``at`` (default now)."""
+        if self.attempted_install_rate(at) > self.profile.degradation_knee:
             return self.profile.datapath_degraded_pps
         return self.profile.datapath_pps

@@ -16,6 +16,7 @@ reactive load.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.node import Node
@@ -30,6 +31,7 @@ from repro.switch.ofa import OpenFlowAgent
 from repro.switch.profiles import OPEN_VSWITCH, PICA8_PRONTO_3780, SwitchProfile
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.links import DirectedLink
     from repro.net.packet import Packet
     from repro.sim.engine import Simulator
 
@@ -60,7 +62,7 @@ class OpenFlowSwitch(Node):
         self.channel = ControlChannel(sim, name, latency)
         self.ofa = OpenFlowAgent(sim, self, self.channel)
         for table in self.datapath.tables:
-            table.on_expired = self._make_expiry_notifier(table.table_id)
+            table.on_expired = partial(self.ofa.notify_flow_removed, table_id=table.table_id)
         interval = (
             expiry_sweep_interval
             if expiry_sweep_interval is not None
@@ -76,24 +78,18 @@ class OpenFlowSwitch(Node):
                 fn=lambda: len(self.datapath.table(0)),
             )
 
-    def _make_expiry_notifier(self, table_id: int):
-        def notify(entry, reason: str) -> None:
-            self.ofa.notify_flow_removed(entry, reason, table_id)
-
-        return notify
-
     def _sweep(self) -> None:
         if self.alive:
-            for table in self.datapath.tables:
-                table.expire(self.sim.now)
+            self.expire_rules()
         self._sweep_timer.rearm()
 
     # ------------------------------------------------------------------
     # Data plane entry
     # ------------------------------------------------------------------
+    def arrive(self, packet: "Packet", in_port: int, at: float, link: "DirectedLink") -> None:
+        self.datapath.arrive(packet, in_port, at, link)
+
     def receive(self, packet: "Packet", in_port: int) -> None:
-        if not self.alive:
-            return
         self.datapath.submit(packet, in_port)
 
     # ------------------------------------------------------------------
@@ -129,10 +125,12 @@ class OpenFlowSwitch(Node):
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Crash the switch: stops forwarding and control responses."""
+        self.datapath.settle()  # arrivals up to now met a live switch
         self.alive = False
         self.channel.disconnect()
 
     def recover(self) -> None:
+        self.datapath.settle()  # arrivals up to now met a dead switch
         self.alive = True
         self.channel.reconnect()
 
@@ -153,8 +151,7 @@ class OpenFlowSwitch(Node):
                 or e.hard_timeout > 0
                 or e.cookie is not None
             )
-        if self.ofa is not None:
-            self.ofa._stalled_until = 0.0
+        self.ofa._stalled_until = 0.0
         self.recover()
 
     def expire_rules(self) -> None:

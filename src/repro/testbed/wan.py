@@ -46,10 +46,6 @@ class WanDeployment:
     client: Host
     attacker: Host
 
-    @property
-    def entry_pop(self) -> PhysicalSwitch:
-        return self.pops[0]
-
 
 def build_wan_deployment(
     sites: int = 3,

@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.switch.datapath as datapath_module
 from repro.net.flow import FlowKey
+from repro.net.links import DirectedLink
+from repro.openflow.messages import FlowMod
 from repro.net.packet import MplsHeader, Packet
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
@@ -197,3 +200,91 @@ def test_hop_recorded():
     sw.receive(packet, in_port=1)
     sim.run()
     assert "sw" in packet.hops
+
+
+def test_direct_submit_on_a_dead_switch_drops():
+    """Liveness is checked in one place — admission — so the datapath's
+    own entry point drops on a crashed switch just as receive() does."""
+    sim, net, sw, host = build()
+    sw.fail()
+    sw.datapath.submit(packet_for(), in_port=1)
+    sim.run()
+    assert sw.datapath.processed == 0 and sw.datapath.punted == 0
+
+
+# ----------------------------------------------------------------------
+# One event per packet-hop (see the module docstring of switch/datapath.py)
+# ----------------------------------------------------------------------
+def build_chain(n, profile=PICA8_PRONTO_3780):
+    """a -> s1 -> ... -> sN -> b with a static rule for KEY at every hop."""
+    sim = Simulator()
+    net = Network(sim)
+    a = net.add(Host(sim, "a", "1.1.1.1"))
+    names = [f"s{i}" for i in range(1, n + 1)]
+    # sweep off: the budget below counts packet events only
+    switches = [net.add(PhysicalSwitch(sim, name, profile, expiry_sweep_interval=0))
+                for name in names]
+    b = net.add(Host(sim, "b", "2.2.2.2"))
+    path = ["a"] + names + ["b"]
+    for left, right in zip(path, path[1:]):
+        net.link(left, right)
+    for sw, nxt in zip(switches, path[2:]):
+        sw.install_static(Match.for_flow(KEY), 100,
+                          [Output(net.port_between(sw.name, nxt))])
+    return sim, a, switches, b
+
+
+@pytest.mark.parametrize("hops", [1, 3, 6])
+def test_idle_chain_fires_one_event_per_switch_hop(hops):
+    """N datapath steps + the host's delivery: N + 1 events a packet."""
+    sim, a, switches, b = build_chain(hops)
+    packets = 5
+    for i in range(packets):
+        sim.schedule_at(0.1 * (i + 1), lambda: a.send(packet_for()))
+    sim.run()
+    assert b.recv_tap.total_packets == packets
+    assert all(sw.datapath.processed == packets for sw in switches)
+    assert sim.events_fired == packets + packets * (hops + 1)  # + the sends
+
+
+def test_degraded_hop_costs_exactly_one_more_event():
+    """A hop whose OFA is past the knee completes later than booked: one
+    second event there, none anywhere else."""
+    def run(past_knee):
+        sim, a, switches, b = build_chain(3)
+        middle = switches[1]
+        if past_knee:
+            # 40 ADDs in 10 ms: ~4000 rules/s attempted, knee is 1300/s
+            for i in range(40):
+                sim.schedule_at(0.5 + i * 0.00025, middle.ofa.handle_from_controller,
+                                FlowMod(match=Match(dst_port=9000 + i), actions=[]))
+        sim.schedule_at(0.6, lambda: a.send(packet_for()))
+        sim.run(until=0.55)
+        before = sim.events_fired
+        sim.run(until=5.0)
+        assert b.recv_tap.total_packets == 1
+        return sim.events_fired - before
+
+    idle_events = run(past_knee=False)
+    degraded_events = run(past_knee=True)
+    assert idle_events == 1 + 3 + 1  # send, three hops, host delivery
+    assert degraded_events == idle_events + 1
+
+
+def test_arrival_at_a_completion_instant_is_admitted_first(monkeypatch):
+    """The tie rule: with the buffer exactly full at the instant a
+    service completes, a train arriving at that same instant is dropped
+    (admitted before the completion frees a slot)."""
+    monkeypatch.setattr(datapath_module, "INGRESS_BUFFER", 2)
+    sim, net, sw, host = build(profile=IDEAL_SWITCH.variant(
+        datapath_pps=4.0, datapath_degraded_pps=4.0))
+    # no serialization time: the train arrives at exactly 0.0 + 0.25
+    feeder = DirectedLink(sim, rate_bps=float("inf"), delay=0.25, dst_node=sw,
+                          dst_port_no=7)
+    for _ in range(3):  # one in service until 0.25, two fill the buffer
+        sw.receive(packet_for(), in_port=1)
+    feeder.transmit(packet_for())
+    sim.run()
+    assert feeder.delivered == 1
+    assert sw.datapath.dropped_no_buffer == 1
+    assert sw.datapath.processed == 3
