@@ -476,6 +476,8 @@ class ControllerPool(BaseApp):
         self.orphaned = 0
         self.orphan_dropped = 0
         self.drained = 0
+        #: Role handoffs the target switch barrier-acked.
+        self.handoffs = 0
         # -- flow exactly-once bookkeeping ------------------------------
         #: (dpid, flow key) -> member id owning the flow's setup.
         self.flow_owner: Dict[Tuple[str, object], str] = {}
@@ -511,10 +513,10 @@ class ControllerPool(BaseApp):
         sim = self.sim
         self.bus = PoolBus(sim, self.config.pool_bus_delay)
         metrics = sim.obs.metrics
-        self._m_packet_ins = metrics.counter("pool.packet_ins")
-        self._m_orphaned = metrics.counter("pool.orphaned")
-        self._m_drained = metrics.counter("pool.drained")
-        self._m_handoffs = metrics.counter("pool.handoffs")
+        metrics.counter("pool.packet_ins", self, "packet_ins_total")
+        metrics.counter("pool.orphaned", self, "orphaned")
+        metrics.counter("pool.drained", self, "drained")
+        metrics.counter("pool.handoffs", self, "handoffs")
         self._g_live = metrics.gauge("pool.members_live")
         self._g_orphans = metrics.gauge(
             "pool.orphan_buffer", lambda: float(len(self._orphan_buffer)))
@@ -555,7 +557,6 @@ class ControllerPool(BaseApp):
     def packet_in(self, dpid: str, message) -> None:
         self.packet_ins_total += 1
         self._pps_count += 1
-        self._m_packet_ins.inc()
         self._window_counts[dpid] = self._window_counts.get(dpid, 0) + 1
         master_id = self.acked_master.get(dpid)
         member = self.members.get(master_id) if master_id else None
@@ -564,7 +565,6 @@ class ControllerPool(BaseApp):
             return
         self.orphan_since.setdefault(dpid, self.sim.now)
         self.orphaned += 1
-        self._m_orphaned.inc()
         if len(self._orphan_buffer) >= ORPHAN_BUFFER_LIMIT:
             self._orphan_buffer.pop(0)
             self.orphan_dropped += 1
@@ -619,7 +619,7 @@ class ControllerPool(BaseApp):
         now = self.sim.now
         previous = self.acked_master.get(dpid)
         self.acked_master[dpid] = master_id
-        self._m_handoffs.inc()
+        self.handoffs += 1
         if reason == "failover" and dpid in self.crash_time:
             window = now - self.crash_time.pop(dpid)
             self.failover_windows.append(window)
@@ -659,7 +659,6 @@ class ControllerPool(BaseApp):
         self._orphan_buffer = kept
         if drained:
             self.drained += drained
-            self._m_drained.inc(drained)
             self.log_event("orphan-drain", dpid=dpid, member=member.id,
                            count=drained)
 

@@ -60,24 +60,29 @@ class OpenFlowController:
         self.sample_reports_received = 0
         self.flow_removed_received = 0
         self.errors_received = 0
+        # Monitoring cost (docs/observability.md, "Sampled telemetry"):
+        # how much control-channel attention flow measurement itself
+        # consumes.  Byte counts use the nominal wire model of
+        # repro.openflow.messages.wire_bytes; the ``monitoring_bytes_rate``
+        # SLI aggregates the ``stats.bytes.*`` family.
+        self.stats_polls_sent = 0
+        self.stats_reply_entries = 0
+        self.sample_records_received = 0
+        self.stats_bytes_requests = 0
+        self.stats_bytes_replies = 0
+        self.stats_bytes_samples = 0
         self._obs = sim.obs
-        self._m_packet_ins = sim.obs.metrics.counter("controller.packet_ins")
-        self._m_errors = sim.obs.metrics.counter("controller.errors")
-        # Monitoring-cost counters (docs/observability.md, "Sampled
-        # telemetry"): how much control-channel attention flow
-        # measurement itself consumes.  Byte counts use the nominal wire
-        # model of repro.openflow.messages.wire_bytes; the
-        # ``monitoring_bytes_rate`` SLI aggregates the ``stats.bytes.*``
-        # family.
         metrics = sim.obs.metrics
-        self._m_stats_polls = metrics.counter("stats.polls_sent")
-        self._m_stats_replies = metrics.counter("stats.replies")
-        self._m_stats_entries = metrics.counter("stats.reply_entries")
-        self._m_stats_bytes_requests = metrics.counter("stats.bytes.requests")
-        self._m_stats_bytes_replies = metrics.counter("stats.bytes.replies")
-        self._m_sample_reports = metrics.counter("stats.sample_reports")
-        self._m_sample_records = metrics.counter("stats.sample_records")
-        self._m_stats_bytes_samples = metrics.counter("stats.bytes.samples")
+        metrics.counter("controller.packet_ins", self, "packet_ins_received")
+        metrics.counter("controller.errors", self, "errors_received")
+        metrics.counter("stats.polls_sent", self, "stats_polls_sent")
+        metrics.counter("stats.replies", self, "stats_replies_received")
+        metrics.counter("stats.reply_entries", self, "stats_reply_entries")
+        metrics.counter("stats.bytes.requests", self, "stats_bytes_requests")
+        metrics.counter("stats.bytes.replies", self, "stats_bytes_replies")
+        metrics.counter("stats.sample_reports", self, "sample_reports_received")
+        metrics.counter("stats.sample_records", self, "sample_records_received")
+        metrics.counter("stats.bytes.samples", self, "stats_bytes_samples")
 
     # ------------------------------------------------------------------
     # Registration
@@ -105,7 +110,6 @@ class OpenFlowController:
     def _receive(self, dpid: str, message: Message) -> None:
         if isinstance(message, PacketIn):
             self.packet_ins_received += 1
-            self._m_packet_ins.inc()
             packet = message.packet
             if packet is not None:
                 obs_path.packet_in_received(
@@ -122,16 +126,14 @@ class OpenFlowController:
                 obs_path.decision(self._obs, packet, route="inline")
         elif isinstance(message, FlowStatsReply):
             self.stats_replies_received += 1
-            self._m_stats_replies.inc()
-            self._m_stats_entries.inc(len(message.entries))
-            self._m_stats_bytes_replies.inc(wire_bytes(message))
+            self.stats_reply_entries += len(message.entries)
+            self.stats_bytes_replies += wire_bytes(message)
             for app in self.apps:
                 app.stats_reply(dpid, message)
         elif isinstance(message, SampleReport):
             self.sample_reports_received += 1
-            self._m_sample_reports.inc()
-            self._m_sample_records.inc(len(message.records))
-            self._m_stats_bytes_samples.inc(wire_bytes(message))
+            self.sample_records_received += len(message.records)
+            self.stats_bytes_samples += wire_bytes(message)
             for app in self.apps:
                 app.sample_report(dpid, message)
         elif isinstance(message, FlowRemoved):
@@ -140,7 +142,6 @@ class OpenFlowController:
                 app.flow_removed(dpid, message)
         elif isinstance(message, ErrorMessage):
             self.errors_received += 1
-            self._m_errors.inc()
             for app in self.apps:
                 app.error(dpid, message)
         elif isinstance(message, PortStatsReply):
@@ -204,8 +205,8 @@ class OpenFlowController:
         self, dpid: str, table_id: Optional[int] = None, match: Optional[Match] = None
     ) -> FlowStatsRequest:
         message = FlowStatsRequest(table_id=table_id, match=match)
-        self._m_stats_polls.inc()
-        self._m_stats_bytes_requests.inc(wire_bytes(message))
+        self.stats_polls_sent += 1
+        self.stats_bytes_requests += wire_bytes(message)
         self.datapaths[dpid].send(message)
         return message
 

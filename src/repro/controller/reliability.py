@@ -88,9 +88,9 @@ class ReliableSender:
         self.abandoned = 0
         self.superseded = 0
         metrics = sim.obs.metrics
-        self._m_retries = metrics.counter("reliable.retries")
-        self._m_acked = metrics.counter("reliable.acked")
-        self._m_abandoned = metrics.counter("reliable.abandoned")
+        metrics.counter("reliable.retries", self, "retries")
+        metrics.counter("reliable.acked", self, "acked")
+        metrics.counter("reliable.abandoned", self, "abandoned")
 
     # ------------------------------------------------------------------
     def send(
@@ -179,7 +179,6 @@ class ReliableSender:
             entry.barrier_xid = None
             if entry.attempts > self.config.reliable_install_max_retries:
                 self.abandoned += 1
-                self._m_abandoned.inc()
                 self._forget_key(entry)
                 if entry.on_abandon is not None:
                     entry.on_abandon()
@@ -225,13 +224,11 @@ class ReliableSender:
             return
         if entry.attempts > self.config.reliable_install_max_retries:
             self.abandoned += 1
-            self._m_abandoned.inc()
             self._forget_key(entry)
             if entry.on_abandon is not None:
                 entry.on_abandon()
             return
         self.retries += 1
-        self._m_retries.inc()
         tracer = self.sim.obs.tracer
         if tracer.enabled:
             tracer.instant("reliable.retry", track="reliable",
@@ -247,7 +244,6 @@ class ReliableSender:
         if entry.superseded:
             return
         self.acked += 1
-        self._m_acked.inc()
         self._forget_key(entry)
         if entry.on_ack is not None:
             entry.on_ack()

@@ -36,9 +36,8 @@ class StatsPoller:
         #: Targets skipped because their dpid left ``controller.datapaths``
         #: (e.g. an unregistered/torn-down switch still in the target set).
         self.targets_departed = 0
-        self._m_departed = controller.sim.obs.metrics.counter(
-            "stats.targets_departed"
-        )
+        controller.sim.obs.metrics.counter(
+            "stats.targets_departed", self, "targets_departed")
         # Restart-safe tick chain (sim.process.PeriodicTimer owns the
         # pending event, so stop()/start() can never double the chain).
         self._timer = PeriodicTimer(controller.sim, interval, self._tick)
@@ -58,7 +57,6 @@ class StatsPoller:
                 # skipped — visibly: silently dropping it hid torn-down
                 # switches lingering in target callables.
                 self.targets_departed += 1
-                self._m_departed.inc()
                 tracer = self.controller.sim.obs.tracer
                 if tracer.enabled:
                     tracer.instant(

@@ -218,7 +218,8 @@ class ScotchApp(BaseApp):
         if attribution is not None:
             origin, ingress_port = attribution
             obs_path.attribute(self._obs, packet, origin, ingress_port)
-            self._obs.metrics.counter(f"overlay.relay.{dpid}").inc()
+            if self._obs.metrics.enabled:
+                self._obs.metrics.counter(f"overlay.relay.{dpid}").inc()
             self._intake(origin, ingress_port, packet, entry_vswitch=dpid)
         elif dpid in self.schedulers:
             self._intake(dpid, message.in_port, packet, entry_vswitch=None)

@@ -64,7 +64,7 @@ class HeartbeatMonitor:
         #: per tick while unanswered) — the health engine's
         #: ``heartbeat.miss_rate`` SLI reads the matching counter.
         self.misses = 0
-        self._m_misses = sim.obs.metrics.counter("heartbeat.misses")
+        sim.obs.metrics.counter("heartbeat.misses", self, "misses")
         #: Refreshes skipped because no live vSwitch serves the switch
         #: (backups exhausted) — the degraded mode of §5.6 failover.
         self.degraded_refreshes = 0
@@ -94,7 +94,6 @@ class HeartbeatMonitor:
             outstanding = self._pending.get(dpid, 0)
             if outstanding >= 1:
                 self.misses += 1
-                self._m_misses.inc()
             if outstanding >= self.config.heartbeat_miss_limit and dpid not in self.overlay.dead:
                 self._declare_dead(dpid)
             self._pending[dpid] = outstanding + 1

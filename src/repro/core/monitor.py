@@ -60,14 +60,13 @@ class CongestionMonitor:
     def watch(self, dpid: str, profile: "SwitchProfile") -> None:
         if dpid not in self._switches:
             self._switches[dpid] = _SwitchState(profile)
-            if self._obs.metrics.enabled:
-                self._obs.metrics.gauge(
-                    f"monitor.{dpid}.new_flow_rate", fn=lambda d=dpid: self.rate(d)
-                )
-                self._obs.metrics.gauge(
-                    f"monitor.{dpid}.congested",
-                    fn=lambda d=dpid: float(self.is_congested(d)),
-                )
+            self._obs.metrics.gauge(
+                f"monitor.{dpid}.new_flow_rate", fn=lambda d=dpid: self.rate(d)
+            )
+            self._obs.metrics.gauge(
+                f"monitor.{dpid}.congested",
+                fn=lambda d=dpid: float(self.is_congested(d)),
+            )
 
     def observe_new_flow(self, dpid: str, count: int = 1) -> None:
         """Record new-flow arrivals attributed to ``dpid`` (direct

@@ -90,12 +90,11 @@ class ScotchOverlay:
         self.active: Set[str] = set()
         self._round_robin = 0
         self._obs = network.sim.obs
-        if self._obs.metrics.enabled:
-            metrics = self._obs.metrics
-            metrics.gauge("overlay.mesh_vswitches", fn=lambda: len(self.mesh))
-            metrics.gauge("overlay.dead_vswitches", fn=lambda: len(self.dead))
-            metrics.gauge("overlay.active_switches", fn=lambda: len(self.active))
-            metrics.gauge("overlay.tunnels", fn=lambda: len(self.fabric.tunnels))
+        metrics = self._obs.metrics
+        metrics.gauge("overlay.mesh_vswitches", fn=lambda: len(self.mesh))
+        metrics.gauge("overlay.dead_vswitches", fn=lambda: len(self.dead))
+        metrics.gauge("overlay.active_switches", fn=lambda: len(self.active))
+        metrics.gauge("overlay.tunnels", fn=lambda: len(self.fabric.tunnels))
 
     # ------------------------------------------------------------------
     # Offline construction

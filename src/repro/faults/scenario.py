@@ -280,11 +280,9 @@ class RunReport:
 # The runner
 # ----------------------------------------------------------------------
 def _flight_recorder(sim: Any) -> Any:
-    """Postmortem instrumentation for one run: causal provenance plus a
-    flight recorder — the outer Observability's when it already enabled
-    them via causality=/flight=, else local ones."""
-    if not sim.provenance_enabled:
-        sim.enable_provenance(run=0)
+    """Postmortem instrumentation for one run: a flight recorder (which
+    turns causal provenance on) — the outer Observability's when it
+    already has one via flight=, else a local one."""
     obs = get_default_obs()
     flight = getattr(obs, "flight", None)
     if flight is None:

@@ -91,14 +91,11 @@ class Observability:
         if self.tracer.enabled:
             self.tracer.causality = causality
         #: Flight recorder: pass True (default rings), an int (event
-        #: ring size) or a FlightRecorder instance; None disables.
-        if flight is True:
-            from repro.obs.flight import FlightRecorder
-            flight = FlightRecorder()
-        elif isinstance(flight, int) and not isinstance(flight, bool):
-            from repro.obs.flight import FlightRecorder
-            flight = FlightRecorder(events=flight)
-        self.flight = flight
+        #: ring size) or a FlightRecorder instance; None or False disables.
+        if flight is True or type(flight) is int:
+            from repro.obs.flight import DEFAULT_EVENTS, FlightRecorder
+            flight = FlightRecorder(DEFAULT_EVENTS if flight is True else flight)
+        self.flight = flight or None
         if self.flight is not None:
             if self.tracer.enabled:
                 self.tracer.flight = self.flight
@@ -110,9 +107,13 @@ class Observability:
 
     def bind(self, sim: Any) -> None:
         """Called by ``Simulator.__init__``; attaches every enabled
-        instrument to the new simulator."""
+        instrument to the new simulator.  Counters fold the previous
+        simulators' sources into their bases first, so a sweep exports
+        running totals."""
         run = self.runs
         self.runs += 1
+        if self.metrics.enabled:
+            self.metrics.fold()
         if self.tracer.enabled:
             self.tracer.bind(sim, run=run)
         if self.causality:

@@ -87,7 +87,8 @@ class NullMetrics:
 
     enabled = False
 
-    def counter(self, name: str) -> NullCounter:
+    def counter(self, name: str, source: Any = None,
+                attr: Optional[str] = None) -> NullCounter:
         return NULL_COUNTER
 
     def gauge(self, name: str, fn: Optional[Callable[[], float]] = None) -> NullGauge:

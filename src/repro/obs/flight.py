@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.sim.engine import callback_name
-
 #: Default ring depths: enough to cover the dispatch storm around a
 #: fault without holding more than a few hundred tuples alive.
 DEFAULT_EVENTS = 256
@@ -33,10 +31,9 @@ class FlightRecorder:
                  spans: int = DEFAULT_SPANS):
         if events < 1 or spans < 1:
             raise ValueError("flight-recorder ring sizes must be >= 1")
-        #: Fed inline by the engine dispatch loop: one entry per fired
-        #: event — a bare seq int when provenance is on, a
-        #: ``(run, t, seq, callback)`` tuple otherwise.
-        self.events: Deque[Any] = deque(maxlen=events)
+        #: Fed inline by the engine dispatch loop: the seq of each fired
+        #: event, resolved through the engine's provenance tables.
+        self.events: Deque[int] = deque(maxlen=events)
         #: Fed by the tracer on every completed span/instant (record
         #: dict references; the tracer owns them).
         self.spans: Deque[Dict[str, Any]] = deque(maxlen=spans)
@@ -48,9 +45,13 @@ class FlightRecorder:
     # Wiring (called by Observability.bind / faults.scenario.run)
     # ------------------------------------------------------------------
     def bind(self, sim: Any, run: int = 0) -> None:
-        """Attach the event ring to ``sim``'s dispatch loop."""
+        """Attach the event ring to ``sim``'s dispatch loop, turning on
+        causal provenance (run index ``run``) if it is off — the ring
+        holds bare seqs that only provenance can resolve."""
+        if not sim.provenance_enabled:
+            sim.enable_provenance(run=run)
         self._sim = sim
-        sim.set_flight_feed(self.events, run=run)
+        sim.set_flight_feed(self.events)
 
     def attach_metrics(self, registry: Any) -> None:
         """Track counter deltas of ``registry`` between marks."""
@@ -96,23 +97,16 @@ class FlightRecorder:
         report disjoint increments.
         """
         events: List[Dict[str, Any]] = []
-        for entry in self.events:
-            if type(entry) is int:
-                # Provenance-on feed: a bare seq, resolved through the
-                # engine's provenance tables (dropping the parent link —
-                # flight events keep the flat 4-key shape).
-                info = self._sim.event_info(entry) if self._sim else None
-                if info is None:
-                    events.append({"run": 0, "t": 0.0, "seq": entry,
-                                   "callback": "(unknown)"})
-                else:
-                    events.append({"run": info["run"], "t": info["t"],
-                                   "seq": entry,
-                                   "callback": info["callback"]})
+        for seq in self.events:
+            # Resolved through the engine's provenance tables, dropping
+            # the parent link: flight events keep the flat 4-key shape.
+            info = self._sim.event_info(seq) if self._sim else None
+            if info is None:
+                events.append({"run": 0, "t": 0.0, "seq": seq,
+                               "callback": "(unknown)"})
             else:
-                run, t, seq, callback = entry
-                events.append({"run": run, "t": round(t, 9), "seq": seq,
-                               "callback": callback_name(callback)})
+                events.append({"run": info["run"], "t": info["t"],
+                               "seq": seq, "callback": info["callback"]})
         spans = [dict(record) for record in self.spans]
         window = {
             "events": events,

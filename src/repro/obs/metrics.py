@@ -1,7 +1,8 @@
 """Named counters, gauges and fixed-bucket histograms.
 
-Components register instruments once (usually in their constructor) and
-update them inline; a :class:`MetricsSampler` daemon snapshots every
+Components register instruments once (usually in their constructor); a
+counter reads the attribute its component already keeps, so no fact is
+tallied twice.  A :class:`MetricsSampler` daemon snapshots every
 gauge and counter on a configurable simulation-time tick, yielding the
 time series (OFA queue depth, per-vSwitch relay rate, flow-table
 occupancy, ...) that end-of-run aggregates cannot show.
@@ -40,16 +41,36 @@ COUNT_BUCKETS: Tuple[float, ...] = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 class Counter:
-    """Monotonic event counter."""
+    """Monotonic event counter: a folded ``base`` plus the attributes it
+    reads (``sources``, registered through :meth:`MetricsRegistry.counter`
+    so a fact a component tallies is counted once).  :meth:`inc` is for
+    counters created lazily per event, which no component keeps."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "base", "sources")
 
     def __init__(self, name: str):
         self.name = name
-        self.value = 0
+        self.base = 0
+        self.sources: List[Tuple[Any, str]] = []
 
     def inc(self, n: int = 1) -> None:
-        self.value += n
+        self.base += n
+
+    @property
+    def value(self) -> int:
+        value = self.base
+        for source, attr in self.sources:
+            value += getattr(source, attr)
+        return value
+
+    def read_from(self, source: Any, attr: str) -> None:
+        """Add ``source.attr`` to the sum (once per object)."""
+        if not any(s is source and a == attr for s, a in self.sources):
+            self.sources.append((source, attr))
+
+    def fold(self) -> None:
+        self.base = self.value
+        self.sources = []
 
 
 class Gauge:
@@ -211,11 +232,23 @@ class MetricsRegistry:
 
     # -- registration (get-or-create; a gauge re-registered with a new
     # callback rebinds, so rebuilt deployments keep their names) --------
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, source: Any = None,
+                attr: Optional[str] = None) -> Counter:
+        """Get or create ``name``; with ``source``, the counter also
+        reads ``source.attr`` (the tally the component keeps)."""
         counter = self.counters.get(name)
         if counter is None:
             counter = self.counters[name] = Counter(name)
+        if source is not None:
+            counter.read_from(source, attr)
         return counter
+
+    def fold(self) -> None:
+        """Fold every counter's sources into its base — called when the
+        next simulator binds, so totals run on across a sweep without
+        the registry keeping earlier deployments alive."""
+        for counter in self.counters.values():
+            counter.fold()
 
     def gauge(self, name: str, fn: Optional[Callable[[], float]] = None) -> Gauge:
         gauge = self.gauges.get(name)

@@ -50,14 +50,11 @@ def punt_begin(obs: Any, packet: Any, switch: str, in_port: int, reason: str) ->
     pktin = tracer.begin(
         SPAN_PACKET_IN, track=track, switch=switch, in_port=in_port, reason=reason)
     packet.metadata[KEY_PKTIN] = pktin
-    if tracer.causality:
-        # Stage spans link back to their journey so the critical-path
-        # analyzer can walk the DAG under each packet_in (obs/critpath).
-        packet.metadata[KEY_STAGE] = tracer.begin(
-            SPAN_OFA_QUEUE, track=track, switch=switch, journey=pktin)
-    else:
-        packet.metadata[KEY_STAGE] = tracer.begin(
-            SPAN_OFA_QUEUE, track=track, switch=switch)
+    # Stage spans link back to their journey so the critical-path
+    # analyzer can walk the DAG under each packet_in (obs/critpath); the
+    # tracer keeps the link only with causality on.
+    packet.metadata[KEY_STAGE] = tracer.begin(
+        SPAN_OFA_QUEUE, track=track, switch=switch, journey=pktin)
 
 
 def punt_dropped(obs: Any, packet: Any) -> None:
@@ -78,13 +75,9 @@ def packet_in_sent(obs: Any, packet: Any, switch: str) -> None:
     if not tracer.enabled:
         return
     tracer.end(packet.metadata.pop(KEY_STAGE, -1))
-    if tracer.causality:
-        packet.metadata[KEY_STAGE] = tracer.begin(
-            SPAN_CHANNEL, track=f"switch:{switch}", switch=switch,
-            journey=packet.metadata.get(KEY_PKTIN, -1))
-    else:
-        packet.metadata[KEY_STAGE] = tracer.begin(
-            SPAN_CHANNEL, track=f"switch:{switch}", switch=switch)
+    packet.metadata[KEY_STAGE] = tracer.begin(
+        SPAN_CHANNEL, track=f"switch:{switch}", switch=switch,
+        journey=packet.metadata.get(KEY_PKTIN, -1))
 
 
 def packet_in_received(obs: Any, packet: Any, dpid: str,
@@ -96,13 +89,9 @@ def packet_in_received(obs: Any, packet: Any, dpid: str,
     if not tracer.enabled:
         return
     tracer.end(packet.metadata.pop(KEY_STAGE, -1))
-    if tracer.causality:
-        packet.metadata[KEY_HANDLE] = tracer.begin(
-            SPAN_HANDLE, track="controller", switch=dpid,
-            journey=packet.metadata.get(KEY_PKTIN, -1))
-    else:
-        packet.metadata[KEY_HANDLE] = tracer.begin(
-            SPAN_HANDLE, track="controller", switch=dpid)
+    packet.metadata[KEY_HANDLE] = tracer.begin(
+        SPAN_HANDLE, track="controller", switch=dpid,
+        journey=packet.metadata.get(KEY_PKTIN, -1))
     if relayed:
         tracer.annotate(packet.metadata.get(KEY_PKTIN, -1), relay=dpid)
 

@@ -78,9 +78,13 @@ class Tracer:
     # ------------------------------------------------------------------
     def begin(self, name: str, cat: str = "control", track: str = "main",
               **args: Any) -> int:
-        """Open a span; returns its id for :meth:`end`/:meth:`annotate`."""
+        """Open a span; returns its id for :meth:`end`/:meth:`annotate`.
+        A ``journey=`` link to the enclosing span is kept only with
+        causality on."""
         span_id = self._next_id
         self._next_id += 1
+        if not self.causality:
+            args.pop("journey", None)
         record: Dict[str, Any] = {
             "type": "span",
             "run": self.run,

@@ -184,10 +184,8 @@ class Simulator:
         #: between events) — the parent every schedule() records.
         self._dispatch_seq = -1
         #: Flight-recorder feed: a bounded deque the dispatch loop
-        #: appends to — bare seq ints when provenance can resolve them
-        #: later, ``(run, time, seq, callback)`` tuples otherwise.
+        #: appends each event's seq to (provenance resolves it later).
         self._flight: Optional[Any] = None
-        self._flight_run = 0
         #: One flag guards all dispatch-side instrumentation so the
         #: default hot loop pays a single ``if`` per event.
         self._instrumented = False
@@ -304,7 +302,7 @@ class Simulator:
                 # bound is re-read every iteration because callbacks may
                 # append same-time events to this very slot; the head
                 # index is written back *before* each callback so that
-                # peek()/step() called from inside one see a consistent
+                # peek() called from inside one sees a consistent
                 # calendar.
                 while head < len(events):
                     if until is None and self._foreground_pending == 0:
@@ -326,15 +324,10 @@ class Simulator:
                         self._dispatch_seq = event.seq
                         flight = self._flight
                         if flight is not None:
-                            if self._prov_enabled:
-                                # The provenance tables already hold
-                                # (run, t, callback) for this seq; a bare
-                                # int keeps the ring append allocation-free.
-                                flight.append(event.seq)
-                            else:
-                                flight.append(
-                                    (self._flight_run, time, event.seq,
-                                     event.callback))
+                            # The provenance tables already hold (run, t,
+                            # callback) for this seq; a bare int keeps the
+                            # ring append allocation-free.
+                            flight.append(event.seq)
                     hook = self._event_hook
                     if hook is None:
                         event.callback(*event.args)
@@ -353,55 +346,6 @@ class Simulator:
         if until is not None and self.now < until and not self._stopped:
             self.now = until
         return self.now
-
-    def step(self) -> bool:
-        """Fire the single next pending event.  Returns False if none left."""
-        heap = self._heap
-        slots = self._slots
-        while heap:
-            slot = heap[0]
-            events = slot[_EVENTS]
-            head = slot[_HEAD]
-            if head >= len(events):
-                heappop(heap)
-                del slots[slot[_TIME]]
-                continue
-            event = events[head]
-            slot[_HEAD] = head + 1
-            events[head] = None
-            self._calendar -= 1
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._live -= 1
-            if not event.daemon:
-                self._foreground_pending -= 1
-            self.now = slot[_TIME]
-            self.events_fired += 1
-            self._fire(event)
-            return True
-        return False
-
-    def _fire(self, event: Event) -> None:
-        """Run one event's callback, feeding the hook when installed."""
-        if self._instrumented:
-            self._dispatch_seq = event.seq
-            flight = self._flight
-            if flight is not None:
-                if self._prov_enabled:
-                    flight.append(event.seq)
-                else:
-                    flight.append((self._flight_run, self.now, event.seq,
-                                   event.callback))
-        hook = self._event_hook
-        if hook is None:
-            event.callback(*event.args)
-        else:
-            start = perf_counter()
-            event.callback(*event.args)
-            hook(event, perf_counter() - start, self._calendar)
-        if self._instrumented:
-            self._dispatch_seq = -1
 
     def set_event_hook(
         self, hook: Optional[Callable[[Event, float, int], None]]
@@ -518,14 +462,11 @@ class Simulator:
             seq = info["parent"]
         return chain
 
-    def set_flight_feed(self, feed: Optional[Any], run: int = 0) -> None:
+    def set_flight_feed(self, feed: Optional[Any]) -> None:
         """Attach (or detach, with None) the flight recorder's event
-        ring: a bounded deque receiving one entry per dispatched event —
-        a bare seq int when provenance is on (resolved lazily through
-        :meth:`event_info`), a ``(run, t, seq, callback)`` tuple
-        otherwise."""
+        ring: a bounded deque receiving each dispatched event's seq,
+        resolved lazily through :meth:`event_info`."""
         self._flight = feed
-        self._flight_run = run
         self._instrumented = self._prov_enabled or feed is not None
 
     def stop(self) -> None:

@@ -117,24 +117,19 @@ class OpenFlowAgent:
 
         self._obs = sim.obs
         metrics = sim.obs.metrics
-        if metrics.enabled:
-            metrics.gauge(f"ofa.{switch.name}.packet_in_queue",
-                          self.packet_in_server.backlog)
-            metrics.gauge(f"ofa.{switch.name}.install_queue",
-                          self.install_server.backlog)
-            # Constant, but exported as a gauge so saturation SLIs can
-            # divide arrival rates by per-switch capacity generically.
-            capacity = float(self.profile.packet_in_rate)
-            metrics.gauge(f"ofa.{switch.name}.packet_in_capacity",
-                          lambda capacity=capacity: capacity)
-        self._m_packet_ins = metrics.counter(f"ofa.{switch.name}.packet_ins")
-        self._m_packet_in_drops = metrics.counter(
-            f"ofa.{switch.name}.packet_in_drops")
-        self._m_installs = metrics.counter(f"ofa.{switch.name}.installs")
-        self._m_install_failures = metrics.counter(
-            f"ofa.{switch.name}.install_failures")
-        self._m_stall_deferred = metrics.counter(
-            f"ofa.{switch.name}.stall_deferred")
+        prefix = f"ofa.{switch.name}"
+        metrics.gauge(f"{prefix}.packet_in_queue", self.packet_in_server.backlog)
+        metrics.gauge(f"{prefix}.install_queue", self.install_server.backlog)
+        # Constant, but exported as a gauge so saturation SLIs can
+        # divide arrival rates by per-switch capacity generically.
+        capacity = float(self.profile.packet_in_rate)
+        metrics.gauge(f"{prefix}.packet_in_capacity",
+                      lambda capacity=capacity: capacity)
+        metrics.counter(f"{prefix}.packet_ins", self, "packet_ins_sent")
+        metrics.counter(f"{prefix}.packet_in_drops", self, "packet_ins_dropped")
+        metrics.counter(f"{prefix}.installs", self, "installs_succeeded")
+        metrics.counter(f"{prefix}.install_failures", self, "installs_failed")
+        metrics.counter(f"{prefix}.stall_deferred", self, "stall_deferred")
 
     # ------------------------------------------------------------------
     # Data plane -> controller (Packet-In)
@@ -147,7 +142,6 @@ class OpenFlowAgent:
         accepted = self.packet_in_server.submit((packet, in_port, reason))
         if not accepted:
             self.packet_ins_dropped += 1
-            self._m_packet_in_drops.inc()
             obs_path.punt_dropped(self._obs, packet)
         return accepted
 
@@ -168,7 +162,6 @@ class OpenFlowAgent:
             metadata=metadata,
         )
         self.packet_ins_sent += 1
-        self._m_packet_ins.inc()
         obs_path.packet_in_sent(self._obs, packet, self.switch.name)
         self.channel.send_to_controller(message)
 
@@ -188,7 +181,6 @@ class OpenFlowAgent:
             return
         if self._stalled_until > self.sim.now:
             self.stall_deferred += 1
-            self._m_stall_deferred.inc()
             self.sim.schedule(
                 self._stalled_until - self.sim.now, self.handle_from_controller, message
             )
@@ -256,12 +248,10 @@ class OpenFlowAgent:
         self._attempt_meter.observe(self.sim.now)
         if self._rng.random() > self._success_probability(self.attempted_install_rate()):
             self.installs_failed += 1
-            self._m_install_failures.inc()
             tracer.end(span, outcome="lost")
             return
         if not self.install_server.submit((message, span)):
             self.installs_failed += 1
-            self._m_install_failures.inc()
             tracer.end(span, outcome="queue_full")
 
     def _commit_flow_mod(self, item) -> None:
@@ -281,7 +271,6 @@ class OpenFlowAgent:
         except TableFullError:
             self.table_full_failures += 1
             self.installs_failed += 1
-            self._m_install_failures.inc()
             self._obs.tracer.end(span, outcome="table_full")
             # Real switches report this (OFPFMFC_TABLE_FULL); the §3.3
             # TCAM-bottleneck mitigation depends on the controller
@@ -296,7 +285,6 @@ class OpenFlowAgent:
             )
             return
         self.installs_succeeded += 1
-        self._m_installs.inc()
         self._obs.tracer.end(span, outcome="committed")
 
     def _apply_delete(self, message: FlowMod) -> None:

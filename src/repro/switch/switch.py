@@ -71,12 +71,11 @@ class OpenFlowSwitch(Node):
         if interval > 0:
             self._sweep_timer = PeriodicTimer(sim, interval, self._sweep)
             self._sweep_timer.start()
-        if sim.obs.metrics.enabled:
-            # Table-0 (TCAM on hardware) occupancy — the §3.3 bottleneck.
-            sim.obs.metrics.gauge(
-                f"switch.{name}.table0_entries",
-                fn=lambda: len(self.datapath.table(0)),
-            )
+        # Table-0 (TCAM on hardware) occupancy — the §3.3 bottleneck.
+        sim.obs.metrics.gauge(
+            f"switch.{name}.table0_entries",
+            fn=lambda: len(self.datapath.table(0)),
+        )
 
     def _sweep(self) -> None:
         if self.alive:

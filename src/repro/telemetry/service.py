@@ -87,7 +87,7 @@ class SamplingStatsService:
         self.estimates_emitted = 0
         metrics = controller.sim.obs.metrics
         self._metrics = metrics
-        self._m_estimates = metrics.counter("telemetry.estimates_emitted")
+        metrics.counter("telemetry.estimates_emitted", self, "estimates_emitted")
         #: Per-dpid staleness gauges (sample/hybrid only, metrics on only)
         #: — the ``estimate_staleness`` SLI aggregates these; under full
         #: polling none exist and the SLI reads 0.0, keeping the
@@ -190,7 +190,6 @@ class SamplingStatsService:
         ]
         reply = FlowStatsReply(datapath_id=dpid, entries=entries)
         self.estimates_emitted += len(entries)
-        self._m_estimates.inc(len(entries))
         # Same app-visible path as a polled reply — but generated inside
         # the controller, so no control-channel bytes are charged.
         for app in self.controller.apps:

@@ -233,16 +233,15 @@ def test_one_metrics_package_and_one_benchmark_stack():
 def test_obs_gains_no_import_of_the_layers_that_import_it():
     """``sim/engine.py`` imports ``repro.obs.base``, so a module that
     ``obs/__init__`` pulls in may not import the engine or ``repro.net``
-    back.  The daemons' timer and the flight recorder's callback names
-    are the whole allowance: recorders and estimators that need more
-    live in ``net`` and ``sim``."""
+    back.  The daemons' timer is the whole allowance (the flight
+    recorder resolves callback names through the engine it is bound to):
+    recorders and estimators that need more live in ``net`` and ``sim``."""
     found = {(name, module) for name, text in _sources().items()
              if name.startswith("obs/")
              for module in re.findall(
                  r"^\s*(?:from|import) (repro\.(?:sim|net)[\w.]*)", text, re.M)}
     assert found == {("obs/health.py", "repro.sim.process"),
-                     ("obs/metrics.py", "repro.sim.process"),
-                     ("obs/flight.py", "repro.sim.engine")}
+                     ("obs/metrics.py", "repro.sim.process")}
 
 
 # ----------------------------------------------------------------------

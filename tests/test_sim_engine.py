@@ -119,17 +119,6 @@ def test_stop_halts_run():
     assert fired == ["a", "b"]
 
 
-def test_step_fires_single_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
-
-
 def test_peek_skips_cancelled():
     sim = Simulator()
     event = sim.schedule(1.0, lambda: None)
