@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Build your own protected fabric: Scotch on a builder topology.
 
-Composes the pieces by hand (see docs/usage.md): a leaf-spine fabric
-from `repro.net.builders`, a vSwitch pool, the overlay, a controller
-with ScotchApp + SecurityApp — then a flood at one leaf and legitimate
-cross-rack traffic.
+Composes the pieces (see docs/usage.md): a leaf-spine fabric from
+`repro.net.builders`, a vSwitch pool and the overlay, put under one
+controller with ScotchApp by `attach_scotch`, plus SecurityApp — then a
+flood at one leaf and legitimate cross-rack traffic.
 
 Run:  python examples/custom_topology.py
 """
 
-from repro.controller import OpenFlowController
-from repro.core import ScotchApp, ScotchOverlay, SecurityApp
+from repro.core import ScotchOverlay, SecurityApp
 from repro.net.builders import leaf_spine
 from repro.net.tap import client_flow_failure_fraction
 from repro.obs.report import sparkline
 from repro.sim.process import PeriodicTimer
 from repro.switch.switch import VSwitch
+from repro.testbed.deployment import attach_scotch
 from repro.traffic import NewFlowSource, SpoofedFlood
 
 
@@ -32,16 +32,12 @@ def main() -> None:
         overlay.add_mesh_vswitch(f"mv{index}")
     for host in topo.hosts:
         overlay.set_host_delivery(host.name, None, "mv0")
-    for switch in topo.switches:
-        overlay.register_switch(switch.name)
 
-    # 3. Controller with Scotch + the security application.
-    controller = OpenFlowController(sim, net)
-    for node in net.nodes.values():
-        if hasattr(node, "ofa"):
-            controller.register_switch(node)
-    scotch = controller.add_app(ScotchApp(overlay))
-    security = controller.add_app(SecurityApp(overlay))
+    # 3. One controller with Scotch on every switch, plus the security
+    #    application.
+    dep = attach_scotch(net, overlay, topo.switches)
+    scotch = dep.scotch
+    security = dep.controller.add_app(SecurityApp(overlay))
 
     # 4. Traffic: a flood from host 0 toward host 3, a legitimate client
     #    on host 1 toward the same victim.

@@ -12,7 +12,7 @@ Run:  python examples/wan_overlay.py
 
 from repro.net.tap import client_flow_failure_fraction
 from repro.obs.metrics import mean
-from repro.testbed.wan import build_wan_deployment
+from repro.testbed.deployment import build_wan_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 
 
@@ -41,7 +41,7 @@ def main() -> None:
     print(f"flows carried by overlay  : {app.flow_db.counts().get('overlay', 0)}")
     print(f"mean delivery delay       : {mean(delays) * 1e3:.1f} ms "
           f"(includes WAN legs and overlay relay)")
-    print(f"pop1 (remote) control RTT : {deployment.pops[1].channel.latency * 2 * 1e3:.1f} ms")
+    print(f"pop1 (remote) control RTT : {deployment.switches[1].channel.latency * 2 * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

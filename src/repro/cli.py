@@ -199,8 +199,7 @@ def _telemetry_request(args) -> Dict[str, Any]:
 
 
 def _scale_request(args) -> Dict[str, Any]:
-    if args.host_vswitches + args.mesh < 2:
-        raise ValueError("need at least 2 vSwitches")
+    scenarios()["scale"].check(args.duration, vars(args))
     return dict(scenario="scale", duration=args.duration,
                 config=ScotchConfig(stats_mode=args.stats_mode,
                                     sampling_period=args.sampling_period))

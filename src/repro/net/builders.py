@@ -4,7 +4,8 @@ DESIGN.md's inventory calls for standard data-center shapes; these
 builders produce a :class:`~repro.net.topology.Network` plus handles to
 the switches/hosts, ready for a controller and (optionally) a Scotch
 overlay.  They only build the *physical* underlay — overlay construction
-stays explicit so tests and scenarios control vSwitch placement.
+stays explicit so tests and scenarios control vSwitch placement;
+``repro.testbed.deployment.attach_scotch`` then wires the control plane.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.sim.engine import Simulator
 from repro.switch.profiles import PICA8_PRONTO_3780, SwitchProfile
 from repro.switch.switch import PhysicalSwitch
 
+#: Link speeds: switch-to-switch fabric and host/vSwitch attachment.
 FABRIC_BPS = 10e9
 HOST_BPS = 1e9
 

@@ -62,7 +62,7 @@ def build_scheme(scheme: str, **deployment_kwargs) -> Deployment:
     if scheme == "scotch":
         return build_deployment(**deployment_kwargs)
     dep = build_deployment(add_scotch_app=False, **deployment_kwargs)
-    managed = ["edge", "spine"] + [t.name for t in dep.tors]
+    managed = [s.name for s in dep.switches]
     if scheme == "vanilla":
         app = ReactiveForwardingApp()
     elif scheme == "proactive":
@@ -519,7 +519,7 @@ def fig15_run(
     records = generate_trace(
         rng,
         src_hosts=["client"],
-        dst_ips=dep.server_ips(),
+        dst_ips=[s.ip for s in dep.servers],
         base_rate_fps=base_rate,
         duration=duration,
         surge_start=duration * 0.25,

@@ -10,7 +10,7 @@ from repro.traffic import NewFlowSource, SpoofedFlood
 
 
 def managed(dep):
-    return ["edge", "spine"] + [t.name for t in dep.tors]
+    return [s.name for s in dep.switches]
 
 
 def run_flood(dep, attack_rate=1500.0, client_rate=50.0, until=12.0):

@@ -3,12 +3,11 @@
 import networkx as nx
 import pytest
 
-from repro.controller.controller import OpenFlowController
-from repro.core.app import ScotchApp
 from repro.core.overlay import ScotchOverlay
 from repro.net.builders import fat_tree, leaf_spine, linear
 from repro.net.tap import client_flow_failure_fraction
 from repro.switch.switch import VSwitch
+from repro.testbed.deployment import attach_scotch
 from repro.traffic import NewFlowSource, SpoofedFlood
 
 
@@ -78,14 +77,7 @@ def test_scotch_on_builder_leaf_spine():
         overlay.add_mesh_vswitch(f"mv{index}")
     for host in topo.hosts:
         overlay.set_host_delivery(host.name, None, "mv0")
-    for switch in topo.switches:
-        overlay.register_switch(switch.name)
-
-    controller = OpenFlowController(sim, net)
-    for name, node in net.nodes.items():
-        if hasattr(node, "ofa"):
-            controller.register_switch(node)
-    app = controller.add_app(ScotchApp(overlay))
+    app = attach_scotch(net, overlay, topo.switches).scotch
 
     victim_ip = topo.hosts[-1].ip  # host on leaf2
     attacker, client = topo.hosts[0], topo.hosts[1]

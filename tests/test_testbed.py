@@ -45,7 +45,8 @@ class TestSingleSwitch:
 class TestDeployment:
     def test_default_inventory(self):
         dep = build_deployment(seed=1, racks=2, servers_per_rack=2, mesh_per_rack=1)
-        assert len(dep.tors) == 2
+        assert [s.name for s in dep.switches] == ["edge", "spine", "tor0", "tor1"]
+        assert dep.edge is dep.switches[0]
         assert len(dep.servers) == 4
         assert len(dep.host_vswitches) == 2
         assert len(dep.mesh_vswitches) == 2

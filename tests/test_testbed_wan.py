@@ -5,17 +5,17 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.net.tap import client_flow_failure_fraction
-from repro.testbed.wan import build_wan_deployment
+from repro.testbed.deployment import build_wan_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood
 
 
 def test_construction_shape():
     dep = build_wan_deployment(sites=3)
-    assert len(dep.pops) == 3
+    assert len(dep.switches) == 3
     assert len(dep.mesh_vswitches) == 3
     assert dep.overlay.assignment["pop0"] == ["wmv0", "wmv1"]
     # Remote PoPs are controlled across the WAN.
-    assert dep.pops[1].channel.latency > dep.pops[0].channel.latency
+    assert dep.switches[1].channel.latency > dep.switches[0].channel.latency
 
 
 def test_minimum_sites_enforced():
@@ -24,7 +24,7 @@ def test_minimum_sites_enforced():
 
 
 def test_wan_paths_carry_wan_delay():
-    dep = build_wan_deployment(sites=3, wan_delay=10e-3)
+    dep = build_wan_deployment(sites=3)
     path = dep.network.shortest_path("pop0", "pop1")
     assert dep.network.path_delay(path) >= 10e-3
 
