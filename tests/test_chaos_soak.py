@@ -25,8 +25,8 @@ SOAK_SEEDS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return {seed: run("chaos", seed=seed) for seed in SOAK_SEEDS}
+def reports(chaos_report):
+    return {seed: chaos_report(seed) for seed in SOAK_SEEDS}
 
 
 @pytest.mark.parametrize("seed", SOAK_SEEDS)

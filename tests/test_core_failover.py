@@ -52,27 +52,30 @@ def test_group_refreshed_only_after_activation():
     assert dep.edge.datapath.groups.get(1) is None  # still no group
 
 
-def test_bucket_swap_under_active_overlay():
+@pytest.fixture(scope="module")
+def failed_over():
+    """A 2000 f/s flood keeps the overlay active; the first mesh vSwitch
+    fails at 5 s and the run goes on to 15 s: (deployment, victim)."""
     dep = build()
     flood = SpoofedFlood(dep.sim, dep.attacker, dep.servers[0].ip, rate_fps=2000.0)
     flood.start(at=0.5, stop_at=20.0)
     victim = dep.mesh_vswitches[0]
     dep.sim.schedule(5.0, victim.fail)
     dep.sim.run(until=15.0)
+    return dep, victim
+
+
+def test_bucket_swap_under_active_overlay(failed_over):
+    dep, victim = failed_over
     group = dep.edge.datapath.groups.get(1)
     labels = [b.label for b in group.buckets]
     assert victim.name not in labels
     assert "bv0" in labels  # the backup took its slot
 
 
-def test_flows_resume_via_backup_as_new_flows():
-    dep = build()
-    flood = SpoofedFlood(dep.sim, dep.attacker, dep.servers[0].ip, rate_fps=2000.0)
-    flood.start(at=0.5, stop_at=20.0)
-    victim = dep.mesh_vswitches[0]
+def test_flows_resume_via_backup_as_new_flows(failed_over):
+    dep, _ = failed_over
     backup = next(v for v in dep.mesh_vswitches if v.name == "bv0")
-    dep.sim.schedule(5.0, victim.fail)
-    dep.sim.run(until=15.0)
     # The backup vSwitch now raises Packet-Ins for the re-hashed flows.
     assert backup.ofa.packet_ins_sent > 100
 

@@ -35,10 +35,18 @@ def test_small_flows_never_migrate():
     assert dep.scotch.flow_db.get(key).route == "overlay"
 
 
-def test_elephant_detected_after_threshold_packets():
+@pytest.fixture(scope="module")
+def migrated():
+    """One 3000-packet elephant at 500 pps from 3 s on the attacked port,
+    run to 12 s: (deployment, the elephant's key)."""
     dep = congested_deployment()
     key = start_elephant(dep, packets=3000, pps=500.0, at=3.0)
     dep.sim.run(until=12.0)
+    return dep, key
+
+
+def test_elephant_detected_after_threshold_packets(migrated):
+    dep, key = migrated
     info = dep.scotch.flow_db.get(key)
     assert info.route == "physical"
     # Detection cannot precede the threshold packet count: 200 pkts at
@@ -46,10 +54,8 @@ def test_elephant_detected_after_threshold_packets():
     assert info.migrated_at >= 3.0 + 0.4
 
 
-def test_migration_is_idempotent_across_stats_polls():
-    dep = congested_deployment()
-    start_elephant(dep)
-    dep.sim.run(until=12.0)
+def test_migration_is_idempotent_across_stats_polls(migrated):
+    dep, _ = migrated
     migrator = dep.scotch.migrator
     assert migrator.migrations_started == 1
     assert migrator.migrations_completed == 1

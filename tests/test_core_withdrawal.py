@@ -47,9 +47,17 @@ def pin_rules(dep):
             if e.priority == PRIORITY_OVERLAY_PIN]
 
 
-def test_withdrawal_removes_defaults_and_resumes_direct_packet_ins():
+@pytest.fixture(scope="module")
+def withdrawn():
+    """Seed 21: a 2000 f/s flood until 8 s beside an 80 f/s client, run
+    to 30 s — long enough for the overlay to withdraw."""
     dep = build_deployment(seed=21)
     run_attack_then_stop(dep, client_rate=80.0)
+    return dep
+
+
+def test_withdrawal_removes_defaults_and_resumes_direct_packet_ins(withdrawn):
+    dep = withdrawn
     assert dep.scotch.withdrawal.withdrawals == 1
     assert default_rules(dep) == []
     assert dep.scotch.overlay.active == set()
@@ -64,12 +72,10 @@ def test_no_withdrawal_while_attack_continues():
     assert "edge" in dep.scotch.overlay.active
 
 
-def test_dead_flows_are_not_pinned():
+def test_dead_flows_are_not_pinned(withdrawn):
     """The flood's single-packet flows are long gone by withdrawal time;
     §5.5 pins only flows currently on the overlay."""
-    dep = build_deployment(seed=21)
-    run_attack_then_stop(dep, client_rate=80.0)
-    assert dep.scotch.withdrawal.pins_installed <= 30
+    assert withdrawn.scotch.withdrawal.pins_installed <= 30
 
 
 def test_active_overlay_flow_gets_pinned_and_survives():

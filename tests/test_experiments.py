@@ -1,6 +1,9 @@
 """Shape tests for the figure runners — short-duration versions of each
 reproduced experiment, asserting the qualitative results the paper
-reports (who wins, where breaks fall), not absolute numbers."""
+reports (who wins, where breaks fall), not absolute numbers.  Where a
+test's points are the figure table's ``--quick`` sweep, it reads the
+session's one run of that sweep (``quick_figure`` in conftest.py), so
+the shapes are asserted on exactly what ``fig KEY --quick`` prints."""
 
 import pytest
 
@@ -10,21 +13,27 @@ from repro.switch.profiles import HP_PROCURVE_6600, OPEN_VSWITCH, PICA8_PRONTO_3
 from repro.testbed import experiments as ex
 
 
-class TestFig3:
-    def test_low_attack_rate_harmless(self):
-        assert ex.fig3_point(PICA8_PRONTO_3780, 100, duration=4.0) < 0.05
+def fig3_cell(quick_figure, profile, rate):
+    """``fig3_point(profile, rate, duration=4.0)``: one cell of the quick
+    Fig. 3 table (a row per attack rate, a column per profile)."""
+    return quick_figure("3")[rate][ex.FIG3_PROFILES.index(profile)]
 
-    def test_failure_grows_with_attack_rate(self):
-        low = ex.fig3_point(PICA8_PRONTO_3780, 500, duration=4.0)
-        high = ex.fig3_point(PICA8_PRONTO_3780, 3800, duration=4.0)
+
+class TestFig3:
+    def test_low_attack_rate_harmless(self, quick_figure):
+        assert fig3_cell(quick_figure, PICA8_PRONTO_3780, 100) < 0.05
+
+    def test_failure_grows_with_attack_rate(self, quick_figure):
+        low = fig3_cell(quick_figure, PICA8_PRONTO_3780, 500)
+        high = fig3_cell(quick_figure, PICA8_PRONTO_3780, 3800)
         assert high > low > 0.3
 
-    def test_switch_ordering_matches_paper(self):
+    def test_switch_ordering_matches_paper(self, quick_figure):
         """Fig. 3: Pica8 worst, HP better, OVS near zero."""
         rate = 2000
-        pica = ex.fig3_point(PICA8_PRONTO_3780, rate, duration=4.0)
-        hp = ex.fig3_point(HP_PROCURVE_6600, rate, duration=4.0)
-        ovs = ex.fig3_point(OPEN_VSWITCH, rate, duration=4.0)
+        pica = fig3_cell(quick_figure, PICA8_PRONTO_3780, rate)
+        hp = fig3_cell(quick_figure, HP_PROCURVE_6600, rate)
+        ovs = fig3_cell(quick_figure, OPEN_VSWITCH, rate)
         assert pica > hp > ovs
         assert ovs < 0.02
 
@@ -84,13 +93,13 @@ class TestFig10:
 
 
 class TestFig11:
-    def test_scotch_protects_both_ports(self):
-        result = ex.fig11_run("scotch", duration=6.0)
+    def test_scotch_protects_both_ports(self, quick_figure):
+        result = quick_figure("11")["scotch"]  # fig11_run("scotch", duration=6.0)
         assert result.clean_port_failure < 0.05
         assert result.attacked_port_failure < 0.2
 
-    def test_vanilla_fails_both_ports(self):
-        result = ex.fig11_run("vanilla", duration=6.0)
+    def test_vanilla_fails_both_ports(self, quick_figure):
+        result = quick_figure("11")["vanilla"]  # fig11_run("vanilla", duration=6.0)
         assert result.clean_port_failure > 0.5
         assert result.attacked_port_failure > 0.5
 
@@ -105,15 +114,16 @@ class TestFig12:
 
 
 class TestFig13:
-    def test_capacity_grows_with_mesh_size(self):
-        small = ex.fig13_point(1, offered_rate=9000.0, duration=3.0)
-        large = ex.fig13_point(2, offered_rate=9000.0, duration=3.0)
+    def test_capacity_grows_with_mesh_size(self, quick_figure):
+        # fig13_point(n, offered_rate=9000.0, duration=3.0), n = 1, 2
+        small, large = quick_figure("13")[1], quick_figure("13")[2]
         assert large > small * 1.5
 
 
 class TestFig14:
-    def test_overlay_adds_bounded_stretch(self):
-        result = ex.fig14_run(flows=60)
+    def test_overlay_adds_bounded_stretch(self, quick_figure):
+        paths = quick_figure("14")  # fig14_path(overlay, flows=60)
+        result = ex.Fig14Result(direct_delays=paths[False], overlay_delays=paths[True])
         summary = result.summary()
         assert summary["overlay_mean"] > summary["direct_mean"]
         # Three tunnels instead of one path: small-constant stretch, not
@@ -122,19 +132,18 @@ class TestFig14:
 
 
 class TestFig15:
-    def test_scotch_beats_vanilla_on_trace(self):
-        scotch = ex.fig15_run("scotch", duration=10.0)
-        vanilla = ex.fig15_run("vanilla", duration=10.0)
+    def test_scotch_beats_vanilla_on_trace(self, quick_figure):
+        # fig15_run(scheme, duration=10.0)
+        scotch, vanilla = quick_figure("15")["scotch"], quick_figure("15")["vanilla"]
         assert scotch.failure_fraction < 0.1
         assert vanilla.failure_fraction > scotch.failure_fraction + 0.2
 
 
 class TestAblation:
-    def test_scotch_wins_the_ablation(self):
-        scotch = ex.ablation_run("scotch", duration=5.0)
-        vanilla = ex.ablation_run("vanilla", duration=5.0)
-        drop = ex.ablation_run("drop", duration=5.0)
-        dedicated = ex.ablation_run("dedicated", duration=5.0)
+    def test_scotch_wins_the_ablation(self, quick_figure):
+        runs = quick_figure("ablation")  # ablation_run(scheme, duration=5.0)
+        scotch, vanilla = runs["scotch"], runs["vanilla"]
+        drop, dedicated = runs["drop"], runs["dedicated"]
         assert scotch.client_failure < 0.05
         assert vanilla.client_failure > 0.5
         # Scotch's total goodput (legit + flood carried) dominates.

@@ -162,10 +162,8 @@ def test_pages_escape_names_from_rule_files():
 # Chaos integration (the acceptance criteria of the health engine)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def health_report():
-    from repro.faults import run
-
-    return run("chaos", seed=1, health=True)
+def health_report(chaos_report):
+    return chaos_report(1, health=True)
 
 
 @pytest.mark.slow
@@ -217,10 +215,8 @@ def test_same_seed_gives_byte_identical_alert_timeline(health_report):
 
 @pytest.mark.slow
 @pytest.mark.chaos
-def test_health_engine_does_not_perturb_the_model(health_report):
-    from repro.faults import run
-
-    plain = run("chaos", seed=1, health=False)
+def test_health_engine_does_not_perturb_the_model(health_report, chaos_report):
+    plain = chaos_report(1, health=False)
     assert not plain.health_enabled
     assert plain.scorecard is None
     assert plain.fault_log_jsonl == health_report.fault_log_jsonl
