@@ -21,21 +21,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Priority for reactively installed per-flow rules ("red" rules, §5.4).
 REACTIVE_RULE_PRIORITY = 100
+#: Idle timeout of those rules (they have no hard timeout).
+IDLE_TIMEOUT = 10.0
 
 
 class ReactiveForwardingApp(BaseApp):
     """Plain reactive L3 forwarding over the physical network."""
 
-    def __init__(
-        self,
-        idle_timeout: float = 10.0,
-        hard_timeout: float = 0.0,
-        install_full_path: bool = True,
-    ):
+    def __init__(self):
         super().__init__()
-        self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
-        self.install_full_path = install_full_path
         self.router: Optional[Router] = None
         self.flows_handled = 0
         self.unroutable = 0
@@ -52,18 +46,13 @@ class ReactiveForwardingApp(BaseApp):
             self.unroutable += 1
             return
         self.flows_handled += 1
-        key = packet.flow_key
-        rules = self.router.rules_for_path(path, key)
-        if not self.install_full_path and rules:
-            rules = rules[-1:]  # only the punting switch's rule
-        for rule in rules:
+        for rule in self.router.rules_for_path(path, packet.flow_key):
             self.controller.flow_mod(
                 rule.dpid,
                 rule.match,
                 REACTIVE_RULE_PRIORITY,
                 rule.actions,
-                idle_timeout=self.idle_timeout,
-                hard_timeout=self.hard_timeout,
+                idle_timeout=IDLE_TIMEOUT,
             )
         # Forward the buffered first packet explicitly.
         out_port = self.network.port_between(path[0], path[1]) if len(path) > 1 else None

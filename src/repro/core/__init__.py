@@ -11,7 +11,8 @@ The pieces map 1:1 onto the paper's design sections:
 * :mod:`repro.core.flow_manager` — the controller-side queueing system
   of Fig. 7: per-ingress-port queues served round-robin at rate R,
   overlay and dropping thresholds, and the admitted > migration >
-  ingress priority order (§5.2, §5.3).
+  ingress priority order (§5.2, §5.3); and the reactive app core that
+  Scotch and the rate-R baselines share.
 * :mod:`repro.core.migration` — large-flow detection via flow-stats and
   make-before-break migration to physical paths (§5.3).
 * :mod:`repro.core.policy` — middlebox-consistent routing (§5.4, Fig. 8).

@@ -12,49 +12,36 @@ Event flow:
   default rules + select group) and later triggers withdrawal.
 * The stats poller + migrator move elephants to physical paths.
 * The heartbeat monitor replaces failed vSwitches with backups.
+
+The Fig. 7 state, scheduler wiring and first-hop-last install are the
+shared :class:`~repro.core.flow_manager.RateLimitedReactiveApp` core
+(the §4 baselines run on it too); Scotch adds the overlay intake, the
+TCAM/backlog pre-checks and routes the excess over the overlay.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
-from repro.controller.base_app import BaseApp
 from repro.controller.reliability import ReliableSender
-from repro.controller.flow_info_db import (
-    ROUTE_DROPPED,
-    ROUTE_OVERLAY,
-    ROUTE_PHYSICAL,
-    FlowInfoDatabase,
-)
-from repro.controller.routing import Router
+from repro.controller.flow_info_db import ROUTE_DROPPED, ROUTE_OVERLAY
 from repro.controller.stats_service import StatsPoller
-from repro.core.config import (
-    PRIORITY_PHYSICAL_FLOW,
-    VSWITCH_FLOW_TABLE,
-    ScotchConfig,
-)
+from repro.core.config import VSWITCH_FLOW_TABLE, ScotchConfig
 from repro.core.failover import HeartbeatMonitor
-from repro.core.flow_manager import (
-    DROPPED,
-    InstallJob,
-    InstallScheduler,
-    PathInstaller,
-    PendingFlow,
-)
+from repro.core.flow_manager import DROPPED, PendingFlow, RateLimitedReactiveApp
 from repro.core.migration import OVERLAY_COOKIE, ElephantMigrator
 from repro.core.monitor import CongestionMonitor
 from repro.obs import path as obs_path
 from repro.core.overlay import OverlayError, ScotchOverlay
 from repro.core.policy import PolicyRegistry
 from repro.core.withdrawal import WithdrawalManager
-from repro.openflow.messages import FlowMod
 from repro.telemetry.service import SamplingStatsService
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.openflow.messages import EchoReply, FlowStatsReply, PacketIn
 
 
-class ScotchApp(BaseApp):
+class ScotchApp(RateLimitedReactiveApp):
     """Scotch overlay management as a controller application."""
 
     def __init__(
@@ -64,18 +51,10 @@ class ScotchApp(BaseApp):
         policy: Optional[PolicyRegistry] = None,
         group_key=None,
     ):
-        super().__init__()
+        super().__init__(config or overlay.config, group_key)
         self.overlay = overlay
-        self.config = config or overlay.config
         self._policy = policy
-        #: Optional fair-sharing grouping override (§5.2): a callable
-        #: PendingFlow -> hashable.  None = per ingress port.
-        self.group_key = group_key
         # Populated in start().
-        self.router: Optional[Router] = None
-        self.flow_db = FlowInfoDatabase()
-        self.schedulers: Dict[str, InstallScheduler] = {}
-        self.installer: Optional[PathInstaller] = None
         self.monitor: Optional[CongestionMonitor] = None
         self.migrator: Optional[ElephantMigrator] = None
         self.withdrawal: Optional[WithdrawalManager] = None
@@ -88,8 +67,6 @@ class ScotchApp(BaseApp):
         self.reliable: Optional[ReliableSender] = None
         self.groups_installed: Set[str] = set()
         # Counters.
-        self.duplicate_packet_ins = 0
-        self.unroutable = 0
         self.unattributed_packet_ins = 0
         self.activations = 0
         self.flows_retired = 0
@@ -107,12 +84,10 @@ class ScotchApp(BaseApp):
     # Wiring
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self._obs = self.sim.obs
-        self.router = Router(self.network)
+        super().start()
         if self._policy is None:
             self._policy = PolicyRegistry(self.network, self.overlay)
         self.policy = self._policy
-        self.installer = PathInstaller(self.controller, self.schedulers)
         self.monitor = CongestionMonitor(
             self.sim,
             self.config,
@@ -194,17 +169,7 @@ class ScotchApp(BaseApp):
         self._tcam_static[switch_name] = (
             len(switch.datapath.table(0)) + len(switch.ports) + 2
         )
-        rate = self.config.install_rate or switch.profile.install_lossless_rate
-        self.schedulers[switch_name] = InstallScheduler(
-            self.sim,
-            self.controller,
-            switch_name,
-            rate,
-            self.config,
-            on_admit=self._admit_physical,
-            on_overlay=self._route_overlay,
-            group_key=self.group_key,
-        )
+        self._add_scheduler(switch_name)
         self.monitor.watch(switch_name, switch.profile)
 
     # ------------------------------------------------------------------
@@ -271,13 +236,7 @@ class ScotchApp(BaseApp):
         # keep the control-path trace open until then.
         obs_path.defer(packet)
         if self.schedulers[first_hop].submit_new_flow(pending) == DROPPED:
-            self.flow_db.set_route(key, ROUTE_DROPPED)
-            obs_path.decision(self._obs, packet, route="dropped")
-
-    def _decision(self, pending: PendingFlow, route: str) -> None:
-        """Close the packet's control-path trace with its routing fate."""
-        if pending.packet is not None:
-            obs_path.decision(self._obs, pending.packet, route=route)
+            self._drop(pending)
 
     # ------------------------------------------------------------------
     # Admission to the physical network (rate-R service)
@@ -287,16 +246,12 @@ class ScotchApp(BaseApp):
         info = self.flow_db.get(key)
         host = self.router.host_for(key.dst_ip)
         if host is None:
-            self.unroutable += 1
-            self.flow_db.set_route(key, ROUTE_DROPPED)
-            self._decision(pending, "dropped")
+            self._drop(pending, unroutable=True)
             return
         try:
             path = self.policy.physical_path(pending.first_hop, host.name, info.middlebox_chain)
         except Exception:
-            self.unroutable += 1
-            self.flow_db.set_route(key, ROUTE_DROPPED)
-            self._decision(pending, "dropped")
+            self._drop(pending, unroutable=True)
             return
         # §3.3 TCAM bottleneck: never install onto a switch whose table
         # is (predicted or observed) full — route the flow over the
@@ -332,62 +287,16 @@ class ScotchApp(BaseApp):
             self._route_overlay(pending)
             return
         rules = self.router.rules_for_path(path, key)
-        if not rules:
-            # Destination is local to the first hop with no switch hop —
-            # nothing to install.
-            self.flow_db.set_route(key, ROUTE_PHYSICAL)
-            self._decision(pending, "physical")
-            return
-
         for rule in rules:
             self._note_install(rule.dpid)
-        # Make-before-break (§5.3): downstream rules first, through their
-        # switches' admitted queues; the first-hop rule goes out last
-        # (charged to this service slot — each served ingress item is
-        # exactly one rule installation at this switch), and only then
-        # is the buffered first packet forwarded.
-        first_hop_rule = rules[-1]
 
-        def finish() -> None:
-            self.controller.flow_mod(
-                first_hop_rule.dpid,
-                first_hop_rule.match,
-                PRIORITY_PHYSICAL_FLOW,
-                first_hop_rule.actions,
-                idle_timeout=self.config.flow_idle_timeout,
-            )
-            self.schedulers[pending.first_hop].mods_sent += 1
-            if pending.packet is not None:
-                self.controller.packet_out(
-                    first_hop_rule.dpid,
-                    pending.packet,
-                    [first_hop_rule.actions[0]],
-                    in_port=pending.ingress_port,
-                )
+        def live(dpid: str, actions: list) -> None:
             flow_info = self.flow_db.get(key)
             if flow_info is not None:
-                flow_info.reinject = (first_hop_rule.dpid, [first_hop_rule.actions[0]])
+                flow_info.reinject = (dpid, actions)
                 self._flush_held(flow_info)
 
-        downstream = rules[:-1]
-        if downstream:
-            jobs = [
-                InstallJob(
-                    rule.dpid,
-                    FlowMod(
-                        match=rule.match,
-                        priority=PRIORITY_PHYSICAL_FLOW,
-                        actions=rule.actions,
-                        idle_timeout=self.config.flow_idle_timeout,
-                    ),
-                )
-                for rule in downstream
-            ]
-            self.installer.install(jobs, on_complete=finish)
-        else:
-            finish()
-        self.flow_db.set_route(key, ROUTE_PHYSICAL)
-        self._decision(pending, "physical")
+        self._install_physical(pending, rules, on_live=live)
 
     # ------------------------------------------------------------------
     # Overlay routing (over-threshold drain)
@@ -397,23 +306,18 @@ class ScotchApp(BaseApp):
         info = self.flow_db.get(key)
         host = self.router.host_for(key.dst_ip)
         if host is None:
-            self.unroutable += 1
-            self.flow_db.set_route(key, ROUTE_DROPPED)
-            self._decision(pending, "dropped")
+            self._drop(pending, unroutable=True)
             return
         entry = pending.entry_vswitch
         if entry is None or entry in self.overlay.dead:
             entry = self._hash_entry_vswitch(pending.first_hop, key)
             if entry is None:
-                self.flow_db.set_route(key, ROUTE_DROPPED)
-                self._decision(pending, "dropped")
+                self._drop(pending)
                 return
         try:
             rules = self.policy.overlay_route(key, entry, host.name, info.middlebox_chain)
         except Exception:
-            self.unroutable += 1
-            self.flow_db.set_route(key, ROUTE_DROPPED)
-            self._decision(pending, "dropped")
+            self._drop(pending, unroutable=True)
             return
         # vSwitch installs are cheap: send directly, last hop first.
         for rule in rules:
@@ -436,6 +340,8 @@ class ScotchApp(BaseApp):
         self._flush_held(info)
         self.flow_db.set_route(key, ROUTE_OVERLAY)
         self._decision(pending, "overlay")
+
+    _handle_excess = _route_overlay
 
     # ------------------------------------------------------------------
     # TCAM occupancy prediction (§3.3 mitigation)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Set
 
 from repro.controller.flow_info_db import ROUTE_OVERLAY, ROUTE_PHYSICAL, FlowInfoDatabase
-from repro.core.config import PRIORITY_PHYSICAL_FLOW, VSWITCH_FLOW_TABLE, ScotchConfig
-from repro.core.flow_manager import InstallJob, InstallScheduler, MigrationRequest, PathInstaller
+from repro.core.config import VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.flow_manager import InstallScheduler, MigrationRequest, PathInstaller
 from repro.net.flow import FlowKey
 from repro.openflow.messages import DELETE, FlowMod, FlowStatsReply
 
@@ -129,18 +129,7 @@ class ElephantMigrator:
         if not rules:
             self._migrating.discard(key)
             return
-        jobs = [
-            InstallJob(
-                rule.dpid,
-                FlowMod(
-                    match=rule.match,
-                    priority=PRIORITY_PHYSICAL_FLOW,
-                    actions=rule.actions,
-                    idle_timeout=self.config.flow_idle_timeout,
-                ),
-            )
-            for rule in rules
-        ]
+        jobs = self.installer.red_jobs(rules, self.config.flow_idle_timeout)
         self.installer.install(jobs, on_complete=lambda: self._finish(key))
 
     def _resubmit(self, key: FlowKey) -> None:

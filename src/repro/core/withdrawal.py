@@ -24,7 +24,7 @@ from repro.core.config import (
     PRIORITY_OVERLAY_PIN,
     ScotchConfig,
 )
-from repro.core.flow_manager import InstallJob, InstallScheduler
+from repro.core.flow_manager import InstallScheduler
 from repro.core.overlay import ScotchOverlay
 from repro.openflow.messages import FlowMod
 from repro.switch.actions import GotoTable, PushMpls
@@ -67,30 +67,27 @@ class WithdrawalManager:
         # out with the flow.
         now = self.sim.now
         window = self.config.pin_activity_window
-        pin_jobs: List[InstallJob] = []
+        pins: List[FlowMod] = []
         for info in self.flow_db.overlay_flows_via(switch_name):
             seen = info.last_stats_seen if info.last_stats_seen is not None else info.first_seen
             if now - seen > window:
                 continue
             label = self.overlay.port_label(switch_name, info.ingress_port)
-            pin = FlowMod(
+            pins.append(FlowMod(
                 match=Match.for_flow(info.key),
                 priority=PRIORITY_OVERLAY_PIN,
                 actions=[PushMpls(label), GotoTable(LB_TABLE)],
                 table_id=MAIN_TABLE,
                 idle_timeout=self.config.pin_idle_timeout,
-            )
-            pin_jobs.append(InstallJob(switch_name, pin))
-        self.pins_installed += len(pin_jobs)
+            ))
+        self.pins_installed += len(pins)
 
         # Step 2: remove the default rules — enqueued after the pins on
         # the same FIFO admitted queue, so ordering holds.  Overlay
         # routing at the controller stays enabled until the default
         # rules are actually gone (new flows keep arriving over the
         # overlay data path until then).
-        removal_jobs = [
-            InstallJob(switch_name, mod) for mod in self.overlay.withdrawal_messages(switch_name)
-        ]
+        *mods, last = pins + self.overlay.withdrawal_messages(switch_name)
 
         def removal_done() -> None:
             scheduler.set_overlay_enabled(False)
@@ -98,7 +95,6 @@ class WithdrawalManager:
             if on_complete is not None:
                 on_complete()
 
-        removal_jobs[-1].on_sent = removal_done
-
-        for job in pin_jobs + removal_jobs:
-            scheduler.submit_admitted(job)
+        for mod in mods:
+            scheduler.submit_admitted(mod)
+        scheduler.submit_admitted(last, on_sent=removal_done)

@@ -1,14 +1,12 @@
-"""Rate-limited servers and token buckets.
+"""Rate-limited servers and arrival-rate estimation.
 
-:class:`RateLimitedServer` is the workhorse used to model every finite-
-capacity control-path stage in the paper: the OFA's Packet-In generator,
-the OFA's rule-insertion engine, the controller's per-switch install rate
-R, and the vSwitch control agents.  It is a single-server FIFO queue with
-deterministic service time ``1 / rate`` and a bounded buffer; arrivals to
-a full buffer are dropped (and counted), which is exactly the behaviour
-observed in the paper's Figs. 3/4/9.
-
-:class:`TokenBucket` models policing (drop-only baseline).
+:class:`RateLimitedServer` models the OFA's finite-capacity stages —
+its Packet-In generator and its rule-insertion engine, in physical
+switches and vSwitch agents alike (the controller's rate R is
+``core.flow_manager.InstallScheduler``).  It is a single-server FIFO
+queue with deterministic service time ``1 / rate`` and a bounded buffer;
+arrivals to a full buffer are dropped (and counted), which is exactly
+the behaviour observed in the paper's Figs. 3/4/9.
 
 :class:`RateEstimator` is the arrival-rate estimator used inside the OFA
 model (insertion-rate dependent behaviour, Figs. 9/10) and by the Scotch
@@ -92,46 +90,6 @@ class RateLimitedServer:
             self._begin_service()
         else:
             self.busy = False
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second, burst ``capacity``.
-
-    Tokens are accrued lazily on each :meth:`allow` call, so the bucket
-    adds no events to the simulation calendar.
-    """
-
-    def __init__(self, sim: Simulator, rate: float, capacity: float):
-        if rate <= 0 or capacity <= 0:
-            raise ValueError("rate and capacity must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.capacity = capacity
-        self._tokens = capacity
-        self._last_refill = sim.now
-        self.allowed = 0
-        self.denied = 0
-
-    def _refill(self) -> None:
-        elapsed = self.sim.now - self._last_refill
-        if elapsed > 0:
-            self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
-            self._last_refill = self.sim.now
-
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
-    def allow(self, cost: float = 1.0) -> bool:
-        """Consume ``cost`` tokens if available; returns whether it conformed."""
-        self._refill()
-        if self._tokens >= cost:
-            self._tokens -= cost
-            self.allowed += 1
-            return True
-        self.denied += 1
-        return False
 
 
 class RateEstimator:

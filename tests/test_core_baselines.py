@@ -1,11 +1,15 @@
 """Tests for the baseline schemes (§4 alternatives)."""
 
+import pytest
+
 from repro.core.baselines import DedicatedPortApp, DropPolicingApp, ProactiveApp
 from repro.core.config import ScotchConfig
 from repro.net.tap import client_flow_failure_fraction
 from repro.switch.profiles import OPEN_VSWITCH
 from repro.switch.switch import VSwitch
 from repro.testbed.deployment import build_deployment
+from repro.testbed.experiments import build_scheme
+from repro.testbed.experiments import run_flood as run_scheme_flood
 from repro.traffic import NewFlowSource, SpoofedFlood
 
 
@@ -122,3 +126,16 @@ def test_dedicated_port_withdraws_when_attack_stops():
     attack.start(at=0.5, stop_at=6.0)
     sim.run(until=20.0)
     assert "edge" not in app.deflections_active
+
+
+@pytest.mark.parametrize("scheme", ["drop", "dedicated"])
+def test_every_admitted_flow_counts_its_first_hop_flow_mod(scheme):
+    """Each flow the edge scheduler admits gets one first-hop FlowMod,
+    counted in ``mods_sent`` as Scotch's is.  Every flow here enters at
+    the edge, so no downstream rule lands in the edge's admitted queue
+    and the two counts are equal."""
+    dep = build_scheme(scheme, seed=1)
+    run_scheme_flood(dep, 100, 1000, 4.0)
+    edge = dep.controller.apps[0].schedulers["edge"]
+    assert edge.flows_admitted > 1000
+    assert edge.mods_sent == edge.flows_admitted

@@ -46,9 +46,12 @@ def pending(index, port=1, first_hop="s0"):
     return PendingFlow(key=key, first_hop=first_hop, ingress_port=port, packet=None)
 
 
-def job(dpid="s0", priority=100, on_sent=None):
-    mod = FlowMod(match=Match(dst_ip="9.9.9.9"), priority=priority, actions=[Output(1)])
-    return InstallJob(dpid, mod, on_sent=on_sent)
+def mod():
+    return FlowMod(match=Match(dst_ip="9.9.9.9"), priority=100, actions=[Output(1)])
+
+
+def job(dpid="s0", on_sent=None):
+    return InstallJob(dpid, mod(), on_sent=on_sent)
 
 
 class TestScheduler:
@@ -112,7 +115,7 @@ class TestScheduler:
         order = []
         s.submit_new_flow(pending(1))
         s.submit_migration(MigrationRequest(run=lambda: order.append("migration")))
-        s.submit_admitted(job(on_sent=lambda: order.append("admitted")))
+        s.submit_admitted(mod(), on_sent=lambda: order.append("admitted"))
         original_on_admit = s.on_admit
         s.on_admit = lambda p: order.append("ingress")
         sim.run(until=0.1)
@@ -132,7 +135,7 @@ class TestScheduler:
     def test_admitted_jobs_sent_to_switch(self):
         sim, controller, schedulers, _, _ = build(rate=1000.0)
         s = schedulers["s0"]
-        s.submit_admitted(job())
+        s.submit_admitted(mod())
         sim.run(until=0.1)
         assert len(controller.datapaths["s0"].switch.datapath.table(0)) == 1
         assert s.mods_sent == 1
@@ -140,7 +143,7 @@ class TestScheduler:
     def test_backlog_counts_admitted_and_migration(self):
         sim, _, schedulers, _, _ = build(rate=0.001)
         s = schedulers["s0"]
-        s.submit_admitted(job())
+        s.submit_admitted(mod())
         s.submit_migration(MigrationRequest(run=lambda: None))
         assert s.backlog() == 2
 

@@ -1,10 +1,10 @@
-"""Tests for rate-limited servers and token buckets."""
+"""Tests for rate-limited servers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.ratelimit import RateLimitedServer, TokenBucket
+from repro.sim.ratelimit import RateLimitedServer
 
 
 class TestRateLimitedServer:
@@ -96,69 +96,3 @@ class TestRateLimitedServer:
         assert len(done) == n
         # n items at 100/s must take at least (n)/100 seconds.
         assert done[-1] >= n / 100.0 - 1e-9
-
-
-class TestTokenBucket:
-    def test_burst_allowed_up_to_capacity(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=1.0, capacity=3.0)
-        assert [bucket.allow() for _ in range(4)] == [True, True, True, False]
-
-    def test_refills_over_time(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=2.0, capacity=2.0)
-        bucket.allow()
-        bucket.allow()
-        assert bucket.allow() is False
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        # 1 second at 2 tokens/s -> two more conformant packets.
-        assert bucket.allow() is True
-        assert bucket.allow() is True
-        assert bucket.allow() is False
-
-    def test_never_exceeds_capacity(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=100.0, capacity=5.0)
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        assert bucket.tokens == pytest.approx(5.0)
-
-    def test_cost_parameter(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=1.0, capacity=10.0)
-        assert bucket.allow(cost=10.0) is True
-        assert bucket.allow(cost=0.5) is False
-
-    def test_counters(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=1.0, capacity=1.0)
-        bucket.allow()
-        bucket.allow()
-        assert bucket.allowed == 1
-        assert bucket.denied == 1
-
-    def test_invalid_params_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate=0, capacity=1)
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate=1, capacity=0)
-
-    @given(
-        st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1, max_size=50),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_long_run_conformance(self, gaps):
-        """Allowed traffic never exceeds capacity + rate * elapsed."""
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=10.0, capacity=5.0)
-        allowed = 0
-        now = 0.0
-        for gap in gaps:
-            now += gap
-            sim.schedule_at(now, lambda: None)
-            sim.run(until=now)
-            if bucket.allow():
-                allowed += 1
-        assert allowed <= 5.0 + 10.0 * now + 1

@@ -1,58 +1,19 @@
 """Property tests for :mod:`repro.sim.ratelimit`.
 
-Two contracts the whole control-path model depends on:
-
-* :class:`TokenBucket` conformance — over any prefix of the run the
-  granted cost never exceeds ``capacity + rate * elapsed``, and the
-  token level stays within ``[0, capacity]`` despite lazy refill;
-* :class:`RateLimitedServer` conservation — every accepted item is
-  served exactly once, in FIFO order, at most one completion per
-  ``1/rate`` seconds, and the idle→busy resume on a fresh submit is
-  idempotent (the service chain restarts exactly once, never losing or
-  double-serving items, no matter how the submissions are spaced).
+The contract the whole control-path model depends on —
+:class:`RateLimitedServer` conservation: every accepted item is served
+exactly once, in FIFO order, at most one completion per ``1/rate``
+seconds, and the idle→busy resume on a fresh submit is idempotent (the
+service chain restarts exactly once, never losing or double-serving
+items, no matter how the submissions are spaced).
 """
 
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.ratelimit import RateLimitedServer, TokenBucket
+from repro.sim.ratelimit import RateLimitedServer
 
 EPS = 1e-6
-
-
-@given(
-    rate=st.sampled_from([0.5, 1.0, 4.0]),
-    capacity=st.sampled_from([1.0, 2.5, 8.0]),
-    ops=st.lists(
-        st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 3.0)),  # (gap, cost)
-        min_size=1,
-        max_size=30,
-    ),
-)
-def test_token_bucket_never_exceeds_rate(rate, capacity, ops):
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate, capacity)
-    granted = []
-
-    def attempt(cost):
-        if bucket.allow(cost):
-            granted.append((sim.now, cost))
-        level = bucket.tokens
-        assert -EPS <= level <= capacity + EPS
-
-    time = 0.0
-    for gap, cost in ops:
-        time += gap
-        sim.schedule_at(time, attempt, cost)
-    sim.run()
-
-    # Conformance bound over every prefix of the run: burst + refill.
-    running = 0.0
-    for when, cost in granted:
-        running += cost
-        assert running <= capacity + rate * when + EPS
-    assert bucket.allowed == len(granted)
-    assert bucket.allowed + bucket.denied == len(ops)
 
 
 @st.composite
