@@ -745,6 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    interval = getattr(args, "sample_interval", None)
+    if interval is not None and interval <= 0:
+        print(f"--sample-interval must be positive, not {interval:g}",
+              file=sys.stderr)
+        return 2
     if _wants_obs(args):
         return _run_observed(args, argv)
     return args.func(args)

@@ -447,13 +447,9 @@ def _id_sort_key(member_id: str) -> Tuple[int, str]:
 class ControllerPool(BaseApp):
     """The pool frontend: demux, role authority, shared truth, log."""
 
-    def __init__(self, config: "ScotchConfig", member_count: Optional[int] = None):
+    def __init__(self, config: "ScotchConfig"):
         super().__init__(name="ControllerPool")
         self.config = config
-        count = config.controllers if member_count is None else member_count
-        if count < 1:
-            raise ValueError("pool needs at least one member")
-        self._initial_count = count
         self._next_index = 0
         self.members: Dict[str, PoolMember] = {}
         self.bus: Optional[PoolBus] = None
@@ -525,7 +521,7 @@ class ControllerPool(BaseApp):
         self._h_migration = metrics.histogram("pool.migration_latency_s",
                                               _WINDOW_BUCKETS)
         self._pps_since = sim.now
-        for _ in range(self._initial_count):
+        for _ in range(self.config.controllers):
             self._create_member()
         # Deterministic cold start: lowest id leads at term 1, no
         # election storm at t=0.

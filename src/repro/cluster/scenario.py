@@ -164,27 +164,25 @@ def randomized_pool_plan(
     rng_registry,
     duration: float,
     members: Sequence[str],
-    intensity: float = 1.0,
-    stream: str = "pool.faults",
-    start: float = 2.0,
 ) -> FaultPlan:
-    """Draw a pool fault timeline from ``rng_registry.stream(stream)``.
+    """Draw three pool faults, at or after t = 2 s, from
+    ``rng_registry.stream("pool.faults")``.
 
     Kept here (not in :meth:`FaultPlan.randomized`) so the pool kinds
     never enter that method's ``rng.choice(KINDS)`` draw sequence — the
     golden chaos fixtures depend on it."""
     from repro.faults.plan import POOL_KINDS
 
+    start = 2.0
     if duration <= start:
         raise ValueError("duration must exceed the start offset")
     members = sorted(members)
     if len(members) < 2:
         raise ValueError("need at least two pool members to break")
-    rng = rng_registry.stream(stream)
+    rng = rng_registry.stream("pool.faults")
     plan = FaultPlan()
-    count = max(1, round(3 * intensity))
     window = duration - start
-    for _ in range(count):
+    for _ in range(3):
         at = start + rng.uniform(0.0, window * 0.7)
         kind = rng.choice(POOL_KINDS)
         if kind == "pool_member_crash":

@@ -48,9 +48,6 @@ class BaseApp:
     def error(self, dpid: str, message) -> None:
         """The switch reported a failed request (e.g. table full)."""
 
-    def port_stats_reply(self, dpid: str, message) -> None:
-        """Per-port transmit counters arrived."""
-
     def echo_reply(self, dpid: str, message: "EchoReply") -> None:
         """A heartbeat response arrived."""
 

@@ -19,8 +19,6 @@ from repro.openflow.messages import (
     Message,
     PacketIn,
     PacketOut,
-    PortStatsReply,
-    PortStatsRequest,
     RoleStatus,
     SampleReport,
     wire_bytes,
@@ -144,9 +142,6 @@ class OpenFlowController:
             self.errors_received += 1
             for app in self.apps:
                 app.error(dpid, message)
-        elif isinstance(message, PortStatsReply):
-            for app in self.apps:
-                app.port_stats_reply(dpid, message)
         elif isinstance(message, EchoReply):
             for app in self.apps:
                 app.echo_reply(dpid, message)
@@ -207,11 +202,6 @@ class OpenFlowController:
         message = FlowStatsRequest(table_id=table_id, match=match)
         self.stats_polls_sent += 1
         self.stats_bytes_requests += wire_bytes(message)
-        self.datapaths[dpid].send(message)
-        return message
-
-    def request_port_stats(self, dpid: str, port_no=None) -> PortStatsRequest:
-        message = PortStatsRequest(port_no=port_no)
         self.datapaths[dpid].send(message)
         return message
 

@@ -12,7 +12,7 @@ order can reverse it (the ablation test does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.net.flow import FlowKey
 from repro.net.host import Host
@@ -58,7 +58,7 @@ class Router:
     # ------------------------------------------------------------------
     # Paths and rules
     # ------------------------------------------------------------------
-    def path_to(self, from_node: str, dst_ip: str, exclude: Iterable[str] = ()) -> Optional[List[str]]:
+    def path_to(self, from_node: str, dst_ip: str) -> Optional[List[str]]:
         """Minimum-delay node path from ``from_node`` to the host owning
         ``dst_ip`` (inclusive), or None if the host is unknown or
         unreachable."""
@@ -68,7 +68,7 @@ class Router:
         import networkx as nx
 
         try:
-            return self.network.shortest_path(from_node, host.name, exclude=exclude)
+            return self.network.shortest_path(from_node, host.name)
         except nx.NetworkXNoPath:
             return None
 

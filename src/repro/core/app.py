@@ -26,7 +26,15 @@ from typing import TYPE_CHECKING, Dict, Optional, Set
 from repro.controller.reliability import ReliableSender
 from repro.controller.flow_info_db import ROUTE_DROPPED, ROUTE_OVERLAY
 from repro.controller.stats_service import StatsPoller
-from repro.core.config import VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.config import (
+    ACTIVATION_RESEND_GAP,
+    ACTIVATION_RESENDS,
+    FLOW_IDLE_TIMEOUT,
+    TABLE_FULL_RATE_THRESHOLD,
+    TCAM_HEADROOM_FRACTION,
+    VSWITCH_FLOW_TABLE,
+    ScotchConfig,
+)
 from repro.core.failover import HeartbeatMonitor
 from repro.core.flow_manager import DROPPED, PendingFlow, RateLimitedReactiveApp
 from repro.core.migration import OVERLAY_COOKIE, ElephantMigrator
@@ -150,7 +158,7 @@ class ScotchApp(RateLimitedReactiveApp):
         info.held_packets.clear()
 
     def _prune_flow_db(self) -> None:
-        horizon = self.sim.now - 2 * self.config.flow_idle_timeout
+        horizon = self.sim.now - 2 * FLOW_IDLE_TIMEOUT
         stale = [
             info.key
             for info in self.flow_db._flows.values()
@@ -259,7 +267,7 @@ class ScotchApp(RateLimitedReactiveApp):
         # Prediction uses the controller's own install history + rule
         # timeouts; the TABLE_FULL error rate is the backstop for
         # anything the estimate misses.
-        tcam_floor = self.config.table_full_rate_threshold / 2
+        tcam_floor = TABLE_FULL_RATE_THRESHOLD / 2
         saturated = any(
             node in self.schedulers
             and (
@@ -327,7 +335,7 @@ class ScotchApp(RateLimitedReactiveApp):
                 rule.priority,
                 rule.actions,
                 table_id=VSWITCH_FLOW_TABLE,
-                idle_timeout=self.config.flow_idle_timeout,
+                idle_timeout=FLOW_IDLE_TIMEOUT,
                 cookie=OVERLAY_COOKIE,
             )
             info.overlay_sites.append((rule.dpid, rule.match, rule.priority))
@@ -354,7 +362,7 @@ class ScotchApp(RateLimitedReactiveApp):
         expiries = self._tcam_expiries.get(dpid)
         if expiries is None:
             expiries = self._tcam_expiries[dpid] = deque()
-        expiries.append(self.sim.now + self.config.flow_idle_timeout)
+        expiries.append(self.sim.now + FLOW_IDLE_TIMEOUT)
 
     def estimated_occupancy(self, dpid: str) -> int:
         """Rules the controller believes are resident at ``dpid``."""
@@ -371,7 +379,7 @@ class ScotchApp(RateLimitedReactiveApp):
         if capacity is None:
             return False
         resident = self.estimated_occupancy(dpid) + self._tcam_static.get(dpid, 0)
-        return resident >= self.config.tcam_headroom_fraction * capacity
+        return resident >= TCAM_HEADROOM_FRACTION * capacity
 
     def _tcam_pressure(self, dpid: str) -> bool:
         """Would withdrawing re-saturate the table?  True while the
@@ -382,8 +390,8 @@ class ScotchApp(RateLimitedReactiveApp):
         capacity = self.network[dpid].profile.tcam_capacity
         if capacity is None:
             return False
-        usable = self.config.tcam_headroom_fraction * capacity - self._tcam_static.get(dpid, 0)
-        return self.monitor.rate(dpid) * self.config.flow_idle_timeout >= usable
+        usable = TCAM_HEADROOM_FRACTION * capacity - self._tcam_static.get(dpid, 0)
+        return self.monitor.rate(dpid) * FLOW_IDLE_TIMEOUT >= usable
 
     def _hash_entry_vswitch(self, switch_name: str, key) -> Optional[str]:
         """The vSwitch the switch's select group will hash this flow to —
@@ -412,7 +420,7 @@ class ScotchApp(RateLimitedReactiveApp):
         self.overlay.active.add(dpid)
         self.groups_installed.add(dpid)
         self.schedulers[dpid].set_overlay_enabled(True)
-        self._send_activation(dpid, resends=self.config.activation_resends)
+        self._send_activation(dpid, resends=ACTIVATION_RESENDS)
 
     def _send_activation(self, dpid: str, resends: int) -> None:
         if dpid not in self.overlay.active:
@@ -432,7 +440,7 @@ class ScotchApp(RateLimitedReactiveApp):
         self.reliable.send(dpid, [group] + mods, key=("activation", dpid))
         if resends > 0:
             self.sim.schedule(
-                self.config.activation_resend_gap, self._send_activation, dpid, resends - 1
+                ACTIVATION_RESEND_GAP, self._send_activation, dpid, resends - 1
             )
 
     def _on_cleared(self, dpid: str) -> None:

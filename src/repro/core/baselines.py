@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.controller.base_app import BaseApp
 from repro.core.config import (
+    ACTIVATION_RESENDS,
     MAIN_TABLE,
     PRIORITY_PHYSICAL_FLOW,
     PRIORITY_SCOTCH_DEFAULT,
@@ -161,7 +162,7 @@ class DedicatedPortApp(RateLimitedReactiveApp):
     def _activate_deflection(self, switch_name: str) -> None:
         self.deflections_active.add(switch_name)
         handle = self.controller.datapaths[switch_name]
-        for _ in range(1 + self.config.activation_resends):
+        for _ in range(1 + ACTIVATION_RESENDS):
             for mod in self._deflection_mods(switch_name, command="add"):
                 handle.send(mod)
         self.schedulers[switch_name].set_overlay_enabled(True)

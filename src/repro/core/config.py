@@ -29,6 +29,34 @@ PRIORITY_LB = 1
 #: Group id used for the Scotch select group at each physical switch.
 SCOTCH_GROUP_ID = 1
 
+# ----------------------------------------------------------------------
+# Fixed constants of the control loop (no experiment varies them)
+# ----------------------------------------------------------------------
+#: TABLE_FULL error rate (errors/second) that also activates the
+#: overlay — §3.3: "the solution proposed in this paper is applicable to
+#: the TCAM bottleneck scenario as well".
+TABLE_FULL_RATE_THRESHOLD = 10.0
+#: Divert a flow to the overlay (instead of installing rules) when any
+#: path switch's *estimated* flow-table occupancy exceeds this fraction
+#: of its TCAM capacity.  The controller predicts occupancy from its own
+#: install history and rule timeouts, avoiding the install-fail/blackhole
+#: cycle entirely.
+TCAM_HEADROOM_FRACTION = 0.85
+#: Flow-stats polling interval toward vSwitches, seconds (§5.3).
+STATS_INTERVAL = 1.0
+#: Idle timeout for reactive per-flow rules (§6.1: "distinct rules with
+#: a 10 s timeout").
+FLOW_IDLE_TIMEOUT = 10.0
+#: A flow counts as "currently on the overlay" for §5.5 pinning if a
+#: stats dump reported its rule this recently (seconds).
+PIN_ACTIVITY_WINDOW = 3.0
+#: Re-send the activation rule set this many times (the activation
+#: FlowMods themselves cross the congested OFA; re-sends are idempotent
+#: and make activation robust to its insertion loss).
+ACTIVATION_RESENDS = 2
+#: Spacing between activation re-sends, seconds.
+ACTIVATION_RESEND_GAP = 0.05
+
 
 @dataclass
 class ScotchConfig:
@@ -44,16 +72,6 @@ class ScotchConfig:
     withdraw_hold: float = 3.0
     #: Monitor evaluation period, seconds.
     monitor_interval: float = 0.25
-    #: TABLE_FULL error rate (errors/second) that also activates the
-    #: overlay — §3.3: "the solution proposed in this paper is
-    #: applicable to the TCAM bottleneck scenario as well".
-    table_full_rate_threshold: float = 10.0
-    #: Divert a flow to the overlay (instead of installing rules) when
-    #: any path switch's *estimated* flow-table occupancy exceeds this
-    #: fraction of its TCAM capacity.  The controller predicts occupancy
-    #: from its own install history and rule timeouts, avoiding the
-    #: install-fail/blackhole cycle entirely.
-    tcam_headroom_fraction: float = 0.85
 
     # -- controller install budget (Fig. 7, §5.2, §6.1) --------------------
     #: Per-switch rule install rate R.  None = the switch profile's
@@ -74,19 +92,17 @@ class ScotchConfig:
     # -- large-flow migration (§5.3) ----------------------------------------
     #: Packet count at which an overlay flow is declared an elephant.
     elephant_packet_threshold: int = 200
-    #: Flow-stats polling interval toward vSwitches, seconds.
-    stats_interval: float = 1.0
 
     # -- sampled telemetry (docs/observability.md, "Sampled telemetry") -----
     #: How the controller measures per-flow counters at the vSwitches.
     #: ``poll``   — the paper's §5.3 loop: full flow-stats dumps every
-    #:              ``stats_interval`` (the default; bit-identical to the
+    #:              ``STATS_INTERVAL`` (the default; bit-identical to the
     #:              pre-telemetry behaviour).
     #: ``sample`` — NetFlow-style 1-in-N packet sampling at each mesh
     #:              vSwitch; the controller scales samples into per-flow
     #:              estimates and feeds them down the same stats path.
     #: ``hybrid`` — sampling plus a slow full poll (every
-    #:              ``stats_interval * hybrid_poll_multiplier``) to
+    #:              ``STATS_INTERVAL * hybrid_poll_multiplier``) to
     #:              true-up the estimates.
     #: ``off``    — no flow measurement at all (baseline for the
     #:              monitoring-overhead benchmark).
@@ -97,7 +113,7 @@ class ScotchConfig:
     #: records to the controller, seconds.
     sample_export_interval: float = 0.25
     #: In ``hybrid`` mode, full polls run this many times slower than
-    #: ``stats_interval``.
+    #: ``STATS_INTERVAL``.
     hybrid_poll_multiplier: float = 5.0
     #: Skip migrating onto switches whose pending install backlog exceeds
     #: this ("checks the message rate of all switches on the path to make
@@ -105,14 +121,8 @@ class ScotchConfig:
     migration_backlog_limit: int = 50
 
     # -- rule lifetimes ------------------------------------------------------
-    #: Idle timeout for reactive per-flow rules (the paper's experiments
-    #: use 10 s rules).
-    flow_idle_timeout: float = 10.0
     #: Idle timeout for §5.5 pin rules keeping residual flows on the overlay.
     pin_idle_timeout: float = 10.0
-    #: A flow counts as "currently on the overlay" for §5.5 pinning if a
-    #: stats dump reported its rule this recently (seconds).
-    pin_activity_window: float = 3.0
 
     # -- load balancing / overlay shape (§5.1) -------------------------------
     #: How many mesh vSwitches each congested switch spreads over.
@@ -176,18 +186,15 @@ class ScotchConfig:
     #: multiple of the idlest member's Packet-In load.
     pool_imbalance_ratio: float = 2.0
 
-    #: Re-send the activation rule set this many times (the activation
-    #: FlowMods themselves cross the congested OFA; re-sends are
-    #: idempotent and make activation robust to its insertion loss).
-    activation_resends: int = 2
-    #: Spacing between activation re-sends, seconds.
-    activation_resend_gap: float = 0.05
-
     def __post_init__(self) -> None:
         if not 0 < self.withdraw_fraction < self.activate_fraction <= 1:
             raise ValueError("need 0 < withdraw_fraction < activate_fraction <= 1")
         if self.overlay_threshold >= self.drop_threshold:
             raise ValueError("overlay_threshold must be below drop_threshold")
+        if self.install_rate is not None and self.install_rate <= 0:
+            raise ValueError("install_rate must be positive")
+        if self.overlay_install_rate <= 0:
+            raise ValueError("overlay_install_rate must be positive")
         if self.vswitches_per_switch < 1:
             raise ValueError("need at least one vSwitch per switch")
         if self.tunnel_kind not in ("mpls", "gre"):

@@ -19,7 +19,7 @@ a group with no live targets — instead of crashing the tick.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Set
 
 from repro.core.config import ScotchConfig
 from repro.core.overlay import OverlayError, ScotchOverlay
@@ -43,7 +43,6 @@ class HeartbeatMonitor:
         config: ScotchConfig,
         groups_installed: Set[str],
         reliable: "ReliableSender",
-        on_failover: Optional[Callable[[str], None]] = None,
     ):
         self.sim = sim
         self.controller = controller
@@ -52,7 +51,6 @@ class HeartbeatMonitor:
         #: Switches whose Scotch group exists (set by the app at
         #: activation time); only these receive bucket refreshes.
         self.groups_installed = groups_installed
-        self.on_failover = on_failover
         #: Group refreshes go through the Barrier-acked reliable-install
         #: layer (keyed, so a newer refresh for the same switch
         #: supersedes a still-retrying older one).
@@ -123,22 +121,19 @@ class HeartbeatMonitor:
 
     def _refresh_groups(self, switches) -> None:
         for switch_name in switches:
-            if switch_name in self.groups_installed:
-                try:
-                    group_mod = self.overlay.refresh_group(switch_name)
-                except OverlayError:
-                    # Backups exhausted: nothing alive to point a bucket
-                    # at.  Keep the previous buckets (stale but harmless
-                    # once nothing answers behind them) and note the
-                    # degradation; a later recovery refreshes normally.
-                    self.degraded_refreshes += 1
-                    self._instant("failover.degraded", switch_name)
-                    continue
-                self.reliable.send(
-                    switch_name, [group_mod], key=("group", switch_name)
-                )
-            if self.on_failover is not None:
-                self.on_failover(switch_name)
+            if switch_name not in self.groups_installed:
+                continue
+            try:
+                group_mod = self.overlay.refresh_group(switch_name)
+            except OverlayError:
+                # Backups exhausted: nothing alive to point a bucket at.
+                # Keep the previous buckets (stale but harmless once
+                # nothing answers behind them) and note the degradation;
+                # a later recovery refreshes normally.
+                self.degraded_refreshes += 1
+                self._instant("failover.degraded", switch_name)
+                continue
+            self.reliable.send(switch_name, [group_mod], key=("group", switch_name))
 
     def _instant(self, name: str, dpid: str) -> None:
         tracer = self.sim.obs.tracer

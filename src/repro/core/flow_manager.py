@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.controller.base_app import BaseApp
 from repro.controller.flow_info_db import ROUTE_DROPPED, ROUTE_PHYSICAL, FlowInfoDatabase
 from repro.controller.routing import Router
-from repro.core.config import PRIORITY_PHYSICAL_FLOW, ScotchConfig
+from repro.core.config import FLOW_IDLE_TIMEOUT, PRIORITY_PHYSICAL_FLOW, ScotchConfig
 from repro.obs import path as obs_path
 from repro.openflow.messages import FlowMod
 from repro.sim.queues import BoundedQueue, RoundRobinScheduler
@@ -316,20 +316,20 @@ class PathInstaller:
         send_from(0)
 
     @staticmethod
-    def red_flow_mod(rule: "HopRule", idle_timeout: float) -> FlowMod:
+    def red_flow_mod(rule: "HopRule") -> FlowMod:
         """The per-flow physical ("red", §5.4) FlowMod for one path rule."""
         return FlowMod(
             match=rule.match,
             priority=PRIORITY_PHYSICAL_FLOW,
             actions=rule.actions,
-            idle_timeout=idle_timeout,
+            idle_timeout=FLOW_IDLE_TIMEOUT,
         )
 
     @classmethod
-    def red_jobs(cls, rules: List["HopRule"], idle_timeout: float) -> List[InstallJob]:
+    def red_jobs(cls, rules: List["HopRule"]) -> List[InstallJob]:
         """One red FlowMod per path rule, in the rules' order (last hop
         first)."""
-        return [InstallJob(rule.dpid, cls.red_flow_mod(rule, idle_timeout)) for rule in rules]
+        return [InstallJob(rule.dpid, cls.red_flow_mod(rule)) for rule in rules]
 
 
 class RateLimitedReactiveApp(BaseApp):
@@ -453,11 +453,10 @@ class RateLimitedReactiveApp(BaseApp):
         """
         if rules:
             first_hop_rule = rules[-1]
-            idle_timeout = self.config.flow_idle_timeout
 
             def finish() -> None:
                 self.schedulers[pending.first_hop].send(
-                    self.installer.red_flow_mod(first_hop_rule, idle_timeout)
+                    self.installer.red_flow_mod(first_hop_rule)
                 )
                 if pending.packet is not None:
                     self.controller.packet_out(
@@ -469,7 +468,7 @@ class RateLimitedReactiveApp(BaseApp):
                 if on_live is not None:
                     on_live(first_hop_rule.dpid, [first_hop_rule.actions[0]])
 
-            downstream = self.installer.red_jobs(rules[:-1], idle_timeout)
+            downstream = self.installer.red_jobs(rules[:-1])
             if downstream:
                 self.installer.install(downstream, on_complete=finish)
             else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Set
 
 from repro.controller.flow_info_db import ROUTE_OVERLAY, ROUTE_PHYSICAL, FlowInfoDatabase
-from repro.core.config import VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.config import STATS_INTERVAL, VSWITCH_FLOW_TABLE, ScotchConfig
 from repro.core.flow_manager import InstallScheduler, MigrationRequest, PathInstaller
 from repro.net.flow import FlowKey
 from repro.openflow.messages import DELETE, FlowMod, FlowStatsReply
@@ -122,14 +122,14 @@ class ElephantMigrator:
             scheduler = self.schedulers.get(node)
             if scheduler is not None and scheduler.backlog() > self.config.migration_backlog_limit:
                 self.migrations_deferred += 1
-                self.sim.schedule(self.config.stats_interval, self._resubmit, key)
+                self.sim.schedule(STATS_INTERVAL, self._resubmit, key)
                 return
 
         rules = self.router.rules_for_path(path, key)
         if not rules:
             self._migrating.discard(key)
             return
-        jobs = self.installer.red_jobs(rules, self.config.flow_idle_timeout)
+        jobs = self.installer.red_jobs(rules)
         self.installer.install(jobs, on_complete=lambda: self._finish(key))
 
     def _resubmit(self, key: FlowKey) -> None:

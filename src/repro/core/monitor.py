@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.core.config import ScotchConfig
+from repro.core.config import TABLE_FULL_RATE_THRESHOLD, ScotchConfig
 from repro.sim.process import PeriodicTimer
 from repro.sim.ratelimit import RateEstimator
 
@@ -68,12 +68,12 @@ class CongestionMonitor:
                 fn=lambda d=dpid: float(self.is_congested(d)),
             )
 
-    def observe_new_flow(self, dpid: str, count: int = 1) -> None:
-        """Record new-flow arrivals attributed to ``dpid`` (direct
-        Packet-Ins or overlay Packet-Ins carrying its tunnel id)."""
+    def observe_new_flow(self, dpid: str) -> None:
+        """Record a new-flow arrival attributed to ``dpid`` (a direct
+        Packet-In or an overlay Packet-In carrying its tunnel id)."""
         state = self._switches.get(dpid)
         if state is not None:
-            state.meter.observe(self.sim.now, count)
+            state.meter.observe(self.sim.now)
 
     def observe_table_full(self, dpid: str) -> None:
         """Record a TABLE_FULL error from ``dpid`` — the §3.3 TCAM
@@ -130,7 +130,7 @@ class CongestionMonitor:
             if not state.congested:
                 if (
                     rate >= self.config.activate_fraction * capacity
-                    or table_full >= self.config.table_full_rate_threshold
+                    or table_full >= TABLE_FULL_RATE_THRESHOLD
                 ):
                     state.congested = True
                     state.below_since = None
@@ -140,7 +140,7 @@ class CongestionMonitor:
             else:
                 calm = (
                     rate <= self.config.withdraw_fraction * capacity
-                    and table_full < self.config.table_full_rate_threshold / 2
+                    and table_full < TABLE_FULL_RATE_THRESHOLD / 2
                     and not (self.pressure_check is not None and self.pressure_check(dpid))
                 )
                 if calm:

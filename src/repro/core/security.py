@@ -45,6 +45,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Priority of mitigation drop rules: above the green overlay defaults,
 #: below red per-flow rules (admitted flows are never collateral).
 PRIORITY_MITIGATION = PRIORITY_SCOTCH_DEFAULT + 5
+#: New-flow rate (flows/second) on one ingress port that raises a report.
+RATE_THRESHOLD = 500.0
+#: Fraction of distinct sources per flow above which the flood is
+#: diagnosed as spoofed (spoofed floods use a fresh source per packet;
+#: flash crowds repeat sources).
+SPOOFING_DISPERSION = 0.8
+#: Idle timeout of mitigation drop rules, seconds.
+MITIGATION_IDLE_TIMEOUT = 30.0
 
 REPORT = "report"
 BLOCK = "block"
@@ -91,27 +99,18 @@ class SecurityApp(BaseApp):
     def __init__(
         self,
         overlay: ScotchOverlay,
-        rate_threshold: float = 500.0,
         interval: float = 1.0,
         mitigation: str = REPORT,
-        spoofing_dispersion: float = 0.8,
-        mitigation_idle_timeout: float = 30.0,
         on_attack: Optional[Callable[[AttackReport], None]] = None,
     ):
         super().__init__()
         if mitigation not in (REPORT, BLOCK):
             raise ValueError(f"unknown mitigation {mitigation!r}")
-        if interval <= 0 or rate_threshold <= 0:
-            raise ValueError("interval and rate_threshold must be positive")
+        if interval <= 0:
+            raise ValueError("interval must be positive")
         self.overlay = overlay
-        self.rate_threshold = rate_threshold
         self.interval = interval
         self.mitigation = mitigation
-        #: Fraction of distinct sources per flow above which the flood is
-        #: diagnosed as spoofed (spoofed floods use a fresh source per
-        #: packet; flash crowds repeat sources).
-        self.spoofing_dispersion = spoofing_dispersion
-        self.mitigation_idle_timeout = mitigation_idle_timeout
         self.on_attack = on_attack
         self.reports: List[AttackReport] = []
         self.mitigations_installed = 0
@@ -146,7 +145,7 @@ class SecurityApp(BaseApp):
     def _evaluate(self) -> None:
         for (switch, port), window in self._windows.items():
             rate = window.flows / self.interval
-            if rate >= self.rate_threshold:
+            if rate >= RATE_THRESHOLD:
                 self._raise_attack(switch, port, rate, window)
         self._windows = {}
         self.sim.schedule(self.interval, self._evaluate)
@@ -160,7 +159,7 @@ class SecurityApp(BaseApp):
             new_flow_rate=rate,
             distinct_sources=len(window.sources),
             top_destination=window.top_destination(),
-            spoofing_suspected=dispersion >= self.spoofing_dispersion,
+            spoofing_suspected=dispersion >= SPOOFING_DISPERSION,
         )
         # Only spoofed floods are blocked: a flash crowd is *legitimate*
         # load, and carrying it is exactly what the Scotch overlay is for.
@@ -189,7 +188,7 @@ class SecurityApp(BaseApp):
             PRIORITY_MITIGATION,
             [Drop()],
             table_id=MAIN_TABLE,
-            idle_timeout=self.mitigation_idle_timeout,
+            idle_timeout=MITIGATION_IDLE_TIMEOUT,
         )
         self._mitigated.add(token)
         self.mitigations_installed += 1

@@ -15,12 +15,13 @@ stay R-rate-limited and FIFO-ordered:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.controller.flow_info_db import FlowInfoDatabase
 from repro.core.config import (
     LB_TABLE,
     MAIN_TABLE,
+    PIN_ACTIVITY_WINDOW,
     PRIORITY_OVERLAY_PIN,
     ScotchConfig,
 )
@@ -53,7 +54,7 @@ class WithdrawalManager:
         self.withdrawals = 0
         self.pins_installed = 0
 
-    def withdraw(self, switch_name: str, on_complete: Optional[Callable[[], None]] = None) -> None:
+    def withdraw(self, switch_name: str) -> None:
         scheduler = self.schedulers.get(switch_name)
         if scheduler is None:
             raise KeyError(f"no scheduler for switch {switch_name!r}")
@@ -66,11 +67,10 @@ class WithdrawalManager:
         # (push its ingress-port label, go to the LB table) and idles
         # out with the flow.
         now = self.sim.now
-        window = self.config.pin_activity_window
         pins: List[FlowMod] = []
         for info in self.flow_db.overlay_flows_via(switch_name):
             seen = info.last_stats_seen if info.last_stats_seen is not None else info.first_seen
-            if now - seen > window:
+            if now - seen > PIN_ACTIVITY_WINDOW:
                 continue
             label = self.overlay.port_label(switch_name, info.ingress_port)
             pins.append(FlowMod(
@@ -92,8 +92,6 @@ class WithdrawalManager:
         def removal_done() -> None:
             scheduler.set_overlay_enabled(False)
             self.overlay.active.discard(switch_name)
-            if on_complete is not None:
-                on_complete()
 
         for mod in mods:
             scheduler.submit_admitted(mod)

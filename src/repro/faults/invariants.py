@@ -54,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.topology import Network
     from repro.sim.engine import Simulator
 
+#: Check 4's bound on any one switch's Fig. 7 install backlog.
+BACKLOG_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -86,7 +89,6 @@ class InvariantChecker:
         scotch: Optional["ScotchApp"] = None,
         interval: float = 0.5,
         grace: Optional[float] = None,
-        backlog_limit: int = 10_000,
         pool=None,
     ):
         if interval <= 0:
@@ -114,7 +116,6 @@ class InvariantChecker:
             # carries the same reliability knobs.
             source = overlay if overlay is not None else pool
             self.grace = grace_window(source.config)
-        self.backlog_limit = backlog_limit
         self.violations: List[Violation] = []
         #: Called with each :class:`Violation` as it is recorded — the
         #: postmortem collector's trigger feed.  Observers only.
@@ -249,10 +250,10 @@ class InvariantChecker:
             return
         for name in sorted(self.scotch.schedulers):
             backlog = self.scotch.schedulers[name].backlog()
-            if backlog > self.backlog_limit:
+            if backlog > BACKLOG_LIMIT:
                 self._violate(
                     "scheduler-backlog-unbounded",
-                    f"{name} install backlog {backlog} (limit {self.backlog_limit})",
+                    f"{name} install backlog {backlog} (limit {BACKLOG_LIMIT})",
                 )
 
     # ------------------------------------------------------------------

@@ -226,21 +226,21 @@ class FaultPlan:
         channel_targets: Sequence[str],
         vswitch_targets: Sequence[str],
         intensity: float = 1.0,
-        stream: str = "faults",
-        start: float = 1.0,
     ) -> "FaultPlan":
-        """Draw a scripted timeline from ``rng_registry.stream(stream)``.
+        """Draw a scripted timeline from ``rng_registry.stream("faults")``,
+        with every fault at or after t = 1 s.
 
         ``intensity`` scales the expected fault count (~4 * intensity
         over the window).  All draws happen here, up front — injection
         replays the finished plan, so the fault sequence depends only on
         the registry's seed, never on simulation interleaving.
         """
+        start = 1.0
         if duration <= start:
             raise ValueError("duration must exceed the start offset")
         if not channel_targets or not vswitch_targets:
             raise ValueError("need at least one channel and one vswitch target")
-        rng = rng_registry.stream(stream)
+        rng = rng_registry.stream("faults")
         plan = cls()
         count = max(1, round(4 * intensity))
         window = duration - start

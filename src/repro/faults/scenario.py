@@ -301,10 +301,8 @@ def run(
     *,
     plan: Optional[FaultPlan] = None,
     config: Optional[ScotchConfig] = None,
-    invariant_interval: float = 0.5,
     health: bool = False,
     rules: Optional[Sequence] = None,
-    health_interval: float = 0.25,
     detection_tolerance: float = 1.0,
     postmortem: bool = False,
     **knobs: Any,
@@ -362,7 +360,7 @@ def run(
             engine = HealthEngine(
                 sim, this.metrics,
                 rules=rules if rules is not None else scenario_rules,
-                slis=slis, interval=health_interval)
+                slis=slis)
             engine.start()
 
         this.traffic(dep)
@@ -375,7 +373,7 @@ def run(
             checker = InvariantChecker(
                 sim, dep.network, getattr(dep, "overlay", None),
                 scotch=getattr(dep, "scotch", None), pool=pool,
-                grace=this.grace(), interval=invariant_interval)
+                grace=this.grace())
             checker.start()
         if postmortem:
             collector = PostmortemCollector(

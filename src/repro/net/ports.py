@@ -17,8 +17,6 @@ class Port:
         self.node = node
         self.port_no = port_no
         self.link: Optional["DirectedLink"] = None
-        self.tx_packets = 0
-        self.tx_bytes = 0
 
     @property
     def name(self) -> str:
@@ -32,12 +30,8 @@ class Port:
     def send(self, packet: "Packet") -> None:
         """Transmit onto the attached link; silently drops if unattached
         (an unattached port behaves like an unplugged cable)."""
-        if self.link is None:
-            return
-        count = packet.count
-        self.tx_packets += count
-        self.tx_bytes += (packet.size + packet._overhead) * count  # wire_size, inlined
-        self.link.transmit(packet)
+        if self.link is not None:
+            self.link.transmit(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.name}>"

@@ -88,13 +88,16 @@ class Tunnel:
         return len(self.path) - 1
 
 
+#: First MPLS label (or GRE key) a fabric hands out.
+LABEL_BASE = 100_000
+
+
 class TunnelFabric:
     """Creates tunnels and installs their static rules."""
 
-    def __init__(self, network: Network, label_base: int = 100_000):
+    def __init__(self, network: Network):
         self.network = network
-        self.label_base = label_base
-        self._next_label = label_base
+        self._next_label = LABEL_BASE
         self.tunnels: Dict[int, Tunnel] = {}
         #: Full signature (src, dst, pops, extra actions) -> tunnel id,
         #: for idempotent creation.  Distinct signatures between the same

@@ -64,8 +64,7 @@ class NullTracer:
     def bind(self, sim: Any, run: int = 0) -> None:
         pass
 
-    def begin(self, name: str, cat: str = "control", track: str = "main",
-              **args: Any) -> int:
+    def begin(self, name: str, track: str = "main", **args: Any) -> int:
         return -1
 
     def end(self, span_id: int, **args: Any) -> None:
@@ -74,8 +73,7 @@ class NullTracer:
     def annotate(self, span_id: int, **args: Any) -> None:
         pass
 
-    def instant(self, name: str, cat: str = "control", track: str = "main",
-                **args: Any) -> None:
+    def instant(self, name: str, track: str = "main", **args: Any) -> None:
         pass
 
     def elapsed(self, span_id: int) -> Optional[float]:

@@ -35,7 +35,7 @@ from repro.obs.report import canonical_json
 #: counted in ``dropped`` rather than collected).
 DEFAULT_MAX_BUNDLES = 16
 #: Ancestry depth bound.
-DEFAULT_MAX_DEPTH = 48
+MAX_DEPTH = 48
 
 
 def open_faults(log: List[Dict[str, Any]], now: float) -> List[Dict[str, Any]]:
@@ -88,14 +88,12 @@ class PostmortemCollector:
         injector: Optional[Any] = None,
         context: Optional[Dict[str, Any]] = None,
         max_bundles: int = DEFAULT_MAX_BUNDLES,
-        max_depth: int = DEFAULT_MAX_DEPTH,
     ):
         self.sim = sim
         self.flight = flight
         self.injector = injector
         self.context = dict(context or {})
         self.max_bundles = max_bundles
-        self.max_depth = max_depth
         self.bundles: List[Dict[str, Any]] = []
         #: Triggers past the bundle cap (counted, not collected).
         self.dropped = 0
@@ -144,7 +142,7 @@ class PostmortemCollector:
                            if detail[key] is not None},
                 "event": None if event is None else [event[0], event[1]],
             },
-            "ancestry": sim.ancestry(max_depth=self.max_depth),
+            "ancestry": sim.ancestry(max_depth=MAX_DEPTH),
             "flight": flight,
             "alerts_firing": [{"alert": alert, "since": since}
                               for alert, since in sorted(self._firing.items())],

@@ -76,8 +76,7 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def begin(self, name: str, cat: str = "control", track: str = "main",
-              **args: Any) -> int:
+    def begin(self, name: str, track: str = "main", **args: Any) -> int:
         """Open a span; returns its id for :meth:`end`/:meth:`annotate`.
         A ``journey=`` link to the enclosing span is kept only with
         causality on."""
@@ -89,7 +88,7 @@ class Tracer:
             "type": "span",
             "run": self.run,
             "name": name,
-            "cat": cat,
+            "cat": "control",
             "track": track,
             "t0": self._now(),
             "t1": None,
@@ -127,14 +126,13 @@ class Tracer:
         if record is not None:
             record["args"].update(args)
 
-    def instant(self, name: str, cat: str = "control", track: str = "main",
-                **args: Any) -> None:
+    def instant(self, name: str, track: str = "main", **args: Any) -> None:
         now = self._now()
         record: Dict[str, Any] = {
             "type": "instant",
             "run": self.run,
             "name": name,
-            "cat": cat,
+            "cat": "control",
             "track": track,
             "t0": now,
             "t1": now,

@@ -165,7 +165,6 @@ OFP_HEADER_BYTES = 8
 MULTIPART_BASE_BYTES = 16
 FLOW_STATS_REQUEST_BYTES = 56
 FLOW_STATS_ENTRY_BYTES = 96
-PORT_STATS_ENTRY_BYTES = 40
 SAMPLE_RECORD_BYTES = 28
 
 
@@ -178,10 +177,6 @@ def wire_bytes(message: Message) -> int:
         return MULTIPART_BASE_BYTES + FLOW_STATS_ENTRY_BYTES * len(message.entries)
     if kind is SampleReport:
         return MULTIPART_BASE_BYTES + SAMPLE_RECORD_BYTES * len(message.records)
-    if kind is PortStatsRequest:
-        return MULTIPART_BASE_BYTES + 8
-    if kind is PortStatsReply:
-        return MULTIPART_BASE_BYTES + PORT_STATS_ENTRY_BYTES * len(message.entries)
     return OFP_HEADER_BYTES
 
 
@@ -211,29 +206,6 @@ class ErrorMessage(Message):
     error_type: str = "flow_mod_failed"
     code: str = "table_full"
     failed_xid: int = 0
-
-
-@dataclass
-class PortStatsRequest(Message):
-    """Controller -> switch: per-port transmit counters.
-
-    ``port_no`` = None dumps all ports."""
-
-    port_no: Optional[int] = None
-
-
-@dataclass
-class PortStatsEntry:
-    port_no: int = 0
-    tx_packets: int = 0
-    tx_bytes: int = 0
-
-
-@dataclass
-class PortStatsReply(Message):
-    datapath_id: str = ""
-    entries: List["PortStatsEntry"] = field(default_factory=list)
-    request_xid: int = 0
 
 
 @dataclass

@@ -23,7 +23,8 @@ DelayGenerator = Generator[float, None, Any]
 
 
 class PeriodicTimer:
-    """Restart-safe scheduling for periodic daemons.
+    """Restart-safe scheduling for periodic daemons (every tick is a
+    daemon event).
 
     Every periodic service in the controller (monitors, pollers,
     samplers, the health engine, the pool timers) shares one shape: a
@@ -48,16 +49,15 @@ class PeriodicTimer:
             self._timer.rearm()
     """
 
-    __slots__ = ("sim", "interval", "callback", "daemon", "running", "event")
+    __slots__ = ("sim", "interval", "callback", "running", "event")
 
     def __init__(self, sim: "Simulator", interval: float,
-                 callback: Callable[[], None], daemon: bool = True):
+                 callback: Callable[[], None]):
         if interval <= 0:
             raise ValueError("timer interval must be positive")
         self.sim = sim
         self.interval = interval
         self.callback = callback
-        self.daemon = daemon
         self.running = False
         #: The pending tick (None while stopped or mid-callback).
         self.event: Optional[Event] = None
@@ -67,8 +67,7 @@ class PeriodicTimer:
         if self.running:
             return
         self.running = True
-        self.event = self.sim.schedule(self.interval, self.callback,
-                                       daemon=self.daemon)
+        self.event = self.sim.schedule(self.interval, self.callback, daemon=True)
 
     def stop(self) -> None:
         """Disarm: cancel the pending tick (if any) and stop re-arming."""
@@ -77,15 +76,12 @@ class PeriodicTimer:
             self.event.cancel()
             self.event = None
 
-    def rearm(self, interval: Optional[float] = None) -> None:
+    def rearm(self) -> None:
         """Schedule the next tick — called by the callback at the end of
         each tick; a no-op once stop() ran (the chain dies cleanly)."""
         if not self.running:
             return
-        self.event = self.sim.schedule(
-            self.interval if interval is None else interval,
-            self.callback, daemon=self.daemon,
-        )
+        self.event = self.sim.schedule(self.interval, self.callback, daemon=True)
 
 
 class Process:

@@ -106,9 +106,8 @@ class RateEstimator:
         self._times: Deque[float] = deque(maxlen=window_events)
         self.window_seconds = window_seconds
 
-    def observe(self, now: float, count: int = 1) -> None:
-        for _ in range(count):
-            self._times.append(now)
+    def observe(self, now: float) -> None:
+        self._times.append(now)
 
     def rate(self, now: Optional[float] = None) -> float:
         times = self._times

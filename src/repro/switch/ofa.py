@@ -43,9 +43,6 @@ from repro.openflow.messages import (
     FlowStatsReply,
     FlowStatsRequest,
     GroupMod,
-    PortStatsEntry,
-    PortStatsReply,
-    PortStatsRequest,
     Message,
     PacketIn,
     PacketOut,
@@ -193,8 +190,6 @@ class OpenFlowAgent:
             self._handle_packet_out(message)
         elif isinstance(message, FlowStatsRequest):
             self.sim.schedule(_CHEAP_MESSAGE_DELAY, self._reply_flow_stats, message)
-        elif isinstance(message, PortStatsRequest):
-            self.sim.schedule(_CHEAP_MESSAGE_DELAY, self._reply_port_stats, message)
         elif isinstance(message, EchoRequest):
             self.sim.schedule(
                 _CHEAP_MESSAGE_DELAY,
@@ -362,18 +357,6 @@ class OpenFlowAgent:
             datapath_id=self.switch.name, entries=entries, request_xid=request.xid
         )
         self.channel.send_to_controller(reply)
-
-    def _reply_port_stats(self, request: PortStatsRequest) -> None:
-        entries = [
-            PortStatsEntry(port_no=port.port_no, tx_packets=port.tx_packets,
-                           tx_bytes=port.tx_bytes)
-            for port in self.switch.ports.values()
-            if request.port_no is None or port.port_no == request.port_no
-        ]
-        self.channel.send_to_controller(
-            PortStatsReply(datapath_id=self.switch.name, entries=entries,
-                           request_xid=request.xid)
-        )
 
     # ------------------------------------------------------------------
     # Rule expiry notifications

@@ -244,12 +244,11 @@ def run_telemetry_scorecard(
     mice: int = 10,
     periods: Sequence[int] = (10,),
     include_hybrid: bool = False,
-    base_config: Optional[ScotchConfig] = None,
     **scenario_kwargs,
 ) -> TelemetryScorecard:
     """The full sweep: a poll baseline plus one sample run per period
     (and optionally a hybrid run at the first period)."""
-    base = base_config or ScotchConfig()
+    base = ScotchConfig()
     card = TelemetryScorecard(
         seed=seed,
         duration=duration,

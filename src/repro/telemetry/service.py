@@ -15,7 +15,7 @@ configured ``stats_mode`` asks for:
   normal ``stats_reply`` hook, so the elephant migrator (and anything
   else consuming stats) works unmodified on estimates.
 * ``hybrid`` — sampling plus a slowed-down full poll
-  (``stats_interval * hybrid_poll_multiplier``) to true-up estimates.
+  (``STATS_INTERVAL * hybrid_poll_multiplier``) to true-up estimates.
 * ``off``    — no measurement at all (the overhead-benchmark baseline).
 
 Synthetic replies carry the overlay cookie, the vSwitch flow table id
@@ -30,7 +30,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from repro.controller.stats_service import StatsPoller
-from repro.core.config import VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.config import (
+    FLOW_IDLE_TIMEOUT,
+    STATS_INTERVAL,
+    VSWITCH_FLOW_TABLE,
+    ScotchConfig,
+)
 from repro.core.migration import OVERLAY_COOKIE
 from repro.openflow.messages import FlowStatsEntry, FlowStatsReply, SampleReport
 from repro.sim.process import PeriodicTimer
@@ -69,15 +74,14 @@ class SamplingStatsService:
             self.poller = StatsPoller(
                 controller,
                 targets,
-                interval=self.config.stats_interval,
+                interval=STATS_INTERVAL,
                 table_id=VSWITCH_FLOW_TABLE,
             )
         elif self.mode == "hybrid":
             self.poller = StatsPoller(
                 controller,
                 targets,
-                interval=self.config.stats_interval
-                * self.config.hybrid_poll_multiplier,
+                interval=STATS_INTERVAL * self.config.hybrid_poll_multiplier,
                 table_id=VSWITCH_FLOW_TABLE,
             )
 
@@ -205,5 +209,5 @@ class SamplingStatsService:
         self._ensure_samplers()
         for dpid, gauge in self._staleness_gauges.items():
             gauge.set(now - self._last_ingest.get(dpid, now))
-        self.estimator.prune(now - 2 * self.config.flow_idle_timeout)
+        self.estimator.prune(now - 2 * FLOW_IDLE_TIMEOUT)
         self._timer.rearm()

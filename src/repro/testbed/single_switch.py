@@ -14,6 +14,7 @@ from typing import Callable, List, Optional
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import OpenFlowController
 from repro.controller.reactive_app import ReactiveForwardingApp
+from repro.net.builders import HOST_BPS
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
@@ -45,7 +46,6 @@ def build_single_switch(
     seed: int = 0,
     n_clients: int = 1,
     app_factory: Optional[Callable[[], BaseApp]] = None,
-    host_link_bps: float = 1e9,
 ) -> SingleSwitchTestbed:
     """Build the testbed; ``app_factory`` defaults to plain reactive
     forwarding (the paper's §3 baseline)."""
@@ -55,12 +55,12 @@ def build_single_switch(
     clients = []
     for index in range(n_clients):
         client = network.add(Host(sim, f"client{index}", f"10.20.{index}.1"))
-        network.link(client.name, "sw1", host_link_bps)
+        network.link(client.name, "sw1", HOST_BPS)
         clients.append(client)
     attacker = network.add(Host(sim, "attacker", "10.99.0.1"))
-    network.link("attacker", "sw1", host_link_bps)
+    network.link("attacker", "sw1", HOST_BPS)
     server = network.add(Host(sim, "server", SERVER_IP))
-    network.link("server", "sw1", host_link_bps)
+    network.link("server", "sw1", HOST_BPS)
 
     controller = OpenFlowController(sim, network)
     controller.register_switch(switch)

@@ -22,6 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: hping3 sends minimum-size SYNs; 60 bytes on the wire.
 SYN_PACKET_SIZE = 60
+#: hping3's pacing is not cycle-accurate: each gap is scaled by a uniform
+#: draw in [1 - JITTER, 1 + JITTER], which also prevents artificial phase
+#: locking with the OFA clock.
+JITTER = 0.05
 
 
 class SpoofedFlood:
@@ -33,22 +37,14 @@ class SpoofedFlood:
         host: "Host",
         dst_ip: str,
         rate_fps: float,
-        dst_port: int = 80,
-        packet_size: int = SYN_PACKET_SIZE,
         rng_name: Optional[str] = None,
-        jitter: float = 0.05,
     ):
         if rate_fps <= 0:
             raise ValueError("attack rate must be positive")
-        if not 0 <= jitter < 1:
-            raise ValueError("jitter must be in [0, 1)")
-        self.jitter = jitter
         self.sim = sim
         self.host = host
         self.dst_ip = dst_ip
-        self.dst_port = dst_port
         self.rate_fps = rate_fps
-        self.packet_size = packet_size
         self._rng = sim.rng.stream(rng_name or f"attacker:{host.name}")
         self.packets_sent = 0
         self._process: Optional[Process] = None
@@ -75,16 +71,11 @@ class SpoofedFlood:
                 dst_ip=self.dst_ip,
                 proto=PROTO_TCP,
                 src_port=self._rng.randrange(1024, 65536),
-                dst_port=self.dst_port,
-                size=self.packet_size,
+                dst_port=80,
+                size=SYN_PACKET_SIZE,
                 tcp_flag=TCP_SYN,
                 created_at=self.sim.now,
             )
             self.host.send(packet)
             self.packets_sent += 1
-            gap = 1.0 / self.rate_fps
-            if self.jitter:
-                # hping3's pacing is not cycle-accurate; the jitter also
-                # prevents artificial phase locking with the OFA clock.
-                gap *= self._rng.uniform(1 - self.jitter, 1 + self.jitter)
-            yield gap
+            yield 1.0 / self.rate_fps * self._rng.uniform(1 - JITTER, 1 + JITTER)

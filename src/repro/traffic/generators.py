@@ -24,7 +24,6 @@ def flow_key_sequence(
     dst_ip: str,
     dst_port: int = 80,
     src_net: int = 20,
-    proto: int = PROTO_TCP,
     source_pool: Optional[int] = None,
 ) -> Iterator[FlowKey]:
     """An endless stream of unique five-tuples toward one destination.
@@ -47,7 +46,7 @@ def flow_key_sequence(
         else:
             src_ip = make_ip(src_net, index % 65536)
             src_port = 1024 + (index // 65536) % 60000
-        yield FlowKey(src_ip, dst_ip, proto, src_port, dst_port)
+        yield FlowKey(src_ip, dst_ip, PROTO_TCP, src_port, dst_port)
         index += 1
 
 
@@ -66,12 +65,10 @@ class NewFlowSource:
         host: "Host",
         dst_ip: str,
         rate_fps: float,
-        dst_port: int = 80,
         src_net: int = 20,
         sizes=None,
         poisson: bool = False,
         rng_name: Optional[str] = None,
-        batch: int = 1,
         jitter: float = 0.05,
         source_pool: Optional[int] = None,
     ):
@@ -88,10 +85,7 @@ class NewFlowSource:
         self.rate_fps = rate_fps
         self.sizes = sizes or FixedSize()
         self.poisson = poisson
-        self.batch = batch
-        self._keys = flow_key_sequence(
-            dst_ip, dst_port=dst_port, src_net=src_net, source_pool=source_pool
-        )
+        self._keys = flow_key_sequence(dst_ip, src_net=src_net, source_pool=source_pool)
         self._rng = sim.rng.stream(rng_name or f"client:{host.name}")
         self.flows_started = 0
         self._process: Optional[Process] = None
@@ -125,7 +119,6 @@ class NewFlowSource:
                 size_packets=sample.size_packets,
                 packet_size=sample.packet_size,
                 rate_pps=sample.rate_pps,
-                batch=self.batch,
             )
             self.host.start_flow(spec)
             self.flows_started += 1

@@ -36,35 +36,37 @@ class FixedSize:
         return SizeSample(self.size_packets, self.packet_size, self.rate_pps)
 
 
+#: :class:`HeavyTailedSizes`' mean mice length, packets.
+MICE_MEAN_PKTS = 5.0
+#: Its bytes per packet, and the send rates of mice and elephants.
+PACKET_SIZE = 1500
+MICE_RATE_PPS = 100.0
+ELEPHANT_RATE_PPS = 2000.0
+
+
 class HeavyTailedSizes:
     """Mice/elephant mixture with Pareto-tailed elephant sizes.
 
-    Defaults produce ~95% mice averaging a handful of packets and ~5%
-    elephants averaging ``elephant_mean_pkts``, so elephants carry the
-    large majority of bytes.
+    Defaults produce ~95% mice averaging a handful of packets
+    (``MICE_MEAN_PKTS``) and ~5% elephants averaging
+    ``elephant_mean_pkts``, so elephants carry the large majority of
+    bytes.  Every packet is ``PACKET_SIZE`` bytes; mice send at
+    ``MICE_RATE_PPS``, elephants at ``ELEPHANT_RATE_PPS``.
     """
 
     def __init__(
         self,
         elephant_fraction: float = 0.05,
-        mice_mean_pkts: float = 5.0,
         elephant_mean_pkts: float = 2000.0,
         pareto_alpha: float = 1.5,
-        packet_size: int = 1500,
-        mice_rate_pps: float = 100.0,
-        elephant_rate_pps: float = 2000.0,
     ):
         if not 0 <= elephant_fraction <= 1:
             raise ValueError("elephant_fraction must be in [0, 1]")
         if pareto_alpha <= 1:
             raise ValueError("pareto_alpha must exceed 1 for a finite mean")
         self.elephant_fraction = elephant_fraction
-        self.mice_mean_pkts = mice_mean_pkts
         self.elephant_mean_pkts = elephant_mean_pkts
         self.pareto_alpha = pareto_alpha
-        self.packet_size = packet_size
-        self.mice_rate_pps = mice_rate_pps
-        self.elephant_rate_pps = elephant_rate_pps
         # Pareto minimum chosen so the tail mean equals elephant_mean_pkts:
         # E[X] = alpha * xm / (alpha - 1).
         self._pareto_xm = elephant_mean_pkts * (pareto_alpha - 1) / pareto_alpha
@@ -72,6 +74,6 @@ class HeavyTailedSizes:
     def sample(self, rng: random.Random) -> SizeSample:
         if rng.random() < self.elephant_fraction:
             size = max(2, int(self._pareto_xm * rng.paretovariate(self.pareto_alpha)))
-            return SizeSample(size, self.packet_size, self.elephant_rate_pps, is_elephant=True)
-        size = max(1, int(rng.expovariate(1.0 / self.mice_mean_pkts)) + 1)
-        return SizeSample(size, self.packet_size, self.mice_rate_pps, is_elephant=False)
+            return SizeSample(size, PACKET_SIZE, ELEPHANT_RATE_PPS, is_elephant=True)
+        size = max(1, int(rng.expovariate(1.0 / MICE_MEAN_PKTS)) + 1)
+        return SizeSample(size, PACKET_SIZE, MICE_RATE_PPS, is_elephant=False)

@@ -397,6 +397,15 @@ def test_telemetry_rejects_bad_periods(capsys):
     assert "--periods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("interval", ["-1", "0"])
+def test_sample_interval_must_be_positive(interval, tmp_path, capsys):
+    metrics = tmp_path / "m.jsonl"
+    assert main(["fig", "9", "--quick", "--metrics", str(metrics),
+                 "--sample-interval", interval]) == 2
+    assert "--sample-interval" in capsys.readouterr().err
+    assert not metrics.exists()
+
+
 def test_scale_json_round_trip(tmp_path, capsys):
     import json
 

@@ -135,3 +135,34 @@ def test_scotch_config_validation():
         ScotchConfig(overlay_threshold=100, drop_threshold=50)
     with pytest.raises(ValueError):
         ScotchConfig(vswitches_per_switch=0)
+    # R = 0 would divide by zero at the first overlay drain, or fall
+    # back silently to the switch profile's lossless rate.
+    with pytest.raises(ValueError):
+        ScotchConfig(overlay_install_rate=0.0)
+    with pytest.raises(ValueError):
+        ScotchConfig(install_rate=0.0)
+
+
+def test_every_config_field_has_a_setter():
+    """Every ScotchConfig field is set by keyword in some
+    ``ScotchConfig(...)`` or ``replace(...)`` call in the repository.  A
+    field nothing sets is a constant: state it next to ``PRIORITY_*`` in
+    core/config.py instead."""
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    set_by_keyword = set()
+    for folder in ("src", "tests", "examples", "benchmarks"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("ScotchConfig", "replace"):
+                    set_by_keyword.update(k.arg for k in node.keywords if k.arg)
+    unset = sorted(f.name for f in dataclasses.fields(ScotchConfig)
+                   if f.name not in set_by_keyword)
+    assert unset == []

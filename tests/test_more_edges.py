@@ -110,6 +110,7 @@ def test_overlay_rule_defaults():
 
 
 def test_tcam_occupancy_estimator_decays():
+    from repro.core.config import FLOW_IDLE_TIMEOUT
     from repro.testbed.deployment import build_deployment
 
     dep = build_deployment(seed=48)
@@ -117,6 +118,6 @@ def test_tcam_occupancy_estimator_decays():
     for _ in range(10):
         app._note_install("edge")
     assert app.estimated_occupancy("edge") == 10
-    dep.sim.run(until=dep.scotch.config.flow_idle_timeout + 1.0)
+    dep.sim.run(until=FLOW_IDLE_TIMEOUT + 1.0)
     assert app.estimated_occupancy("edge") == 0
     assert app.estimated_occupancy("never-seen") == 0

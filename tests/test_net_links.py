@@ -83,15 +83,6 @@ def test_bidirectional_traffic():
     assert len(b.received) == 1
 
 
-def test_port_counters():
-    sim = Simulator()
-    a, b = Sink(sim, "a"), Sink(sim, "b")
-    port_a, _ = connect(sim, a, b)
-    port_a.send(make_packet(size=100, count=2))
-    assert port_a.tx_packets == 2
-    assert port_a.tx_bytes == 200
-
-
 def test_unattached_port_drops_silently():
     sim = Simulator()
     a = Sink(sim, "a")

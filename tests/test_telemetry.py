@@ -8,7 +8,7 @@ import pytest
 
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import OpenFlowController
-from repro.core.config import VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.config import STATS_INTERVAL, VSWITCH_FLOW_TABLE, ScotchConfig
 from repro.core.migration import OVERLAY_COOKIE
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
@@ -218,7 +218,7 @@ def test_poll_mode_is_a_plain_stats_poller():
         controller, net, targets=lambda: ["s0"],
         config=ScotchConfig(stats_mode="poll"))
     assert service.poller is not None
-    assert service.poller.interval == ScotchConfig().stats_interval
+    assert service.poller.interval == STATS_INTERVAL
     assert service.poller.table_id == VSWITCH_FLOW_TABLE
     assert not service.sampling
     service.start()
@@ -247,7 +247,7 @@ def test_hybrid_mode_slows_the_safety_net_poll():
     service = SamplingStatsService(
         controller, net, targets=lambda: ["s0"], config=config)
     assert service.sampling
-    assert service.poller.interval == config.stats_interval * 5.0
+    assert service.poller.interval == STATS_INTERVAL * 5.0
     service.start()
     assert sw.datapath.sampler is service.samplers["s0"]
 
