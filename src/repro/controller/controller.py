@@ -109,7 +109,8 @@ class OpenFlowController:
         if isinstance(message, PacketIn):
             self.packet_ins_received += 1
             packet = message.packet
-            if packet is not None:
+            traced = packet is not None and self._obs.tracer.enabled
+            if traced:
                 obs_path.packet_in_received(
                     self._obs, packet, dpid,
                     relayed=message.metadata.get("tunnel_id") is not None,
@@ -120,7 +121,7 @@ class OpenFlowController:
             # mark the packet deferred and close the trace at decision
             # time; everything else (reactive installs, unclaimed
             # Packet-Ins) is settled by the time dispatch returns.
-            if packet is not None and not obs_path.deferred(packet):
+            if traced and not obs_path.deferred(packet):
                 obs_path.decision(self._obs, packet, route="inline")
         elif isinstance(message, FlowStatsReply):
             self.stats_replies_received += 1

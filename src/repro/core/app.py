@@ -190,7 +190,8 @@ class ScotchApp(RateLimitedReactiveApp):
         attribution = self.overlay.attribute_packet_in(dpid, message)
         if attribution is not None:
             origin, ingress_port = attribution
-            obs_path.attribute(self._obs, packet, origin, ingress_port)
+            if self._obs.tracer.enabled:
+                obs_path.attribute(self._obs, packet, origin, ingress_port)
             if self._obs.metrics.enabled:
                 self._obs.metrics.counter(f"overlay.relay.{dpid}").inc()
             self._intake(origin, ingress_port, packet, entry_vswitch=dpid)
@@ -242,7 +243,8 @@ class ScotchApp(RateLimitedReactiveApp):
         )
         # The decision comes out of the Fig. 7 queues at a later event;
         # keep the control-path trace open until then.
-        obs_path.defer(packet)
+        if self._obs.tracer.enabled:
+            obs_path.defer(packet)
         if self.schedulers[first_hop].submit_new_flow(pending) == DROPPED:
             self._drop(pending)
 

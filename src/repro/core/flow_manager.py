@@ -412,7 +412,7 @@ class RateLimitedReactiveApp(BaseApp):
     # -- disposition -------------------------------------------------------
     def _decision(self, pending: PendingFlow, route: str) -> None:
         """Close the packet's control-path trace with its routing fate."""
-        if pending.packet is not None:
+        if pending.packet is not None and self._obs.tracer.enabled:
             obs_path.decision(self._obs, pending.packet, route=route)
 
     def _drop(self, pending: PendingFlow, unroutable: bool = False) -> None:

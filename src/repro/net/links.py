@@ -54,6 +54,8 @@ class DirectedLink:
         self.delay = delay
         self.dst_node = dst_node
         self.dst_port_no = dst_port_no
+        #: ``dst_node.arrive``, bound once (a switch's is its datapath's).
+        self._arrive = dst_node.arrive
         self.queue_packets = queue_packets
         self.name = name or f"->{dst_node.name}:{dst_port_no}"
         #: Serialization-start times of accepted-but-not-yet-serializing
@@ -83,7 +85,7 @@ class DirectedLink:
         done = start + (packet.size + packet._overhead) * 8 * packet.count / self.rate_bps
         self._busy_until = done
         pending.append(start)
-        self.dst_node.arrive(packet, self.dst_port_no, done + self.delay, self)
+        self._arrive(packet, self.dst_port_no, done + self.delay, self)
 
     def _deliver(self, packet: "Packet") -> None:
         self.delivered += packet.count

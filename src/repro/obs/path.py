@@ -20,7 +20,8 @@ Stage spans (each also a row in `scotch-repro inspect`):
 * ``ofa.install``           — FlowMod-ADD admission → committed/lost
   (opened by the OFA itself, not keyed through a packet).
 
-Every helper is a cheap no-op when tracing is disabled.
+Callers invoke a helper only when ``obs.tracer.enabled``: with tracing
+off the Packet-In path makes no call here and writes no key.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ def punt_begin(obs: Any, packet: Any, switch: str, in_port: int, reason: str) ->
     """The data plane handed a packet to the OFA: open the journey span
     and the OFA-queue stage."""
     tracer = obs.tracer
-    if not tracer.enabled:
-        return
     track = f"switch:{switch}"
     pktin = tracer.begin(
         SPAN_PACKET_IN, track=track, switch=switch, in_port=in_port, reason=reason)
@@ -60,8 +59,6 @@ def punt_begin(obs: Any, packet: Any, switch: str, in_port: int, reason: str) ->
 def punt_dropped(obs: Any, packet: Any) -> None:
     """The OFA queue overflowed: the journey ends here."""
     tracer = obs.tracer
-    if not tracer.enabled:
-        return
     tracer.end(packet.metadata.pop(KEY_STAGE, -1), dropped=True)
     # handle_s is 0: the packet never reached the controller.
     tracer.end(packet.metadata.pop(KEY_PKTIN, -1), route="lost", dropped=True,
@@ -72,8 +69,6 @@ def packet_in_sent(obs: Any, packet: Any, switch: str) -> None:
     """The OFA emitted the Packet-In: OFA-queue stage ends, channel
     transit begins."""
     tracer = obs.tracer
-    if not tracer.enabled:
-        return
     tracer.end(packet.metadata.pop(KEY_STAGE, -1))
     packet.metadata[KEY_STAGE] = tracer.begin(
         SPAN_CHANNEL, track=f"switch:{switch}", switch=switch,
@@ -86,8 +81,6 @@ def packet_in_received(obs: Any, packet: Any, dpid: str,
     handling begins.  ``relayed`` marks overlay Packet-Ins (``dpid`` is
     then the relaying vSwitch, recorded on the journey span)."""
     tracer = obs.tracer
-    if not tracer.enabled:
-        return
     tracer.end(packet.metadata.pop(KEY_STAGE, -1))
     packet.metadata[KEY_HANDLE] = tracer.begin(
         SPAN_HANDLE, track="controller", switch=dpid,
@@ -99,11 +92,8 @@ def packet_in_received(obs: Any, packet: Any, dpid: str,
 def attribute(obs: Any, packet: Any, origin: str, in_port: int) -> None:
     """The app inverted the overlay labels: stamp the true origin switch
     onto the journey span (§5.2 attribution)."""
-    tracer = obs.tracer
-    if not tracer.enabled:
-        return
-    tracer.annotate(packet.metadata.get(KEY_PKTIN, -1),
-                    switch=origin, in_port=in_port)
+    obs.tracer.annotate(packet.metadata.get(KEY_PKTIN, -1),
+                        switch=origin, in_port=in_port)
 
 
 def defer(packet: Any) -> None:
@@ -117,8 +107,6 @@ def decision(obs: Any, packet: Any, route: str) -> None:
     journey span.  Idempotent (span keys are popped), so the generic
     close in the controller and an app-side close cannot double-record."""
     tracer = obs.tracer
-    if not tracer.enabled:
-        return
     packet.metadata.pop(KEY_DEFERRED, None)
     handle_s: Optional[float] = None
     handle = packet.metadata.pop(KEY_HANDLE, None)

@@ -1,42 +1,43 @@
 """Deterministic discrete-event simulation engine.
 
-The calendar is a binary heap of **time slots**: one heap entry per
-distinct timestamp, each holding the list of events scheduled at that
-instant in scheduling order.  This buys three things over the classic
-one-heap-entry-per-event design it replaced:
+The calendar is a binary heap of ``(time, seq, event)`` tuples, one per
+scheduled event.  ``seq`` is the simulator-wide scheduling counter, so
+it is unique: ``heapq`` orders entries with C-level float and int
+comparisons and never reaches the :class:`Event` (which defines no
+ordering).  Simultaneous events fire in the order they were scheduled,
+so every run with the same seed and the same model code is bit-for-bit
+reproducible; ``tests/golden/`` pins the resulting event order, and
+``tests/test_sim_engine_properties.py`` checks the engine against a
+brute-force list model.
 
-* heap comparisons never call back into Python — slot entries are plain
-  lists whose first element is the timestamp, so ``heapq`` orders them
-  with C-level float comparisons (the old per-``Event`` ``__lt__`` was
-  the single hottest function in profile runs);
-* same-timestamp events **coalesce** into one heap entry: scheduling
-  another event at an already-populated instant is an O(1) list append
-  instead of an O(log n) sift — periodic daemon ticks (expiry sweeps,
-  monitors, samplers) across hundreds of switches land on aligned
-  timestamps and share slots;
-* dispatch drains a slot by bumping an index — no per-event pop.
+One tuple per event replaced a calendar of *time slots* (one heap entry
+per distinct timestamp, same-time events appended to it).  Slots paid
+off only when many events share an instant; since every packet-hop is
+one event (``switch/datapath.py``), few do.  At ``benchmarks/e2e``'s
+scale 0.5, seed 1, only 1.9 % (``elephant_mix``), 3.1 %
+(``pool_failover``), 8.9 % (``chaos_health``) and 20.7 %
+(``flashcrowd_scale``, nearly all of them the 504 switches' aligned
+expiry sweeps) of scheduled events landed in an existing slot, so
+almost every event paid a slot-index dict insert and delete, two list
+allocations and the slot-drain bookkeeping for nothing.
 
-Simultaneous events still fire in the order they were scheduled (slot
-lists are append-only and appends happen in sequence-number order), so
-every run with the same seed and the same model code remains
-bit-for-bit reproducible; ``tests/golden/`` pins this across engine
-changes.
-
-Cancellation is O(1): :meth:`Event.cancel` flags the event *and*
-settles the foreground/live accounting immediately with the simulator
-it belongs to, instead of deferring to a lazy heap sweep.  A cancelled
-foreground event therefore never keeps an un-horizoned :meth:`run`
-alive, and :meth:`Simulator.peek` discarding dead events needs no
-accounting fix-ups at all.
+Cancellation is O(1): :meth:`Event.cancel` flags the event, releases its
+callback and arguments, and settles the foreground count at once, so a
+cancelled foreground event never keeps an un-horizoned :meth:`run`
+alive.  The tuple stays in the heap until it reaches the head, where
+:meth:`Simulator.run` or :meth:`Simulator.peek` discards it.  The
+counters are derived, not kept per event: ``heap_depth`` is the heap's
+length and ``pending`` subtracts the cancelled entries still in it.
 
 **Causal provenance** (off by default, enabled through
 :class:`~repro.obs.Observability` with ``causality=True``): when on,
 :meth:`Simulator.schedule` records each new event's *parent* — the
 event whose callback scheduled it — so a run carries a causal DAG
 addressed by compact ``(run, seq)`` ids.  :meth:`ancestry` walks the
-chain backwards (bounded depth) and is what postmortem bundles slice;
-the dispatch loop pays one flag check per event when provenance and
-the flight-recorder feed are both off.
+chain backwards (bounded depth) and is what postmortem bundles slice.
+Provenance, the flight-recorder feed and the per-event hook share one
+``_instrumented`` flag, so the default dispatch loop pays a single
+check per event for all three.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.base import get_default_obs
 from repro.sim.rng import RngRegistry
-
-#: Slot layout: ``[time, next_index, events]``.  Times are unique per
-#: slot (the ``Simulator._slots`` dict guarantees it), so heap ordering
-#: only ever compares the leading floats.
-_TIME, _HEAD, _EVENTS = 0, 1, 2
-
 
 def callback_name(callback: Any) -> str:
     """A deterministic, human-readable name for an event callback.
@@ -103,12 +98,11 @@ class Event:
             return
         self.cancelled = True
         sim = self._sim
-        if sim is not None:
-            sim._live -= 1
-            if not self.daemon:
-                sim._foreground_pending -= 1
+        sim._cancelled += 1
+        if not self.daemon:
+            sim._foreground_pending -= 1
         # Release closures/payloads now rather than when the calendar
-        # eventually reaches this timestamp.
+        # eventually reaches this entry.
         self.callback = None  # type: ignore[assignment]
         self.args = ()
 
@@ -135,21 +129,17 @@ class Simulator:
     def __init__(self, seed: int = 0, obs: Optional[Any] = None):
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
-        #: Heap of ``[time, head, events]`` slots, one per distinct time.
-        self._heap: List[list] = []
-        #: time -> its slot (the coalescing index for O(1) same-time adds).
-        self._slots: Dict[float, list] = {}
+        #: Heap of ``(time, seq, event)``: one entry per scheduled
+        #: event, cancelled ones included until they reach the head.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
         #: Live (scheduled, not fired, not cancelled) non-daemon events;
         #: when this reaches zero, an un-horizoned run() ends.
         self._foreground_pending = 0
-        #: Live events of any kind (the ``pending`` property).
-        self._live = 0
-        #: Events resident in the calendar, cancelled-but-undiscarded
-        #: included (the ``heap_depth`` memory-pressure signal).
-        self._calendar = 0
+        #: Cancelled events still in the heap (``pending`` subtracts them).
+        self._cancelled = 0
         #: Total events dispatched over this simulator's lifetime (the
         #: benchmarks' events/sec numerator).
         self.events_fired = 0
@@ -186,8 +176,8 @@ class Simulator:
         #: Flight-recorder feed: a bounded deque the dispatch loop
         #: appends each event's seq to (provenance resolves it later).
         self._flight: Optional[Any] = None
-        #: One flag guards all dispatch-side instrumentation so the
-        #: default hot loop pays a single ``if`` per event.
+        #: True while provenance, the flight feed or the event hook is
+        #: on: the default hot loop pays a single ``if`` for all three.
         self._instrumented = False
         self.obs.bind(self)
 
@@ -204,14 +194,14 @@ class Simulator:
         # runs once per event and the call overhead is measurable.
         event = Event.__new__(Event)
         event.time = time
-        event.seq = self._seq
+        event.seq = seq = self._seq
         event.callback = callback
         event.args = args
         event.cancelled = False
         event.daemon = daemon
         event.fired = False
         event._sim = self
-        self._seq += 1
+        self._seq = seq + 1
         if self._prov_enabled:
             key = getattr(callback, "__func__", callback)
             cb_id = self._prov_name_ix.get(key)
@@ -220,16 +210,9 @@ class Simulator:
             self._prov_parent.append(self._dispatch_seq)
             self._prov_time.append(time)
             self._prov_cb_id.append(cb_id)
-        slot = self._slots.get(time)
-        if slot is None:
-            self._slots[time] = slot = [time, 0, [event]]
-            heappush(self._heap, slot)
-        else:
-            slot[_EVENTS].append(event)
+        heappush(self._heap, (time, seq, event))
         if not daemon:
             self._foreground_pending += 1
-        self._live += 1
-        self._calendar += 1
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
@@ -241,14 +224,14 @@ class Simulator:
             )
         event = Event.__new__(Event)
         event.time = time
-        event.seq = self._seq
+        event.seq = seq = self._seq
         event.callback = callback
         event.args = args
         event.cancelled = False
         event.daemon = daemon
         event.fired = False
         event._sim = self
-        self._seq += 1
+        self._seq = seq + 1
         if self._prov_enabled:
             key = getattr(callback, "__func__", callback)
             cb_id = self._prov_name_ix.get(key)
@@ -257,16 +240,9 @@ class Simulator:
             self._prov_parent.append(self._dispatch_seq)
             self._prov_time.append(time)
             self._prov_cb_id.append(cb_id)
-        slot = self._slots.get(time)
-        if slot is None:
-            self._slots[time] = slot = [time, 0, [event]]
-            heappush(self._heap, slot)
-        else:
-            slot[_EVENTS].append(event)
+        heappush(self._heap, (time, seq, event))
         if not daemon:
             self._foreground_pending += 1
-        self._live += 1
-        self._calendar += 1
         return event
 
     # ------------------------------------------------------------------
@@ -285,61 +261,40 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        slots = self._slots
         try:
-            while heap and not self._stopped:
-                slot = heap[0]
-                events = slot[_EVENTS]
-                head = slot[_HEAD]
-                if head >= len(events):
-                    heappop(heap)
-                    del slots[slot[_TIME]]
-                    continue
-                time = slot[_TIME]
-                if until is not None and time > until:
-                    break
-                # Drain the slot without touching the heap again.  The
-                # bound is re-read every iteration because callbacks may
-                # append same-time events to this very slot; the head
-                # index is written back *before* each callback so that
-                # peek() called from inside one sees a consistent
-                # calendar.
-                while head < len(events):
-                    if until is None and self._foreground_pending == 0:
+            while heap:
+                if until is None:
+                    if not self._foreground_pending:
                         break  # only daemon housekeeping left
-                    event = events[head]
-                    events[head] = None  # free the entry
-                    head += 1
-                    slot[_HEAD] = head
-                    self._calendar -= 1
-                    if event.cancelled:
-                        continue
-                    event.fired = True
-                    self._live -= 1
-                    if not event.daemon:
-                        self._foreground_pending -= 1
-                    self.now = time
-                    self.events_fired += 1
-                    if self._instrumented:
-                        self._dispatch_seq = event.seq
-                        flight = self._flight
-                        if flight is not None:
-                            # The provenance tables already hold (run, t,
-                            # callback) for this seq; a bare int keeps the
-                            # ring append allocation-free.
-                            flight.append(event.seq)
+                elif heap[0][0] > until:
+                    break
+                time, _, event = heappop(heap)
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.fired = True
+                if not event.daemon:
+                    self._foreground_pending -= 1
+                self.now = time
+                self.events_fired += 1
+                if not self._instrumented:
+                    event.callback(*event.args)
+                else:
+                    self._dispatch_seq = event.seq
+                    if self._flight is not None:
+                        # The provenance tables already hold (run, t,
+                        # callback) for this seq; a bare int keeps the
+                        # ring append allocation-free.
+                        self._flight.append(event.seq)
                     hook = self._event_hook
                     if hook is None:
                         event.callback(*event.args)
                     else:
                         start = perf_counter()
                         event.callback(*event.args)
-                        hook(event, perf_counter() - start, self._calendar)
-                    if self._stopped:
-                        break
-                else:
-                    continue  # slot exhausted; pop it on the next pass
-                break  # stopped, or only daemons remain on a horizonless run
+                        hook(event, perf_counter() - start, len(heap))
+                if self._stopped:
+                    break
         finally:
             self._running = False
             self._dispatch_seq = -1
@@ -353,6 +308,11 @@ class Simulator:
         """Install (or clear, with None) the per-event profiling hook.
         The hook observes only — it must not mutate the calendar."""
         self._event_hook = hook
+        self._update_instrumented()
+
+    def _update_instrumented(self) -> None:
+        self._instrumented = (self._prov_enabled or self._flight is not None
+                              or self._event_hook is not None)
 
     # ------------------------------------------------------------------
     # Causal provenance + flight-recorder feed
@@ -375,7 +335,7 @@ class Simulator:
         self._prov_cb_id = array("q")
         self._prov_names = []
         self._prov_name_ix = {}
-        self._instrumented = True
+        self._update_instrumented()
 
     def _prov_intern(self, callback: Any, key: Any) -> int:
         """Slow path of the schedule-side name interning.
@@ -467,7 +427,7 @@ class Simulator:
         ring: a bounded deque receiving each dispatched event's seq,
         resolved lazily through :meth:`event_info`."""
         self._flight = feed
-        self._instrumented = self._prov_enabled or feed is not None
+        self._update_instrumented()
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current callback returns."""
@@ -476,36 +436,26 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None.
 
-        Discards cancelled events at the head of the calendar as it
-        goes; their accounting was already settled by :meth:`Event.cancel`,
-        so discarding is pure garbage collection.
+        Pops cancelled events off the head of the calendar as it goes;
+        :meth:`Event.cancel` already settled the foreground count, so
+        discarding one only moves it out of ``_cancelled``.
         """
         heap = self._heap
-        slots = self._slots
         while heap:
-            slot = heap[0]
-            events = slot[_EVENTS]
-            head = slot[_HEAD]
-            n = len(events)
-            while head < n and events[head].cancelled:
-                events[head] = None
-                head += 1
-                self._calendar -= 1
-            slot[_HEAD] = head
-            if head >= n:
-                heappop(heap)
-                del slots[slot[_TIME]]
-                continue
-            return slot[_TIME]
+            time, _, event = heap[0]
+            if not event.cancelled:
+                return time
+            heappop(heap)
+            self._cancelled -= 1
         return None
 
     @property
     def pending(self) -> int:
         """Number of live (not-yet-cancelled, not-yet-fired) events."""
-        return self._live
+        return len(self._heap) - self._cancelled
 
     @property
     def heap_depth(self) -> int:
         """Calendar population (cancelled-but-undiscarded events
         included) — the profiler's memory-pressure signal."""
-        return self._calendar
+        return len(self._heap)

@@ -16,6 +16,7 @@ recent event timestamps.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
@@ -108,6 +109,11 @@ class RateEstimator:
 
     def observe(self, now: float) -> None:
         self._times.append(now)
+
+    @property
+    def oldest(self) -> float:
+        """The earliest time still in the window (inf when empty)."""
+        return self._times[0] if self._times else math.inf
 
     def rate(self, now: Optional[float] = None) -> float:
         times = self._times

@@ -220,7 +220,9 @@ class Datapath:
                 if port is None:
                     self.dropped_no_route += packet.count
                     return None
-                port.send(packet)
+                link = port.link  # Port.send, inlined
+                if link is not None:
+                    link.transmit(packet)
             elif kind is Controller:
                 self.punted += 1
                 self.switch.ofa.punt(packet, in_port, reason=action.reason)

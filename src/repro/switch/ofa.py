@@ -63,6 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: echo, barrier): microseconds of CPU, not a throughput bottleneck.
 _CHEAP_MESSAGE_DELAY = 1e-3
 
+#: Age bound of the FlowMod attempt-rate window, seconds: the estimate
+#: decays once insertions stop.
+_ATTEMPT_WINDOW = 1.0
+
 
 class OpenFlowAgent:
     """Control agent of one switch."""
@@ -89,9 +93,14 @@ class OpenFlowAgent:
             handler=self._commit_flow_mod,
             name=f"{switch.name}.install",
         )
-        # Window-limited so the estimate decays once insertions stop;
         # 32 events keeps the estimator responsive at hundreds/second.
-        self._attempt_meter = RateEstimator(window_events=32, window_seconds=1.0)
+        self._attempt_meter = RateEstimator(window_events=32,
+                                            window_seconds=_ATTEMPT_WINDOW)
+        #: The Fig. 10 budget as last read from the meter (None: stale)
+        #: and the oldest attempt time that read kept; see
+        #: :meth:`datapath_capacity`.
+        self._budget: Optional[float] = None
+        self._budget_oldest = math.inf
 
         self.packet_ins_sent = 0
         self.packet_ins_dropped = 0
@@ -135,11 +144,14 @@ class OpenFlowAgent:
         """Queue a packet for Packet-In generation.  Returns False when
         the OFA queue overflowed (the packet, and with it the flow's
         setup chance, is lost)."""
-        obs_path.punt_begin(self._obs, packet, self.switch.name, in_port, reason)
+        traced = self._obs.tracer.enabled
+        if traced:
+            obs_path.punt_begin(self._obs, packet, self.switch.name, in_port, reason)
         accepted = self.packet_in_server.submit((packet, in_port, reason))
         if not accepted:
             self.packet_ins_dropped += 1
-            obs_path.punt_dropped(self._obs, packet)
+            if traced:
+                obs_path.punt_dropped(self._obs, packet)
         return accepted
 
     def _emit_packet_in(self, item) -> None:
@@ -159,7 +171,8 @@ class OpenFlowAgent:
             metadata=metadata,
         )
         self.packet_ins_sent += 1
-        obs_path.packet_in_sent(self._obs, packet, self.switch.name)
+        if self._obs.tracer.enabled:
+            obs_path.packet_in_sent(self._obs, packet, self.switch.name)
         self.channel.send_to_controller(message)
 
     # ------------------------------------------------------------------
@@ -208,10 +221,6 @@ class OpenFlowAgent:
             raise TypeError(f"OFA cannot handle {type(message).__name__}")
 
     # -- rule installation ---------------------------------------------
-    def attempted_install_rate(self, at: Optional[float] = None) -> float:
-        """Attempted FlowMod-ADD rate (rules/second) as of ``at`` (default now)."""
-        return self._attempt_meter.rate(self.sim.now if at is None else at)
-
     def _success_probability(self, attempted_rate: float) -> float:
         """P(commit) such that successful-rate follows the Fig. 9 curve."""
         lossless = self.profile.install_lossless_rate
@@ -240,8 +249,10 @@ class OpenFlowAgent:
         ) if tracer.enabled else -1
         # Admit due arrivals before the meter they read moves (datapath.py rule 1).
         self.switch.datapath.settle()
-        self._attempt_meter.observe(self.sim.now)
-        if self._rng.random() > self._success_probability(self.attempted_install_rate()):
+        meter = self._attempt_meter
+        meter.observe(self.sim.now)
+        self._budget = None
+        if self._rng.random() > self._success_probability(meter.rate(self.sim.now)):
             self.installs_failed += 1
             tracer.end(span, outcome="lost")
             return
@@ -383,7 +394,26 @@ class OpenFlowAgent:
     # Data-path interaction (Fig. 10)
     # ------------------------------------------------------------------
     def datapath_capacity(self, at: Optional[float] = None) -> float:
-        """Effective forwarding budget given rule writes as of ``at`` (default now)."""
-        if self.attempted_install_rate(at) > self.profile.degradation_knee:
-            return self.profile.datapath_degraded_pps
-        return self.profile.datapath_pps
+        """Effective forwarding budget given rule writes as of ``at``
+        (default now): ``datapath_degraded_pps`` while the attempted
+        FlowMod rate exceeds ``degradation_knee``, else ``datapath_pps``.
+
+        The datapath asks once per train service, so the answer is
+        cached.  The meter's rate changes only when it observes a
+        FlowMod (which drops the cache) or when ``at`` ages its oldest
+        time out of the window, tested with the same float comparison
+        :meth:`RateEstimator.rate` prunes with.  A profile whose
+        degraded rate equals its normal one never reads the meter.
+        """
+        profile = self.profile
+        if profile.datapath_degraded_pps == profile.datapath_pps:
+            return profile.datapath_pps
+        if at is None:
+            at = self.sim.now
+        if self._budget is None or self._budget_oldest < at - _ATTEMPT_WINDOW:
+            meter = self._attempt_meter
+            self._budget = (profile.datapath_degraded_pps
+                            if meter.rate(at) > profile.degradation_knee
+                            else profile.datapath_pps)
+            self._budget_oldest = meter.oldest
+        return self._budget

@@ -31,7 +31,6 @@ from repro.switch.ofa import OpenFlowAgent
 from repro.switch.profiles import OPEN_VSWITCH, PICA8_PRONTO_3780, SwitchProfile
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.links import DirectedLink
     from repro.net.packet import Packet
     from repro.sim.engine import Simulator
 
@@ -58,6 +57,9 @@ class OpenFlowSwitch(Node):
         self.hash_seed = hash_seed
         self.ofa: Optional[OpenFlowAgent] = None  # set after datapath exists
         self.datapath = Datapath(sim, self)
+        #: Links deliver straight into the datapath, which admits
+        #: arrivals itself (no delivery event; see switch/datapath.py).
+        self.arrive = self.datapath.arrive
         latency = control_latency if control_latency is not None else profile.control_latency
         self.channel = ControlChannel(sim, name, latency)
         self.ofa = OpenFlowAgent(sim, self, self.channel)
@@ -85,9 +87,6 @@ class OpenFlowSwitch(Node):
     # ------------------------------------------------------------------
     # Data plane entry
     # ------------------------------------------------------------------
-    def arrive(self, packet: "Packet", in_port: int, at: float, link: "DirectedLink") -> None:
-        self.datapath.arrive(packet, in_port, at, link)
-
     def receive(self, packet: "Packet", in_port: int) -> None:
         self.datapath.submit(packet, in_port)
 

@@ -9,6 +9,7 @@ registry holding the earlier deployment, and that with observability
 off the Packet-In path makes no no-op counter call at all.
 """
 
+import inspect
 import pathlib
 import re
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cluster import PoolTraffic, build_pool_deployment, pool_chaos_config
 from repro.obs import Observability, observed
+from repro.obs import path as obs_path
 from repro.obs.base import NullCounter
 from repro.sim.engine import Simulator
 from repro.switch.switch import OpenFlowSwitch
@@ -166,6 +168,36 @@ def test_disabled_observability_never_calls_null_counter(monkeypatch):
     dep.sim.run(until=3.0)
     assert dep.scotch.activations >= 1
     assert any(switch.ofa.packet_ins_sent for switch in _switches(dep.network))
+
+
+def test_tracing_off_never_calls_a_path_helper(monkeypatch):
+    """With tracing off the Packet-In path guards each ``obs/path.py``
+    stage once behind ``tracer.enabled``: no helper is called, on a
+    Scotch flood (punts, overlay relays, deferred decisions, OFA queue
+    drops) or on a pool deployment."""
+    def boom(*args, **kwargs):
+        raise AssertionError("obs/path helper called with tracing off")
+
+    for name, value in vars(obs_path).items():
+        if inspect.isfunction(value) and value.__module__ == obs_path.__name__:
+            monkeypatch.setattr(obs_path, name, boom)
+
+    dep = build_deployment(seed=32)
+    assert not dep.sim.obs.tracer.enabled
+    flood = SpoofedFlood(dep.sim, dep.attacker, dep.servers[0].ip,
+                         rate_fps=2000.0)
+    flood.start(at=0.5, stop_at=3.0)
+    dep.sim.run(until=3.0)
+    assert dep.scotch.activations >= 1
+    assert dep.controller.packet_ins_received > 0
+    assert any(switch.ofa.packet_ins_dropped for switch in _switches(dep.network))
+
+    pool_dep = build_pool_deployment(seed=3, switches=6,
+                                     config=pool_chaos_config(3))
+    PoolTraffic(pool_dep.sim, pool_dep.switches).start(
+        at=0.5, stop_at=1.5, rate_fps=600.0)
+    pool_dep.sim.run(until=2.0)
+    assert pool_dep.controller.packet_ins_received > 0
 
 
 def test_no_registry_counter_is_incremented_beside_an_attribute():

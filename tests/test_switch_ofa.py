@@ -1,6 +1,7 @@
 """Tests for the OFA model — the calibrated control-path bottleneck."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
@@ -20,6 +21,7 @@ from repro.openflow.messages import (
     PacketOut,
 )
 from repro.sim.engine import Simulator
+from repro.sim.ratelimit import RateEstimator
 from repro.switch.actions import Output
 from repro.switch.group_table import Bucket
 from repro.switch.match import Match
@@ -140,6 +142,63 @@ class TestInstall:
         sim.schedule(2.0, lambda: None)
         sim.run()
         assert sw.ofa.datapath_capacity() == sw.profile.datapath_pps
+
+
+BUDGET_KNEE = 50.0
+
+#: One FlowMod burst: the pause before it (some longer than the 1 s
+#: window), how many FlowMods, and their gap (above and below the knee).
+_bursts = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.3, 0.999, 1.0, 1.5, 2.5]),
+    st.integers(1, 40),
+    st.sampled_from([1 / 400, 1 / 100, 1 / 50, 1 / 30, 1 / 10]),
+), min_size=1, max_size=6)
+
+
+@given(_bursts, st.sampled_from([1 / 64, 1 / 17, 0.1]),
+       st.lists(st.sampled_from([0.0, 1 / 128, 0.05, 0.4]), min_size=1,
+                max_size=8))
+@example([(0.0, 30, 1 / 400), (1.5, 5, 1 / 10), (0.0, 40, 1 / 100)],
+         1 / 64, [0.0, 0.05])
+@settings(max_examples=100, deadline=None)
+def test_cached_budget_matches_the_uncached_rule(bursts, step, lags):
+    """``datapath_capacity`` caches the Fig. 10 budget.  At queries of
+    nondecreasing ``at`` (at or before now, as the datapath asks) it must
+    equal ``degraded if rate(at) > knee else pps`` read from an
+    independent :class:`RateEstimator` fed the same FlowMod times."""
+    profile = PICA8_PRONTO_3780.variant(
+        datapath_pps=300.0, datapath_degraded_pps=7.0,
+        degradation_knee=BUDGET_KNEE)
+    sim, sw, _ = build(profile)
+    reference = RateEstimator(window_events=32, window_seconds=1.0)
+    answers = []
+
+    def flow_mod_at(index):
+        sw.ofa.handle_from_controller(flow_mod(index))
+        reference.observe(sim.now)
+        reference.rate(sim.now)  # the OFA's own success-probability read
+
+    index, t = 0, 0.0
+    for pause, count, gap in bursts:
+        t += pause
+        for _ in range(count):
+            sim.schedule_at(t, flow_mod_at, index)
+            index, t = index + 1, t + gap
+    horizon = t + 1.5
+    last_at = [0.0]
+
+    def query(lag):
+        at = max(last_at[0], sim.now - lag)
+        last_at[0] = at
+        want = (profile.datapath_degraded_pps
+                if reference.rate(at) > BUDGET_KNEE else profile.datapath_pps)
+        assert sw.ofa.datapath_capacity(at) == want, (sim.now, at)
+        answers.append(want)
+
+    for k in range(int(horizon / step) + 1):
+        sim.schedule_at(k * step + step / 3, query, lags[k % len(lags)])
+    sim.run()
+    assert answers
 
 
 class TestControlMessages:
