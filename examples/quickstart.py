@@ -11,7 +11,7 @@ This walks the library's public API end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro.controller.reactive_app import ReactiveForwardingApp
+from repro.core.baselines import ReactiveForwardingApp
 from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood

@@ -4,7 +4,6 @@ Installed as ``scotch-repro`` (or run via ``python -m repro.cli``)::
 
     scotch-repro list                 # what can be run
     scotch-repro profiles             # the calibrated switch models
-    scotch-repro demo                 # quickstart: flood with/without Scotch
     scotch-repro fig 3                # regenerate a figure's table
     scotch-repro fig 13 --quick       # smaller/faster variant
     scotch-repro fig install_rate     # ... or an ablation's
@@ -40,7 +39,7 @@ from repro.faults import (
 from repro.obs.artifacts import ARTIFACTS, inspect_sections, sniff_kind
 from repro.obs.report import format_table, render_html, render_text
 from repro.telemetry.scorecard import run_telemetry_scorecard
-from repro.testbed.experiments import FIGURES, build_scheme
+from repro.testbed.experiments import FIGURES
 
 #: Figure keys that are also subcommands of their own.
 FIGURE_COMMANDS = ("ablation", "tcam")
@@ -58,7 +57,6 @@ def cmd_list(_args) -> int:
     rows = [[f"fig {key}", figure.description] for key, figure in FIGURES.items()]
     rows += [[key, f"same as `fig {key}`"] for key in FIGURE_COMMANDS]
     rows.append(["report", "run everything, write one markdown report"])
-    rows.append(["demo", "quickstart flood demo"])
     # The scenario commands come from the registry: each command names
     # the entries it runs, and an entry no command claims yet still
     # shows (it is runnable as repro.faults.run(name)).
@@ -90,30 +88,6 @@ def cmd_profiles(_args) -> int:
          "degrade knee", "TCAM"],
         rows,
         title="Calibrated device models (provenance: DESIGN.md §7)",
-    ))
-    return 0
-
-
-def cmd_demo(args) -> int:
-    from repro.net.tap import client_flow_failure_fraction
-    from repro.traffic import NewFlowSource, SpoofedFlood
-
-    results = []
-    for scheme in ("vanilla", "scotch"):
-        dep = build_scheme(scheme, seed=args.seed)
-        server_ip = dep.servers[0].ip
-        NewFlowSource(dep.sim, dep.client, server_ip, rate_fps=100.0).start(
-            at=0.5, stop_at=12.0)
-        SpoofedFlood(dep.sim, dep.attacker, server_ip, rate_fps=args.attack_rate).start(
-            at=2.0, stop_at=12.0)
-        dep.sim.run(until=14.0)
-        failure = client_flow_failure_fraction(
-            dep.client.sent_tap, dep.servers[0].recv_tap, start=4.0, end=11.0)
-        results.append([scheme, failure])
-    _print(format_table(
-        ["scheme", "client failure"],
-        results,
-        title=f"Flood demo ({args.attack_rate:.0f} spoofed flows/s, client 100 f/s)",
     ))
     return 0
 
@@ -683,12 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available runs").set_defaults(func=cmd_list)
     sub.add_parser("profiles", help="show calibrated switch models").set_defaults(
         func=cmd_profiles)
-
-    demo = sub.add_parser("demo", help="flood demo with/without Scotch")
-    demo.add_argument("--attack-rate", type=float, default=2000.0)
-    demo.add_argument("--seed", type=int, default=1)
-    _add_obs_flags(demo)
-    demo.set_defaults(func=cmd_demo)
 
     fig = sub.add_parser("fig", help="regenerate one paper figure or ablation")
     fig.add_argument("key", help=f"which one ({','.join(FIGURES)})")

@@ -17,7 +17,7 @@ partition lands die exactly like unacked TCP segments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -51,9 +51,6 @@ class PoolBus:
 
     def detach(self, member_id: str) -> None:
         self._handlers.pop(member_id, None)
-
-    def attached(self, member_id: str) -> bool:
-        return member_id in self._handlers
 
     # ------------------------------------------------------------------
     def broadcast(self, src: str, payload: Tuple[object, ...]) -> None:

@@ -43,22 +43,20 @@ module's code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import json
 
 from repro.cluster.bus import PoolBus
 from repro.controller.base_app import BaseApp
 from repro.controller.reliability import ReliableSender
+from repro.core.config import PRIORITY_PHYSICAL_FLOW, ScotchConfig
 from repro.obs.metrics import LATENCY_BUCKETS_S
 from repro.obs.rules import AlertRule, AlertState
 from repro.openflow.messages import FlowMod, RoleMod
 from repro.sim.process import PeriodicTimer
 from repro.switch.actions import Output
 from repro.switch.match import Match
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import ScotchConfig
 
 #: Failover-window buckets: lease expiry + election + handoff lives in
 #: the 0.1 s .. 10 s decades, same shape as the control-path buckets.
@@ -414,10 +412,8 @@ class PoolMember:
                 # a double-handled setup (invariant: stays zero).
                 self.pool.double_installs += 1
                 return
-        match = Match(src_ip=flow_key.src_ip, dst_ip=flow_key.dst_ip,
-                      proto=flow_key.proto, src_port=flow_key.src_port,
-                      dst_port=flow_key.dst_port)
-        mod = FlowMod(match=match, priority=100, actions=[Output(1)],
+        mod = FlowMod(match=Match.for_flow(flow_key),
+                      priority=PRIORITY_PHYSICAL_FLOW, actions=[Output(1)],
                       command="add", notify_removal=False)
         self.reliable.send(dpid, [mod], key=("flow", dpid, flow_key))
 

@@ -12,7 +12,6 @@ is charged no CPU cost here; all control-path limits live in the OFA.
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import DatapathHandle, OpenFlowController
 from repro.controller.flow_info_db import FlowInfo, FlowInfoDatabase
-from repro.controller.reactive_app import ReactiveForwardingApp
 from repro.controller.reliability import ReliableSender
 from repro.controller.routing import Router
 from repro.controller.stats_service import StatsPoller
@@ -23,7 +22,6 @@ __all__ = [
     "FlowInfo",
     "FlowInfoDatabase",
     "OpenFlowController",
-    "ReactiveForwardingApp",
     "ReliableSender",
     "Router",
     "StatsPoller",

@@ -93,9 +93,6 @@ class FlowInfoDatabase:
             info.migrated_at = now
         info.route = route
 
-    def flows_on(self, route: str) -> List[FlowInfo]:
-        return [info for info in self._flows.values() if info.route == route]
-
     def overlay_flows_via(self, first_hop_switch: str) -> List[FlowInfo]:
         return [
             info

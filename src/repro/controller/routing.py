@@ -48,13 +48,6 @@ class Router:
     def host_for(self, ip: str) -> Optional[Host]:
         return self._hosts_by_ip.get(ip)
 
-    def attachment_switch(self, host: Host) -> Optional[str]:
-        """Name of the switch the host's NIC connects to."""
-        for neighbor in self.network.neighbors(host.name):
-            if isinstance(self.network[neighbor], OpenFlowSwitch):
-                return neighbor
-        return None
-
     # ------------------------------------------------------------------
     # Paths and rules
     # ------------------------------------------------------------------

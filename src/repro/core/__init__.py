@@ -20,15 +20,21 @@ The pieces map 1:1 onto the paper's design sections:
 * :mod:`repro.core.failover` — heartbeats and bucket replacement (§5.6).
 * :mod:`repro.core.app` — the ScotchApp controller application wiring it
   all together.
-* :mod:`repro.core.baselines` — the comparison schemes: §1's proactive
-  pre-installation, §4's dedicated-port alternative, plain drop policing.
+* :mod:`repro.core.baselines` — the comparison schemes: vanilla reactive
+  forwarding, §1's proactive pre-installation, §4's dedicated-port
+  alternative, plain drop policing.
 * :mod:`repro.core.security` — the §5.2 security-tool integration:
   attack detection/diagnosis (and optional data-plane mitigation) on
   top of Scotch's preserved flow visibility.
 """
 
 from repro.core.app import ScotchApp
-from repro.core.baselines import DedicatedPortApp, DropPolicingApp, ProactiveApp
+from repro.core.baselines import (
+    DedicatedPortApp,
+    DropPolicingApp,
+    ProactiveApp,
+    ReactiveForwardingApp,
+)
 from repro.core.config import ScotchConfig
 from repro.core.monitor import CongestionMonitor
 from repro.core.overlay import ScotchOverlay
@@ -42,6 +48,7 @@ __all__ = [
     "DropPolicingApp",
     "PolicyRegistry",
     "ProactiveApp",
+    "ReactiveForwardingApp",
     "ScotchApp",
     "ScotchConfig",
     "ScotchOverlay",

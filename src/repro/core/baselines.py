@@ -1,5 +1,9 @@
 """Baseline schemes Scotch is compared against.
 
+* :class:`ReactiveForwardingApp` — vanilla reactive forwarding, the
+  paper's baseline SDN behaviour: every Packet-In gets its path's rules
+  and a Packet-Out at once, so under a flood the OFA bottleneck gives
+  exactly the Fig. 3 failure curve.
 * :class:`DropPolicingApp` — reactive forwarding with the controller-side
   rate-R install budget and ingress-port fair queueing, but **no
   overlay**: the over-threshold excess is simply dropped.  Isolates the
@@ -11,8 +15,8 @@
   original ingress port is lost (no per-port fairness) — "using a
   dedicated physical port does not fully solve the problem".
 
-Both are :class:`~repro.core.flow_manager.RateLimitedReactiveApp`, the
-Fig. 7 rate-R core Scotch runs on too: same queues, same R, same
+The last two are :class:`~repro.core.flow_manager.RateLimitedReactiveApp`,
+the Fig. 7 rate-R core Scotch runs on too: same queues, same R, same
 first-hop-last install; only the intake and the fate of the excess
 differ.  :class:`ProactiveApp` (§1) never reaches the controller.
 """
@@ -22,8 +26,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.controller.base_app import BaseApp
+from repro.controller.routing import Router
 from repro.core.config import (
     ACTIVATION_RESENDS,
+    FLOW_IDLE_TIMEOUT,
     MAIN_TABLE,
     PRIORITY_PHYSICAL_FLOW,
     PRIORITY_SCOTCH_DEFAULT,
@@ -37,6 +43,45 @@ from repro.switch.match import Match
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.openflow.messages import PacketIn
+
+
+class ReactiveForwardingApp(BaseApp):
+    """Vanilla reactive L3 forwarding over the physical network: every
+    Packet-In triggers path computation to the destination host,
+    exact-match FlowMods along the path (make-before-break order) and a
+    Packet-Out of the buffered packet at the punting switch.  Every
+    FlowMod is subject to the OFA's insertion-loss model."""
+
+    def __init__(self):
+        super().__init__()
+        self.router: Optional[Router] = None
+        self.flows_handled = 0
+        self.unroutable = 0
+
+    def start(self) -> None:
+        self.router = Router(self.network)
+
+    def packet_in(self, dpid: str, message: "PacketIn") -> None:
+        packet = message.packet
+        if packet is None:
+            return
+        path = self.router.path_to(dpid, packet.dst_ip)
+        if path is None:
+            self.unroutable += 1
+            return
+        self.flows_handled += 1
+        for rule in self.router.rules_for_path(path, packet.flow_key):
+            self.controller.flow_mod(
+                rule.dpid,
+                rule.match,
+                PRIORITY_PHYSICAL_FLOW,
+                rule.actions,
+                idle_timeout=FLOW_IDLE_TIMEOUT,
+            )
+        # Forward the buffered first packet explicitly.
+        out_port = self.network.port_between(path[0], path[1]) if len(path) > 1 else None
+        if out_port is not None:
+            self.controller.packet_out(dpid, packet, [Output(out_port)], in_port=message.in_port)
 
 
 class ProactiveApp(BaseApp):
@@ -59,7 +104,6 @@ class ProactiveApp(BaseApp):
         self.rules_preinstalled = 0
 
     def start(self) -> None:
-        from repro.controller.routing import Router
         from repro.net.host import Host
 
         router = Router(self.network)

@@ -8,14 +8,14 @@ with tcpdump-style taps (:mod:`repro.net.tap`, which also computes the
 §3.2 client flow failure fraction from them), and the stateful
 middleboxes used by the policy-consistency design (paper Fig. 8).
 
-Topology builders (linear / leaf-spine / fat-tree) live in
-:mod:`repro.net.builders`; import them from there directly — they depend
-on the switch package, which in turn depends on this one, so they stay
-out of the package namespace to avoid an import cycle.
+The leaf-spine topology builder lives in :mod:`repro.net.builders`;
+import it from there directly — it depends on the switch package, which
+in turn depends on this one, so it stays out of the package namespace to
+avoid an import cycle.
 """
 
-from repro.net.addresses import ip_to_int, int_to_ip, make_ip, make_mac
-from repro.net.flow import FlowKey, flow_key_of
+from repro.net.addresses import ip_to_int, int_to_ip, make_ip
+from repro.net.flow import FlowKey
 from repro.net.links import DirectedLink, connect
 from repro.net.node import Node
 from repro.net.packet import GreHeader, MplsHeader, Packet
@@ -32,9 +32,7 @@ __all__ = [
     "Packet",
     "Port",
     "connect",
-    "flow_key_of",
     "int_to_ip",
     "ip_to_int",
     "make_ip",
-    "make_mac",
 ]

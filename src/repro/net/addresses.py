@@ -40,14 +40,6 @@ def make_ip(net: int, host: int) -> str:
     return f"10.{net}.{host >> 8}.{host & 0xFF}"
 
 
-def make_mac(index: int) -> str:
-    """Locally administered MAC ``02:00:...`` from a flat index."""
-    if not 0 <= index <= 0xFFFFFFFF:
-        raise ValueError("mac index out of range")
-    octets = [0x02, 0x00] + [(index >> shift) & 0xFF for shift in (24, 16, 8, 0)]
-    return ":".join(f"{o:02x}" for o in octets)
-
-
 def random_spoofed_ip(rng: random.Random) -> str:
     """A uniformly random unicast address, as hping3's --rand-source does.
 

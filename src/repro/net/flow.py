@@ -29,11 +29,6 @@ class FlowKey(NamedTuple):
         return f"{self.src_ip}:{self.src_port}>{self.dst_ip}:{self.dst_port}/{self.proto}"
 
 
-def flow_key_of(packet) -> FlowKey:
-    """FlowKey of a packet's inner headers (encap-independent)."""
-    return packet.flow_key
-
-
 @dataclass
 class FlowSpec:
     """A workload-level description of one flow to be generated.
@@ -60,10 +55,6 @@ class FlowSpec:
             raise ValueError("flow rate must be positive")
         if self.batch <= 0:
             raise ValueError("batch must be positive")
-
-    @property
-    def size_bytes(self) -> int:
-        return self.size_packets * self.packet_size
 
 
 @dataclass

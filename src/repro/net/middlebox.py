@@ -15,8 +15,7 @@ exclude_from_routing``) so traffic only crosses them by explicit policy.
 
 from __future__ import annotations
 
-import zlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Optional, Set
 
 from repro.net.flow import FlowKey
 from repro.net.node import Node
@@ -86,41 +85,3 @@ class Firewall(Middlebox):
     def knows(self, key: FlowKey) -> bool:
         return key in self._admitted or key.reversed() in self._admitted
 
-
-class LoadBalancerBox(Middlebox):
-    """Stateful L4 load balancer: pins each flow to a backend on its
-    first packet and rewrites the destination accordingly; mid-flow
-    packets of unpinned flows are dropped (same state-dependence as the
-    firewall)."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        name: str,
-        backends: Optional[List[str]] = None,
-        latency: float = 50e-6,
-    ):
-        super().__init__(sim, name, latency)
-        self.backends = list(backends or [])
-        self._assignments: Dict[FlowKey, str] = {}
-        self.rejected_unknown = 0
-
-    def admit(self, packet: Packet) -> bool:
-        key = packet.flow_key
-        backend = self._assignments.get(key)
-        if backend is None:
-            if packet.tcp_flag != TCP_SYN:
-                self.rejected_unknown += packet.count
-                return False
-            if self.backends:
-                index = zlib.crc32(str(key).encode("utf-8")) % len(self.backends)
-                backend = self.backends[index]
-                self._assignments[key] = backend
-            else:
-                return True
-        if self.backends:
-            packet.dst_ip = backend
-        return True
-
-    def assignment(self, key: FlowKey) -> Optional[str]:
-        return self._assignments.get(key)

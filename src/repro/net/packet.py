@@ -139,11 +139,6 @@ class Packet:
         return outer.label if isinstance(outer, MplsHeader) else None
 
     @property
-    def outer_gre_key(self) -> Optional[int]:
-        outer = self.outer
-        return outer.key if isinstance(outer, GreHeader) else None
-
-    @property
     def wire_size(self) -> int:
         """Per-packet size on the wire including encapsulation overhead."""
         return self.size + self._overhead
@@ -160,10 +155,6 @@ class Packet:
     def flow_key(self) -> FlowKey:
         """The inner five-tuple (independent of encapsulation)."""
         return FlowKey(self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)
-
-    def note_hop(self, node_name: str) -> None:
-        """Record traversal of a node, for path-stretch metrics and loop checks."""
-        self.hops.append(node_name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         encap = "".join(

@@ -115,10 +115,3 @@ class Network:
         return sum(
             self.graph.edges[path[i], path[i + 1]]["delay"] for i in range(len(path) - 1)
         )
-
-    def hop_ports(self, path: List[str]) -> List[Tuple[str, int]]:
-        """[(node, egress port_no)] for each forwarding hop of ``path``."""
-        return [
-            (path[i], self.port_between(path[i], path[i + 1]))
-            for i in range(len(path) - 1)
-        ]

@@ -83,10 +83,6 @@ class Tunnel:
         outer: Action = PopGre() if self.kind == GRE else PopMpls()
         return [outer] + [PopMpls() for _ in range(self.terminal_pops - 1)]
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.path) - 1
-
 
 #: First MPLS label (or GRE key) a fabric hands out.
 LABEL_BASE = 100_000

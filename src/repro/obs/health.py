@@ -368,25 +368,7 @@ class HealthEngine:
         return {name: points[-1][1] if points else 0.0
                 for name, points in self.series.items()}
 
-    def firing_intervals(self, end: float) -> List[Tuple[str, float, float]]:
-        """Every firing as ``(rule, t0, t1)``; open firings clamp to
-        ``end``.  Sorted by start time then rule name."""
-        out: List[Tuple[str, float, float]] = []
-        for name, state in self.states.items():
-            for t0, t1 in state.firings:
-                out.append((name, t0, end if t1 is None else t1))
-        out.sort(key=lambda item: (item[1], item[0]))
-        return out
-
     def timeline_jsonl(self) -> str:
         """The alert timeline as JSON lines — byte-identical for equal
         seeds (same contract as the fault log)."""
         return _timeline_jsonl(self.timeline)
-
-    def export_timeline(self, path: str) -> int:
-        """Write the timeline JSONL to ``path`` (behind the schema
-        header); returns the transition record count."""
-        from repro.obs.artifacts import ALERT_TIMELINE, write_jsonl
-
-        write_jsonl(path, ALERT_TIMELINE, self.timeline_jsonl().splitlines())
-        return len(self.timeline)

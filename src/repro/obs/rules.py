@@ -209,11 +209,7 @@ def pool_rules() -> List[AlertRule]:
 
 
 class AlertState:
-    """Runtime state machine of one rule.
-
-    ``firings`` accumulates ``[t0, t1]`` intervals (``t1`` is None while
-    still firing); the scorecard reads them directly.
-    """
+    """Runtime state machine of one rule."""
 
     def __init__(self, rule: AlertRule):
         self.rule = rule
@@ -222,7 +218,6 @@ class AlertState:
         #: the clear level); ``>``-rules are armed from the start.
         self.armed = rule.op == ">"
         self.pending_since: Optional[float] = None
-        self.firings: List[List[Optional[float]]] = []
 
     @property
     def firing(self) -> bool:
@@ -256,14 +251,12 @@ class AlertState:
         elif self.state == STATE_FIRING:
             if rule.cleared(value):
                 self.state = STATE_INACTIVE
-                self.firings[-1][1] = now
                 out.append(self._record(now, TRANSITION_RESOLVED, value))
         return out
 
     def _fire(self, now: float, value: float, out: list) -> None:
         self.state = STATE_FIRING
         self.pending_since = None
-        self.firings.append([now, None])
         out.append(self._record(now, STATE_FIRING, value))
 
     def _record(self, now: float, state: str, value: float) -> Dict[str, object]:

@@ -94,11 +94,6 @@ class FlowEntry:
             return True
         return False
 
-    def touch(self, now: float, packets: int, nbytes: int) -> None:
-        self.last_hit_at = now
-        self.packets += packets
-        self.bytes += nbytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlowEntry #{self.entry_id} p{self.priority} {self.match!r}>"
 

@@ -66,18 +66,6 @@ class GroupEntry:
                 return bucket
         return self.buckets[-1]  # unreachable; guards float/weight edge cases
 
-    def replace_bucket(self, index: int, bucket: Bucket) -> Bucket:
-        """Swap the bucket at ``index`` (failover), returning the old one."""
-        old = self.buckets[index]
-        self.buckets[index] = bucket
-        return old
-
-    def find_bucket(self, label: str) -> Optional[int]:
-        for index, bucket in enumerate(self.buckets):
-            if bucket.label == label:
-                return index
-        return None
-
 
 class GroupTable:
     """The per-switch registry of group entries."""

@@ -87,14 +87,8 @@ class FlowEstimator:
         self.records_ingested += len(report.records)
         return updated
 
-    def estimates(self, dpid: str) -> List[FlowEstimate]:
-        return list(self._by_dpid.get(dpid, {}).values())
-
     def get(self, dpid: str, key: "FlowKey") -> FlowEstimate:
         return self._by_dpid.get(dpid, {}).get(key)
-
-    def flow_count(self) -> int:
-        return sum(len(flows) for flows in self._by_dpid.values())
 
     def prune(self, older_than: float) -> int:
         """Drop estimates not refreshed since ``older_than`` (retired

@@ -17,13 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.controller.reactive_app import ReactiveForwardingApp
-from repro.core.baselines import DedicatedPortApp, DropPolicingApp, ProactiveApp
+from repro.core.baselines import (
+    DedicatedPortApp,
+    DropPolicingApp,
+    ProactiveApp,
+    ReactiveForwardingApp,
+)
 from repro.core.config import ScotchConfig
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.tap import client_flow_failure_fraction
 from repro.net.topology import Network
-from repro.obs.metrics import cdf_points, mean, percentile, stddev
+from repro.obs.metrics import cdf_points, mean, percentile
 from repro.obs.report import ascii_plot, format_table, sparkline
 from repro.openflow.messages import FlowMod
 from repro.sim.engine import Simulator
@@ -126,22 +130,6 @@ def fig3_point(
     return client_flow_failure_fraction(
         bed.client.sent_tap, bed.server.recv_tap, start=0.5 + warmup, end=0.5 + warmup + duration
     )
-
-
-def fig3_series(
-    attack_rates: Sequence[float] = FIG3_ATTACK_RATES,
-    profiles: Sequence[SwitchProfile] = FIG3_PROFILES,
-    duration: float = 10.0,
-    seed: int = 1,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """{switch name: [(attack rate, failure fraction)]} — the Fig. 3 curves."""
-    return {
-        profile.name: [
-            (rate, fig3_point(profile, rate, duration=duration, seed=seed))
-            for rate in attack_rates
-        ]
-        for profile in profiles
-    }
 
 
 # ----------------------------------------------------------------------
@@ -418,21 +406,6 @@ def fig13_point(
 # ----------------------------------------------------------------------
 # Fig. 14 (reconstructed) — overlay relay delay
 # ----------------------------------------------------------------------
-@dataclass
-class Fig14Result:
-    direct_delays: List[float]
-    overlay_delays: List[float]
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "direct_mean": mean(self.direct_delays),
-            "direct_p99": percentile(self.direct_delays, 99),
-            "overlay_mean": mean(self.overlay_delays),
-            "overlay_p99": percentile(self.overlay_delays, 99),
-            "stretch_mean": mean(self.overlay_delays) / mean(self.direct_delays),
-        }
-
-
 def fig14_path(overlay: bool, flows: int = 100, racks: int = 3, seed: int = 1) -> List[float]:
     """Established-flow per-packet one-way delays on the physical path
     or (``overlay``) on the overlay path (three tunnels: switch->entry
@@ -477,18 +450,6 @@ def fig14_path(overlay: bool, flows: int = 100, racks: int = 3, seed: int = 1) -
     source.start(at=3.0, stop_at=8.0)
     dep.sim.run(until=12.0)
     return delays
-
-
-def fig14_run(
-    flows: int = 100,
-    racks: int = 3,
-    seed: int = 1,
-) -> Fig14Result:
-    """Both paths of Fig. 14: direct vs. overlay delay samples."""
-    return Fig14Result(
-        direct_delays=fig14_path(False, flows, racks, seed),
-        overlay_delays=fig14_path(True, flows, racks, seed),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -698,35 +659,6 @@ def lb_run(spray: bool):
         }
     finally:
         GroupEntry.select_bucket = original
-
-
-# ----------------------------------------------------------------------
-# Replication helper — multi-seed confidence for any point function
-# ----------------------------------------------------------------------
-@dataclass
-class Replicated:
-    """Mean/std of a scalar experiment across seeds."""
-
-    values: List[float]
-    mean: float
-    std: float
-
-    @property
-    def spread(self) -> float:
-        """std/mean (coefficient of variation); 0 for a zero mean."""
-        return self.std / self.mean if self.mean else 0.0
-
-
-def replicate(point_fn: Callable[[int], float], seeds: Sequence[int] = (1, 2, 3)) -> Replicated:
-    """Run ``point_fn(seed)`` across seeds and summarize.
-
-    The runners in this module take a ``seed`` parameter so any point
-    can be replicated, e.g.::
-
-        replicate(lambda s: fig3_point(PICA8_PRONTO_3780, 2000, seed=s))
-    """
-    values = [float(point_fn(seed)) for seed in seeds]
-    return Replicated(values=values, mean=mean(values), std=stddev(values))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional
 
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import OpenFlowController
-from repro.controller.reactive_app import ReactiveForwardingApp
+from repro.core.baselines import ReactiveForwardingApp
 from repro.net.builders import HOST_BPS
 from repro.net.host import Host
 from repro.net.topology import Network

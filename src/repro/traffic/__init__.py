@@ -12,7 +12,7 @@ elephants — the property §5.3's migration design depends on, citing [1]).
 from repro.traffic.attack import SpoofedFlood
 from repro.traffic.generators import NewFlowSource, flow_key_sequence
 from repro.traffic.sizes import FixedSize, HeavyTailedSizes, SizeSample
-from repro.traffic.trace import TraceRecord, TraceReplayer, generate_trace, read_trace, write_trace
+from repro.traffic.trace import TraceRecord, TraceReplayer, generate_trace
 
 __all__ = [
     "FixedSize",
@@ -24,6 +24,4 @@ __all__ = [
     "TraceReplayer",
     "flow_key_sequence",
     "generate_trace",
-    "read_trace",
-    "write_trace",
 ]

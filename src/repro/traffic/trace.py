@@ -3,13 +3,11 @@
 The paper's trace-driven run uses a "realistic network environment"; we
 substitute a synthetic data-center-style trace (see DESIGN.md §4): flow
 arrivals are Poisson with a configurable surge phase (the flash crowd /
-attack window), and sizes are heavy-tailed.  Traces are plain CSV so
-experiments are inspectable and re-runnable byte-for-byte.
+attack window), and sizes are heavy-tailed.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
@@ -78,43 +76,6 @@ def generate_trace(
                 rate_pps=sample.rate_pps,
             )
         )
-    return records
-
-
-def write_trace(path: str, records: Iterable[TraceRecord]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["time", "src_host", "src_ip", "dst_ip", "proto", "src_port", "dst_port",
-             "size_packets", "packet_size", "rate_pps"]
-        )
-        for r in records:
-            writer.writerow(
-                [f"{r.time:.6f}", r.src_host, r.key.src_ip, r.key.dst_ip, r.key.proto,
-                 r.key.src_port, r.key.dst_port, r.size_packets, r.packet_size, r.rate_pps]
-            )
-
-
-def read_trace(path: str) -> List[TraceRecord]:
-    records: List[TraceRecord] = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                TraceRecord(
-                    time=float(row["time"]),
-                    src_host=row["src_host"],
-                    key=FlowKey(
-                        row["src_ip"],
-                        row["dst_ip"],
-                        int(row["proto"]),
-                        int(row["src_port"]),
-                        int(row["dst_port"]),
-                    ),
-                    size_packets=int(row["size_packets"]),
-                    packet_size=int(row["packet_size"]),
-                    rate_pps=float(row["rate_pps"]),
-                )
-            )
     return records
 
 

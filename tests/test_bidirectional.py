@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controller.controller import OpenFlowController
-from repro.controller.reactive_app import ReactiveForwardingApp
+from repro.core.baselines import ReactiveForwardingApp
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.host import EchoServer, Host
 from repro.net.topology import Network

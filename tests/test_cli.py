@@ -74,12 +74,6 @@ def test_unknown_figure_errors(capsys, monkeypatch):
         main(["fig", "9", "--quick"])
 
 
-def test_demo_command(capsys):
-    assert main(["demo", "--attack-rate", "1500"]) == 0
-    out = capsys.readouterr().out
-    assert "vanilla" in out and "scotch" in out
-
-
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -4,8 +4,8 @@ import pytest
 
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import OpenFlowController
-from repro.controller.reactive_app import ReactiveForwardingApp
 from repro.controller.stats_service import StatsPoller
+from repro.core.baselines import ReactiveForwardingApp
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.host import Host
 from repro.net.topology import Network

@@ -39,10 +39,6 @@ class TestRouter:
         assert router.host_for("10.0.0.2").name == "server"
         assert router.host_for("9.9.9.9") is None
 
-    def test_attachment_switch(self):
-        _, net, router = build()
-        assert router.attachment_switch(net["server"]) == "s2"
-
     def test_path_to_includes_host(self):
         _, net, router = build()
         assert router.path_to("s0", "10.0.0.2") == ["s0", "s1", "s2", "server"]

@@ -48,7 +48,7 @@ def test_overlay_activates_and_protects_under_flood():
 
 
 def test_vanilla_fails_under_same_flood():
-    from repro.controller.reactive_app import ReactiveForwardingApp
+    from repro.core.baselines import ReactiveForwardingApp
 
     dep = build_deployment(seed=1, add_scotch_app=False)
     dep.controller.add_app(ReactiveForwardingApp())

@@ -58,7 +58,7 @@ def test_set_route_without_now_keeps_migrated_at_unset():
     assert db.get(key(1)).migrated_at is None
 
 
-def test_flows_on_and_overlay_flows_via():
+def test_overlay_flows_via():
     db = FlowInfoDatabase()
     db.record(key(1), "edge", 1, now=0.0)
     db.record(key(2), "edge", 1, now=0.0)
@@ -66,7 +66,6 @@ def test_flows_on_and_overlay_flows_via():
     db.set_route(key(1), ROUTE_OVERLAY)
     db.set_route(key(3), ROUTE_OVERLAY)
     db.set_route(key(2), ROUTE_DROPPED)
-    assert {i.key for i in db.flows_on(ROUTE_OVERLAY)} == {key(1), key(3)}
     assert [i.key for i in db.overlay_flows_via("edge")] == [key(1)]
     assert [i.key for i in db.overlay_flows_via("tor0")] == [key(3)]
     assert db.overlay_flows_via("spine") == []

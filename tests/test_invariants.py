@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.controller.controller import OpenFlowController
-from repro.controller.reactive_app import ReactiveForwardingApp
+from repro.core.baselines import ReactiveForwardingApp
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.host import Host
 from repro.net.topology import Network

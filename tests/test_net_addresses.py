@@ -9,7 +9,6 @@ from repro.net.addresses import (
     int_to_ip,
     ip_to_int,
     make_ip,
-    make_mac,
     random_spoofed_ip,
 )
 
@@ -48,12 +47,6 @@ def test_make_ip_bounds():
         make_ip(256, 0)
     with pytest.raises(ValueError):
         make_ip(0, 1 << 16)
-
-
-def test_make_mac_locally_administered_and_unique():
-    macs = {make_mac(i) for i in range(100)}
-    assert len(macs) == 100
-    assert all(m.startswith("02:") for m in macs)
 
 
 def test_random_spoofed_ip_is_plausible_unicast():

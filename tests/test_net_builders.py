@@ -1,26 +1,13 @@
-"""Tests for the topology builders, including Scotch on a leaf-spine."""
+"""Tests for the leaf-spine topology builder, including Scotch on it."""
 
-import networkx as nx
 import pytest
 
 from repro.core.overlay import ScotchOverlay
-from repro.net.builders import fat_tree, leaf_spine, linear
+from repro.net.builders import leaf_spine
 from repro.net.tap import client_flow_failure_fraction
 from repro.switch.switch import VSwitch
 from repro.testbed.deployment import attach_scotch
 from repro.traffic import NewFlowSource, SpoofedFlood
-
-
-class TestLinear:
-    def test_shape(self):
-        topo = linear(4, hosts_per_switch=2)
-        assert len(topo.switches) == 4
-        assert len(topo.hosts) == 8
-        assert topo.network.shortest_path("s0", "s3") == ["s0", "s1", "s2", "s3"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            linear(0)
 
 
 class TestLeafSpine:
@@ -42,26 +29,6 @@ class TestLeafSpine:
     def test_validation(self):
         with pytest.raises(ValueError):
             leaf_spine(leaves=0)
-
-
-class TestFatTree:
-    def test_k4_inventory(self):
-        topo = fat_tree(k=4)
-        assert len(topo.layers["core"]) == 4
-        assert len(topo.layers["agg"]) == 8
-        assert len(topo.layers["edge"]) == 8
-        assert len(topo.hosts) == 8
-
-    def test_all_pairs_connected(self):
-        topo = fat_tree(k=4)
-        assert nx.is_connected(topo.network.graph)
-        path = topo.network.shortest_path(topo.hosts[0].name, topo.hosts[-1].name)
-        # host - edge - agg - core - agg - edge - host
-        assert len(path) == 7
-
-    def test_odd_k_rejected(self):
-        with pytest.raises(ValueError):
-            fat_tree(k=3)
 
 
 def test_scotch_on_builder_leaf_spine():

@@ -30,12 +30,6 @@ def test_flow_spec_validation():
         FlowSpec(key=key, start_time=0, batch=0)
 
 
-def test_flow_spec_size_bytes():
-    spec = FlowSpec(key=FlowKey("a", "b", 6, 1, 2), start_time=0,
-                    size_packets=10, packet_size=100)
-    assert spec.size_bytes == 1000
-
-
 def test_flow_record_success_and_latency():
     record = FlowRecord(FlowKey("a", "b", 6, 1, 2))
     assert record.succeeded is False

@@ -1,7 +1,7 @@
 """Tests for stateful middleboxes."""
 
 from repro.net.flow import FlowKey
-from repro.net.middlebox import Firewall, LoadBalancerBox, Middlebox
+from repro.net.middlebox import Firewall, Middlebox
 from repro.net.node import Node
 from repro.net.packet import TCP_DATA, TCP_SYN, Packet
 from repro.net.topology import Network
@@ -107,31 +107,6 @@ def test_firewall_knows():
     sim.run()
     assert fw.knows(key)
     assert fw.knows(key.reversed())
-
-
-def test_load_balancer_pins_flow_to_backend():
-    sim = Simulator()
-    net = Network(sim)
-    lb = net.add(LoadBalancerBox(sim, "lb", backends=["10.0.0.1", "10.0.0.2"]))
-    left, right = wire(sim, net, lb)
-    left.port_to("lb").send(syn())
-    left.port_to("lb").send(data())
-    sim.run()
-    assert len(right.packets) == 2
-    dsts = {p.dst_ip for p in right.packets}
-    assert len(dsts) == 1  # both packets rewritten to the same backend
-    assert dsts.pop() in ("10.0.0.1", "10.0.0.2")
-
-
-def test_load_balancer_rejects_unpinned_midflow():
-    sim = Simulator()
-    net = Network(sim)
-    lb = net.add(LoadBalancerBox(sim, "lb", backends=["10.0.0.1"]))
-    left, right = wire(sim, net, lb)
-    left.port_to("lb").send(data())
-    sim.run()
-    assert right.packets == []
-    assert lb.rejected_unknown == 1
 
 
 def test_processing_latency_applied():

@@ -41,7 +41,7 @@ def test_pop_empty_raises():
 def test_outer_accessors_for_gre():
     packet = make_packet()
     packet.push(GreHeader(key=1234))
-    assert packet.outer_gre_key == 1234
+    assert packet.outer == GreHeader(key=1234)
     assert packet.outer_mpls_label is None
 
 
@@ -87,13 +87,6 @@ def test_gre_key_range():
 
 def test_packet_ids_unique():
     assert make_packet().packet_id != make_packet().packet_id
-
-
-def test_note_hop_records_path():
-    packet = make_packet()
-    packet.note_hop("sw1")
-    packet.note_hop("sw2")
-    assert packet.hops == ["sw1", "sw2"]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), max_size=8))

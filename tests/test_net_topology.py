@@ -96,14 +96,6 @@ def test_path_delay_sums_edges():
     assert net.path_delay(["a", "b", "c"]) == pytest.approx(0.3)
 
 
-def test_hop_ports():
-    _, net = build_line(3)
-    hops = net.hop_ports(["s0", "s1", "s2"])
-    assert [h[0] for h in hops] == ["s0", "s1"]
-    for node, port_no in hops:
-        assert net[node].port(port_no).link is not None
-
-
 def test_neighbors():
     _, net = build_line(3)
     assert set(net.neighbors("s1")) == {"s0", "s2"}

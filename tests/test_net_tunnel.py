@@ -125,7 +125,7 @@ def test_same_node_endpoints_rejected():
         fabric.create("s0", "s0")
 
 
-def test_hop_count():
+def test_tunnel_path_hops():
     sim, net, fabric = build()
     tunnel = fabric.create("s0", "v0")
-    assert tunnel.hop_count == 3
+    assert len(tunnel.path) - 1 == 3

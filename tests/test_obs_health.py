@@ -8,6 +8,7 @@ import pytest
 from repro.obs.health import HealthEngine, SliSpec, _wildcard_capture
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rules import parse_rules
+from repro.obs.scorecard import firings_from_timeline
 from repro.sim.engine import Simulator
 
 
@@ -196,8 +197,6 @@ def test_engine_events_are_daemon_only():
 
 
 def test_engine_fires_rules_into_a_deterministic_timeline():
-    import json
-
     sim = Simulator()
     registry = MetricsRegistry()
     counter = registry.counter("errors")
@@ -214,34 +213,10 @@ def test_engine_fires_rules_into_a_deterministic_timeline():
     states = [record["state"] for record in engine.timeline]
     assert "firing" in states
     assert states[-1] == "resolved"
-    firings = engine.firing_intervals(end=3.0)
+    firings = firings_from_timeline(engine.timeline, 3.0)
     assert len(firings) == 1
     name, t0, t1 = firings[0]
     assert name == "errors_high"
     assert 0.0 < t0 < t1 <= 3.0
     lines = engine.timeline_jsonl().splitlines()
     assert [json.loads(line)["state"] for line in lines] == states
-
-
-def test_export_timeline_writes_jsonl(tmp_path):
-    sim = Simulator()
-    registry = MetricsRegistry()
-    counter = registry.counter("errors")
-    spec = SliSpec("err_rate", "rate", window=0.5, patterns=("errors",))
-    engine = HealthEngine(
-        sim, registry, rules=parse_rules("hot: err_rate > 1"),
-        slis=[spec], interval=0.25)
-    engine.start()
-    sim.schedule(0.1, counter.inc, 100)
-    sim.schedule(0.5, lambda: None)
-    sim.run()
-    engine.stop()
-    path = str(tmp_path / "alerts.jsonl")
-    count = engine.export_timeline(path)
-    assert count == len(engine.timeline) > 0
-    with open(path) as handle:
-        lines = handle.read().strip().splitlines()
-    # One schema header line, then the transition records.
-    assert json.loads(lines[0]) == {"type": "schema",
-                                    "schema": "alert_timeline", "version": 1}
-    assert len(lines) == count + 1

@@ -11,6 +11,7 @@ from repro.obs.rules import (
     parse_rules,
     timeline_jsonl,
 )
+from repro.obs.scorecard import firings_from_timeline
 
 
 # ----------------------------------------------------------------------
@@ -84,25 +85,27 @@ def test_builtin_rules_cover_the_failure_shapes():
 def test_pending_hold_then_firing_then_hysteresis_resolve():
     state = AlertState(parse_rule("r: s > 10 for 0.5 clear 5"))
     assert state.evaluate(0.0, 3.0) == []               # below threshold
-    records = state.evaluate(0.25, 20.0)                # breach -> pending
-    assert [r["state"] for r in records] == ["pending"]
+    timeline = state.evaluate(0.25, 20.0)               # breach -> pending
+    assert [r["state"] for r in timeline] == ["pending"]
     assert state.evaluate(0.5, 20.0) == []              # still holding
     records = state.evaluate(0.75, 20.0)                # held 0.5s -> firing
     assert [r["state"] for r in records] == ["firing"]
     assert state.firing
+    timeline += records
     # Below threshold but above the clear level: hysteresis keeps firing.
     assert state.evaluate(1.0, 7.0) == []
     records = state.evaluate(1.25, 4.0)                 # <= clear -> resolved
     assert [r["state"] for r in records] == ["resolved"]
-    assert state.firings == [[0.75, 1.25]]
+    timeline += records
+    assert firings_from_timeline(timeline, 2.0) == [("r", 0.75, 1.25)]
 
 
 def test_pending_cancelled_when_breach_ends_early():
     state = AlertState(parse_rule("r: s > 10 for 1"))
-    state.evaluate(0.0, 11.0)
+    timeline = state.evaluate(0.0, 11.0)
     records = state.evaluate(0.5, 9.0)
     assert [r["state"] for r in records] == ["cancelled"]
-    assert state.firings == []
+    assert firings_from_timeline(timeline + records, 1.0) == []
     assert not state.firing
 
 
@@ -110,7 +113,8 @@ def test_zero_hold_fires_immediately():
     state = AlertState(parse_rule("r: s > 1"))
     records = state.evaluate(0.0, 2.0)
     assert [r["state"] for r in records] == ["firing"]
-    assert state.firings == [[0.0, None]]  # still open
+    # Still open: the interval runs to the end of the run.
+    assert firings_from_timeline(records, 1.0) == [("r", 0.0, 1.0)]
 
 
 def test_less_than_rule_arms_only_after_activity():
@@ -120,11 +124,11 @@ def test_less_than_rule_arms_only_after_activity():
     assert state.evaluate(0.0, 0.0) == []
     assert state.evaluate(0.25, 0.0) == []
     assert state.evaluate(0.5, 0.9) == []   # reaches clear level: armed
-    records = state.evaluate(0.75, 0.0)     # now a drop to zero fires
-    assert [r["state"] for r in records] == ["firing"]
+    timeline = state.evaluate(0.75, 0.0)    # now a drop to zero fires
+    assert [r["state"] for r in timeline] == ["firing"]
     records = state.evaluate(1.0, 0.8)      # recovery resolves
     assert [r["state"] for r in records] == ["resolved"]
-    assert state.firings == [[0.75, 1.0]]
+    assert firings_from_timeline(timeline + records, 2.0) == [("r", 0.75, 1.0)]
 
 
 def test_timeline_jsonl_is_stable_and_parseable():

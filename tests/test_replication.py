@@ -1,40 +1,23 @@
-"""Tests for the multi-seed replication helper — and the claim the
-benches rely on implicitly: the reproduced quantities are stable across
-seeds (small coefficient of variation)."""
+"""The claim the benches rely on implicitly: the reproduced quantities
+are stable across seeds (small coefficient of variation)."""
 
 import pytest
 
 pytestmark = pytest.mark.slow
 
+from repro.obs.metrics import mean, stddev
 from repro.switch.profiles import PICA8_PRONTO_3780
-from repro.testbed.experiments import fig3_point, fig9_point, replicate
-
-
-def test_replicate_summarizes():
-    result = replicate(lambda seed: float(seed), seeds=(1, 2, 3))
-    assert result.values == [1.0, 2.0, 3.0]
-    assert result.mean == pytest.approx(2.0)
-    assert result.std == pytest.approx(1.0)
-    assert result.spread == pytest.approx(0.5)
+from repro.testbed.experiments import fig3_point, fig9_point
 
 
 def test_fig3_point_stable_across_seeds():
-    result = replicate(
-        lambda seed: fig3_point(PICA8_PRONTO_3780, 2000, duration=4.0, seed=seed),
-        seeds=(1, 2, 3),
-    )
-    assert result.mean > 0.9
-    assert result.spread < 0.05
+    values = [fig3_point(PICA8_PRONTO_3780, 2000, duration=4.0, seed=seed)
+              for seed in (1, 2, 3)]
+    assert mean(values) > 0.9
+    assert stddev(values) / mean(values) < 0.05
 
 
 def test_fig9_point_stable_across_seeds():
-    result = replicate(
-        lambda seed: fig9_point(800, duration=3.0, seed=seed), seeds=(1, 2, 3)
-    )
-    assert 550 < result.mean < 700
-    assert result.spread < 0.05
-
-
-def test_zero_mean_spread_defined():
-    result = replicate(lambda seed: 0.0, seeds=(1, 2))
-    assert result.spread == 0.0
+    values = [fig9_point(800, duration=3.0, seed=seed) for seed in (1, 2, 3)]
+    assert 550 < mean(values) < 700
+    assert stddev(values) / mean(values) < 0.05

@@ -80,23 +80,17 @@ def test_hash_seed_changes_mapping():
     assert differs
 
 
-def test_replace_bucket_keeps_other_positions():
+def test_swapping_a_bucket_keeps_other_positions():
     group = make_group(3)
     before = [group.select_bucket(make_packet(p)).label for p in range(100)]
-    old = group.replace_bucket(1, Bucket(actions=[Output(99)], label="backup"))
-    assert old.label == "b1"
+    assert group.buckets[1].label == "b1"
+    group.buckets[1] = Bucket(actions=[Output(99)], label="backup")
     after = [group.select_bucket(make_packet(p)).label for p in range(100)]
     for b, a in zip(before, after):
         if b != "b1":
             assert a == b  # unrelated flows did not move
         else:
             assert a == "backup"
-
-
-def test_find_bucket():
-    group = make_group(3)
-    assert group.find_bucket("b2") == 2
-    assert group.find_bucket("zz") is None
 
 
 def test_group_table_crud():

@@ -117,6 +117,22 @@ def test_for_flow_matches_iff_same_tuple(tuple_a, tuple_b):
 
 
 @given(five_tuples)
+def test_for_flow_equals_the_keyword_built_match(tuple_a):
+    """The fast constructor the reactive core and the pool install with
+    builds the same match as the validating keyword form, down to the
+    precomputed views the flow table reads."""
+    key = FlowKey(*tuple_a)
+    fast = Match.for_flow(key)
+    keyword = Match(src_ip=key.src_ip, dst_ip=key.dst_ip, proto=key.proto,
+                    src_port=key.src_port, dst_port=key.dst_port)
+    assert fast == keyword
+    assert hash(fast) == hash(keyword)
+    assert list(fast.fields.items()) == list(keyword.fields.items())
+    for slot in Match.__slots__:
+        assert getattr(fast, slot) == getattr(keyword, slot), slot
+
+
+@given(five_tuples)
 def test_covers_implies_matches(tuple_a):
     """If m1 covers m2, every packet matching m2 matches m1."""
     key = FlowKey(*tuple_a)

@@ -7,7 +7,7 @@ import pytest
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
-from repro.traffic.trace import TraceReplayer, generate_trace, read_trace, write_trace
+from repro.traffic.trace import TraceReplayer, generate_trace
 
 
 def make_trace(duration=10.0, **kwargs):
@@ -46,17 +46,6 @@ def test_sources_and_destinations_drawn_from_inputs():
     records = make_trace()
     assert {r.src_host for r in records} <= {"h0", "h1"}
     assert {r.key.dst_ip for r in records} <= {"10.0.0.1", "10.0.0.2"}
-
-
-def test_csv_roundtrip(tmp_path):
-    records = make_trace(duration=2.0)
-    path = tmp_path / "trace.csv"
-    write_trace(str(path), records)
-    loaded = read_trace(str(path))
-    assert len(loaded) == len(records)
-    assert loaded[0].key == records[0].key
-    assert loaded[0].time == pytest.approx(records[0].time, abs=1e-6)
-    assert loaded[-1].size_packets == records[-1].size_packets
 
 
 def test_empty_inputs_rejected():
