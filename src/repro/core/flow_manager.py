@@ -292,7 +292,13 @@ class PathInstaller:
         expected to be live."""
         sim = self.controller.sim
 
-        def send_from(index: int) -> None:
+        # ``send_from`` receives itself as an argument rather than
+        # closing over its own name: a self-referencing closure is a
+        # function<->cell cycle, which would keep every install's jobs,
+        # FlowMods and Packet alive until the cyclic collector ran.  The
+        # nested function keeps its name, which the engine records as the
+        # scheduled callback's name.
+        def send_from(send_from: Callable[..., None], index: int) -> None:
             if index >= len(jobs):
                 if on_complete is not None:
                     on_complete()
@@ -303,7 +309,7 @@ class PathInstaller:
             def advance() -> None:
                 if chained is not None:
                     chained()
-                sim.schedule(self.settle_delay, send_from, index + 1)
+                sim.schedule(self.settle_delay, send_from, send_from, index + 1)
 
             scheduler = self.schedulers.get(job.dpid)
             if scheduler is None:
@@ -313,7 +319,7 @@ class PathInstaller:
             else:
                 scheduler.submit_admitted(job.flow_mod, on_sent=advance)
 
-        send_from(0)
+        send_from(send_from, 0)
 
     @staticmethod
     def red_flow_mod(rule: "HopRule") -> FlowMod:

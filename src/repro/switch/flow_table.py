@@ -4,7 +4,7 @@ Lookup semantics follow the OpenFlow spec: the highest-priority matching
 entry wins; ties are broken by installation order (older first), which is
 deterministic and matches common implementations.
 
-For speed the table keeps two structures:
+For speed the table keeps three structures:
 
 * a **per-flow index**: entries whose match pins the full five-tuple
   (possibly with extra constraints such as an MPLS label or in_port) are
@@ -18,9 +18,13 @@ For speed the table keeps two structures:
   per-destination delivery rules, table-miss catch-alls), kept sorted
   by priority.
 
-A lookup consults the five-tuple bucket, the packet's label bucket and
-the general list (the latter two merged in priority order) and picks
-the highest-priority winner, so the indexing never changes semantics
+Which structure an entry lives in is decided by its match
+(``Match.has_five_tuple``, ``Match.label_bucket``), and so is the
+``Match.residual`` view: the constraints that structure has not already
+matched.  A lookup consults the five-tuple bucket, the packet's label
+bucket and the general list (the latter two merged in priority order),
+checks each candidate's residual against the packet, and picks the
+highest-priority winner, so the indexing never changes semantics
 (verified by a property test that compares against a naive full scan).
 """
 
@@ -32,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.packet import MplsHeader
 from repro.switch.actions import Action
-from repro.switch.match import Match, extract_fields
+from repro.switch.match import Match, residual_holds
 
 _entry_ids = itertools.count(1)
 
@@ -103,19 +107,6 @@ def _wild_sort_key(entry: FlowEntry) -> Tuple[int, int]:
     return (-entry.priority, entry.entry_id)
 
 
-def _label_bucket_key(match: Match) -> Optional[Tuple[str, object]]:
-    """The label-index bucket a non-five-tuple match belongs to, or None
-    for the general scan list."""
-    fields = match.fields
-    label = fields.get("mpls_label")
-    if label is not None:
-        return ("mpls_label", label)
-    key = fields.get("gre_key")
-    if key is not None:
-        return ("gre_key", key)
-    return None
-
-
 class FlowTable:
     """One table of the pipeline, with optional TCAM capacity."""
 
@@ -179,7 +170,7 @@ class FlowTable:
             # insertion order); sort keys are unique, so insort lands
             # each entry exactly where a full re-sort would.
             insort(self._wild, entry, key=_wild_sort_key)
-            bucket_key = _label_bucket_key(entry.match)
+            bucket_key = entry.match.label_bucket
             if bucket_key is None:
                 insort(self._wild_general, entry, key=_wild_sort_key)
             else:
@@ -198,7 +189,7 @@ class FlowTable:
         else:
             # An equal match shares the same label signature, so only
             # its own bucket can hold candidates.
-            bucket_key = _label_bucket_key(match)
+            bucket_key = match.label_bucket
             if bucket_key is None:
                 candidates = list(self._wild_general)
             else:
@@ -240,7 +231,7 @@ class FlowTable:
         if match.has_five_tuple:
             candidates = self._indexed.get(match.five_tuple_key(), ())
         else:
-            bucket_key = _label_bucket_key(match)
+            bucket_key = match.label_bucket
             if bucket_key is None:
                 candidates = self._wild_general
             else:
@@ -267,7 +258,7 @@ class FlowTable:
                 self._wild.remove(entry)
             except ValueError:
                 return
-            bucket_key = _label_bucket_key(entry.match)
+            bucket_key = entry.match.label_bucket
             if bucket_key is None:
                 self._wild_general.remove(entry)
             else:
@@ -285,18 +276,19 @@ class FlowTable:
         candidates it inspects.  Updates counters on the winner.
 
         Hot path: the five-tuple key is built straight from the packet
-        attributes and the full field view (``extract_fields``) is only
-        materialized if some candidate actually constrains a non-five-
-        tuple field — for an indexed entry the bucket key *is* the
-        five-tuple, so only its ``_extra_items`` need checking, and the
-        timeout/winner checks are inlined (no per-candidate calls).
+        attributes, and each candidate is checked only against its
+        match's ``residual`` — the constraints its own index did not
+        already match (for a five-tuple bucket entry, those beyond the
+        five-tuple; for a label bucket entry, those beyond the label;
+        usually none) — read straight off ``in_port``, the packet and
+        its outer header, so no field dict is built.  The timeout and
+        winner checks are inlined (no per-candidate calls).
         Non-indexed candidates come from the packet's label bucket and
         the general list, merged in scan order — entries pinning a
         *different* label can never match and are never visited.
         """
         self.lookups += 1
         best: Optional[FlowEntry] = None
-        fields = None
 
         bucket = self._indexed.get(
             (packet.src_ip, packet.dst_ip, packet.proto, packet.src_port, packet.dst_port)
@@ -312,18 +304,9 @@ class FlowTable:
                     self.evictions += 1
                     self._notify_expired(entry, now)
                     continue
-                extras = entry.match._extra_items
-                if extras:
-                    if fields is None:
-                        fields = extract_fields(packet, in_port)
-                    get = fields.get
-                    matched = True
-                    for name, wanted in extras:
-                        if get(name) != wanted:
-                            matched = False
-                            break
-                    if not matched:
-                        continue
+                residual = entry.match.residual
+                if residual and not residual_holds(residual, packet, in_port):
+                    continue
                 if best is None or (entry.priority, -entry.entry_id) > (
                     best.priority, -best.entry_id
                 ):
@@ -373,18 +356,9 @@ class FlowTable:
                 idle > 0.0 and now - entry.last_hit_at >= idle
             ):
                 continue  # removed by the next expire() sweep
-            items = entry.match._items
-            if items:
-                if fields is None:
-                    fields = extract_fields(packet, in_port)
-                get = fields.get
-                matched = True
-                for name, wanted in items:
-                    if get(name) != wanted:
-                        matched = False
-                        break
-                if not matched:
-                    continue
+            residual = entry.match.residual
+            if residual and not residual_holds(residual, packet, in_port):
+                continue
             best = entry
             break
 

@@ -12,7 +12,7 @@ pop encapsulation before matching on the five-tuple).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.packet import MplsHeader, Packet
 
@@ -57,6 +57,37 @@ def extract_fields(packet: Packet, in_port: int) -> Dict[str, object]:
     }
 
 
+def residual_holds(residual: Tuple[Tuple[str, object], ...], packet: Packet,
+                   in_port: int) -> bool:
+    """Whether ``packet`` arriving on ``in_port`` satisfies every
+    ``(field, value)`` constraint of ``residual`` (a :class:`Match`'s
+    ``residual`` view).
+
+    The same test as ``Match.matches(extract_fields(packet, in_port))``
+    restricted to those constraints, but each field is read where it
+    lives — ``in_port``, a packet attribute, the outer header — so no
+    field dict is built.  Constraint values are never None, so an absent
+    header fails any label constraint.
+    """
+    for name, wanted in residual:
+        if name == "in_port":
+            if in_port != wanted:
+                return False
+        elif name == "mpls_label" or name == "gre_key":
+            encap = packet.encap
+            if not encap:
+                return False
+            outer = encap[-1]
+            if type(outer) is MplsHeader:
+                if name == "gre_key" or outer.label != wanted:
+                    return False
+            elif name == "mpls_label" or outer.key != wanted:
+                return False
+        elif getattr(packet, name) != wanted:
+            return False
+    return True
+
+
 class Match:
     """An exact-fields-with-wildcards match.
 
@@ -68,13 +99,20 @@ class Match:
     * ``has_five_tuple`` / ``_five_key`` — whether the full five-tuple is
       pinned, and its hash key for the :class:`~repro.switch.flow_table.
       FlowTable` per-flow index;
-    * ``_extra_items`` — constraints *beyond* the five-tuple.  For an
-      entry found via the per-flow index the five-tuple already matched
-      by construction, so the lookup only needs to verify these (usually
-      none).
+    * ``label_bucket`` — for a match without the full five-tuple that
+      pins an encapsulation label, the ``("mpls_label", label)`` (else
+      ``("gre_key", key)``) key of the table's label index; None for
+      every other match;
+    * ``residual`` — the constraints the entry's own index has not
+      already matched: everything beyond the five-tuple for a
+      five-tuple match, everything beyond the bucket's label for a
+      label-bucketed match, all constraints for the rest.  A lookup
+      checks only this view (:func:`residual_holds`) on the candidates
+      its indexes return; it is usually empty.
     """
 
-    __slots__ = ("fields", "_items", "_extra_items", "has_five_tuple", "_five_key")
+    __slots__ = ("fields", "_items", "residual", "has_five_tuple", "_five_key",
+                 "label_bucket")
 
     def __init__(self, **fields: object):
         if not _FIELD_SET.issuperset(fields):
@@ -82,13 +120,18 @@ class Match:
             raise ValueError(f"unknown match fields: {sorted(unknown)}")
         self.fields: Dict[str, object] = {k: v for k, v in fields.items() if v is not None}
         self._items = tuple(self.fields.items())
-        self._extra_items = tuple(
-            (k, v) for k, v in self._items if k not in _FIVE_SET
-        )
         self.has_five_tuple = _FIVE_SET.issubset(self.fields)
         self._five_key = (
             tuple(self.fields[f] for f in FIVE_TUPLE) if self.has_five_tuple else None
         )
+        self.label_bucket: Optional[Tuple[str, object]] = None
+        matched = _FIVE_SET
+        if not self.has_five_tuple:
+            label = next((f for f in ("mpls_label", "gre_key") if f in self.fields), None)
+            if label is not None:
+                self.label_bucket = (label, self.fields[label])
+            matched = {label}
+        self.residual = tuple((k, v) for k, v in self._items if k not in matched)
 
     @classmethod
     def for_flow(cls, key) -> "Match":
@@ -122,14 +165,15 @@ class Match:
             "dst_port": dst_port,
         }
         if in_port is None:
-            self._extra_items = ()
+            self.residual = ()
         else:
             fields["in_port"] = in_port
-            self._extra_items = (("in_port", in_port),)
+            self.residual = (("in_port", in_port),)
         self.fields = fields
         self._items = tuple(fields.items())
         self.has_five_tuple = True
         self._five_key = five
+        self.label_bucket = None
         return self
 
     @classmethod

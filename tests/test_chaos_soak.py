@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import default_plan, run
+from repro.faults import run
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 

@@ -9,7 +9,6 @@ from repro.core.baselines import ReactiveForwardingApp
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.host import Host
 from repro.net.topology import Network
-from repro.openflow.messages import FlowStatsReply
 from repro.sim.engine import Simulator
 from repro.switch.profiles import IDEAL_SWITCH
 from repro.switch.switch import PhysicalSwitch

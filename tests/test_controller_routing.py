@@ -1,7 +1,5 @@
 """Tests for the router and flow-info database."""
 
-import pytest
-
 from repro.controller.flow_info_db import (
     ROUTE_OVERLAY,
     ROUTE_PENDING,

@@ -1,8 +1,6 @@
 """Unit-ish tests for the ScotchApp's Packet-In handling and routing
 decisions (deployment-scale behaviours live in test_core_integration)."""
 
-import zlib
-
 import pytest
 
 from repro.core.config import ScotchConfig
@@ -99,7 +97,7 @@ def test_hash_entry_selection_matches_group_hash():
     app = dep.scotch
     overlay = app.overlay
     switch = dep.edge
-    from repro.switch.group_table import Bucket, GroupEntry
+    from repro.switch.group_table import GroupEntry
 
     group = GroupEntry(1, "select", overlay.group_buckets("edge"),
                        hash_seed=switch.hash_seed)

@@ -9,7 +9,7 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.core.config import PRIORITY_SCOTCH_DEFAULT, ScotchConfig
+from repro.core.config import PRIORITY_SCOTCH_DEFAULT
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment

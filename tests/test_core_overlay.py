@@ -14,7 +14,7 @@ from repro.net.flow import FlowKey
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
-from repro.switch.actions import GotoTable, Output, PushMpls
+from repro.switch.actions import GotoTable, PushMpls
 from repro.switch.profiles import HP_PROCURVE_6600
 from repro.switch.switch import PhysicalSwitch, VSwitch
 

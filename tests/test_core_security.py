@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import ScotchConfig
 from repro.core.security import BLOCK, PRIORITY_MITIGATION, SecurityApp
 from repro.net.tap import client_flow_failure_fraction
 from repro.testbed.deployment import build_deployment

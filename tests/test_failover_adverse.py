@@ -7,8 +7,6 @@ is still in flight, and a control channel that flaps faster than the
 failover settles.
 """
 
-import pytest
-
 from repro.core.config import ScotchConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.openflow.messages import GroupMod

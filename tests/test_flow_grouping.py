@@ -6,8 +6,6 @@ the flows according to which customer it belongs to."
 """
 
 from repro.core.app import ScotchApp
-from repro.core.config import ScotchConfig
-from repro.core.overlay import ScotchOverlay
 from repro.core.policy import PolicyRegistry
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource

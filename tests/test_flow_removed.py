@@ -1,12 +1,10 @@
 """Tests for FlowRemoved generation and controller-state retirement."""
 
-import pytest
-
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import OpenFlowController
 from repro.net.flow import FlowKey
 from repro.net.topology import Network
-from repro.openflow.messages import FlowMod, FlowRemoved
+from repro.openflow.messages import FlowMod
 from repro.sim.engine import Simulator
 from repro.switch.actions import Output
 from repro.switch.match import Match

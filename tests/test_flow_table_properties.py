@@ -36,9 +36,19 @@ _FIELD_VALUES = {
 }
 
 
+#: The label fields decide which index holds a rule and what its
+#: residual view leaves to check, so every label signature (none, one,
+#: both) is drawn as often as the others.
+_LABEL_SIGNATURES = ((), ("mpls_label",), ("gre_key",), ("mpls_label", "gre_key"))
+_UNLABELLED_FIELDS = tuple(
+    name for name in MATCH_FIELDS if name not in ("mpls_label", "gre_key")
+)
+
+
 @st.composite
 def matches(draw):
-    chosen = draw(st.sets(st.sampled_from(MATCH_FIELDS)))
+    chosen = draw(st.sets(st.sampled_from(_UNLABELLED_FIELDS)))
+    chosen.update(draw(st.sampled_from(_LABEL_SIGNATURES)))
     return Match(**{name: draw(_FIELD_VALUES[name]) for name in sorted(chosen)})
 
 

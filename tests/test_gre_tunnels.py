@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.config import ScotchConfig
-from repro.net.packet import GreHeader, Packet
+from repro.net.packet import Packet
 from repro.net.tap import client_flow_failure_fraction
 from repro.net.topology import Network
 from repro.net.tunnel import GRE, MPLS, TunnelFabric
 from repro.sim.engine import Simulator
-from repro.switch.actions import GotoTable, Output, PopGre, PopMpls, SetGreKey
+from repro.switch.actions import GotoTable, PopGre, PopMpls, SetGreKey
 from repro.switch.switch import PhysicalSwitch, VSwitch
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource, SpoofedFlood

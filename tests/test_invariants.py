@@ -1,6 +1,5 @@
 """System-level invariants, including randomized-topology properties."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.controller.controller import OpenFlowController

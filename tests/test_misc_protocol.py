@@ -1,7 +1,5 @@
 """Protocol and lifecycle details not covered elsewhere."""
 
-import pytest
-
 from repro.controller.controller import OpenFlowController
 from repro.net.flow import FlowKey, FlowSpec
 from repro.net.host import EchoServer, Host

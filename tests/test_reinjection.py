@@ -1,7 +1,5 @@
 """Tests for duplicate-Packet-In reinjection and held-packet buffering."""
 
-import pytest
-
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.openflow.messages import PacketIn

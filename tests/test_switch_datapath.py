@@ -18,7 +18,6 @@ from repro.switch.actions import (
     PopMpls,
     PushMpls,
     SetGreKey,
-    PopGre,
 )
 from repro.switch.datapath import INGRESS_BUFFER, MISS_DROP
 from repro.switch.group_table import Bucket, GroupEntry

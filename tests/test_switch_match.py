@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.net.flow import FlowKey
 from repro.net.packet import GreHeader, MplsHeader, Packet
-from repro.switch.match import FIVE_TUPLE, Match, extract_fields
+from repro.switch.match import Match, extract_fields
 
 
 def make_packet(**kwargs):

@@ -1,6 +1,5 @@
 """Tests for the OFA model — the calibrated control-path bottleneck."""
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.flow import FlowKey

@@ -18,7 +18,6 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.core.baselines import ReactiveForwardingApp
-from repro.openflow.messages import ErrorMessage
 from repro.switch.profiles import PICA8_PRONTO_3780
 from repro.testbed.deployment import build_deployment
 from repro.traffic import NewFlowSource

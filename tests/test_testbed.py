@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.net.host import Host
-from repro.switch.profiles import HP_PROCURVE_6600, OPEN_VSWITCH
+from repro.switch.profiles import HP_PROCURVE_6600
 from repro.switch.switch import PhysicalSwitch, VSwitch
 from repro.testbed.deployment import build_deployment
 from repro.obs.report import format_table
