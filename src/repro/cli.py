@@ -9,13 +9,17 @@ Installed as ``scotch-repro`` (or run via ``python -m repro.cli``)::
     scotch-repro fig install_rate     # ... or an ablation's
     scotch-repro ablation             # = fig ablation: Scotch vs the §4 baselines
     scotch-repro tcam                 # = fig tcam: the §3.3 TCAM bottleneck
-    scotch-repro chaos --seed 3       # fault injection + recovery report
+    scotch-repro chaos --seed 3       # fault injection, recovery + detection report
     scotch-repro report -o REPORT.md  # every figure + ablation, one file
 
 Every run command also takes the observability flags (docs/observability.md)::
 
     scotch-repro fig 3 --quick --trace fig3.trace.jsonl --metrics fig3.metrics.jsonl
-    scotch-repro inspect fig3.trace.jsonl   # per-stage p50/p99 summary
+    scotch-repro inspect fig3.trace.jsonl   # per-stage p50/p99 + latency attribution
+
+``inspect`` reads back every file a run writes; for a trace or a
+postmortem bundle it also writes the critical-path report
+(``--critpath OUT``), and it renders any summary as a page (``--html``).
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from repro.faults import (
     scenarios,
     write_artifacts,
 )
-from repro.obs.artifacts import ARTIFACTS, inspect_sections, sniff_kind
+from repro.obs.artifacts import ARTIFACTS, sniff_kind
+from repro.obs.critpath import attribute, longest_chain, report_jsonl
 from repro.obs.report import format_table, render_html, render_text
+from repro.obs.scorecard import health_sections
 from repro.telemetry.scorecard import run_telemetry_scorecard
 from repro.testbed.experiments import FIGURES
 
@@ -120,26 +126,24 @@ def _load_rules(path: Optional[str]):
 
 
 def _chaos_request(args) -> Dict[str, Any]:
-    """`chaos` and `health` both run the chaos scenario; `health` keeps
-    the engine on and may drop the faults (--no-faults)."""
+    """The chaos scenario: the default fault timeline (or none, with
+    --no-faults), graded by the health engine unless --no-health."""
     if args.duration < 16.0:
         raise ValueError(
-            f"{args.command} needs --duration >= 16 (the chaos scenario's "
-            "default fault timeline ends at 12.5s and the report wants a "
-            "clean recovery window)")
-    health = not getattr(args, "no_health", False)
-    if not health and (args.alert_log or args.health_report
-                       or args.scorecard_json or args.rules):
+            "chaos needs --duration >= 16 (the chaos scenario's default "
+            "fault timeline ends at 12.5s and the report wants a clean "
+            "recovery window)")
+    if args.no_health and (args.alert_log or args.health_report
+                           or args.scorecard_json or args.rules):
         raise ValueError("--alert-log/--health-report/--scorecard-json/"
                          "--rules need the health engine (drop --no-health)")
     return dict(
         scenario="chaos",
         duration=args.duration,
-        plan=(FaultPlan() if getattr(args, "no_faults", False)
-              else default_plan(args.duration)),
-        health=health,
+        plan=FaultPlan() if args.no_faults else default_plan(args.duration),
+        health=not args.no_health,
         rules=_load_rules(args.rules),
-        detection_tolerance=getattr(args, "tolerance", 1.0),
+        detection_tolerance=args.tolerance,
         postmortem=bool(args.postmortem_dir),
     )
 
@@ -199,17 +203,25 @@ def _present_pool(report, args) -> Verdict:
     return verdict
 
 
-def _present_health(report, args) -> Verdict:
-    """Exit 0 iff every fault class was detected with no false positives
-    (with --no-faults: iff there were no false positives at all)."""
-    _print(render_text(report.page()[1]))
+def _present_chaos(report, args) -> Verdict:
+    """Exit 0 iff the run is healthy (see _present_report) and, with the
+    health engine on, every fault class was detected with no false
+    positives (with --no-faults: iff there were no false positives)."""
+    _, healthy = _present_report(report, args)
     card = report.scorecard
-    ok = card.clean if args.no_faults else (card.all_detected and card.clean)
+    if card is None:
+        return None, healthy
+    # The health page's SLI chart; the scorecard is already in the report.
+    _print(render_text(health_sections(
+        report.sli_series, report.alert_timeline, report.duration,
+        report.truth)))
+    detected = args.no_faults or card.all_detected
+    ok = detected and card.clean
     return (f"detection: recall {card.recall:.2f}  precision "
             f"{card.precision:.2f}  false positives "
             f"{len(card.false_positives)}  -> "
-            f"{'OK' if ok else 'MISSED' if not card.all_detected else 'NOISY'}",
-            ok)
+            f"{'OK' if ok else 'NOISY' if detected else 'MISSED'}",
+            healthy and ok)
 
 
 def _present_telemetry(card, _args) -> Verdict:
@@ -244,21 +256,11 @@ def _duration(scenario: str, help: str) -> Flag:
 
 
 _SEED = _flag("--seed", type=int, default=1)
-_CHAOS_FLAGS: List[Flag] = [
-    _SEED,
-    _duration("chaos", "simulated seconds (>= 16)"),
-    _knob("chaos", "client_rate", "legitimate new flows per second"),
-    _knob("chaos", "attack_rate",
-          "spoofed flood rate keeping the overlay active"),
-]
-#: argparse dest -> artifact kind for the _add_health_output_flags files.
-_HEALTH_OUTPUTS = {"alert_log": "alert_timeline", "health_report": HTML,
-                   "scorecard_json": "scorecard",
-                   "postmortem_dir": "postmortem"}
-#: ... for the _add_obs_flags files, and for `postmortem --jsonl`.
+#: argparse dest -> artifact kind for the _add_obs_flags files, and for
+#: `inspect --critpath`.
 OBS_ARTIFACTS = {"trace": "trace", "metrics": "metrics",
                  "manifest": "manifest"}
-POSTMORTEM_ARTIFACTS = {"jsonl": "critpath"}
+INSPECT_ARTIFACTS = {"critpath": "critpath"}
 
 
 @dataclass(frozen=True)
@@ -269,8 +271,8 @@ class RunCommand:
     help: str
     #: Registered scenario entries this command can run (first: default).
     scenarios: Tuple[str, ...]
-    #: The command's own flags (health/observability groups are added
-    #: per the two booleans below).
+    #: The command's own flags (the observability group is added per
+    #: ``obs_flags`` below).
     flags: Sequence[Flag]
     #: Validate the parsed flags and return the ``runner`` keywords that
     #: are not plain knobs (``scenario`` picks the entry); a ValueError
@@ -282,26 +284,57 @@ class RunCommand:
     #: Print the report; return (closing line or None, exit-0?).
     present: Callable[[Any, Any], Verdict] = _present_report
     runner: Callable[..., Any] = run
-    health_flags: bool = False
     obs_flags: bool = False
 
 
 RUN_COMMANDS: Dict[str, RunCommand] = {
     "chaos": RunCommand(
-        help="deterministic fault-injection run + recovery report "
-             "(docs/robustness.md)",
+        help="deterministic fault-injection run: recovery report, SLIs "
+             "and alert scorecard (docs/robustness.md)",
         scenarios=("chaos",),
-        flags=_CHAOS_FLAGS + [
+        flags=[
+            _SEED,
+            _duration("chaos", "simulated seconds (>= 16)"),
+            _knob("chaos", "client_rate", "legitimate new flows per second"),
+            _knob("chaos", "attack_rate",
+                  "spoofed flood rate keeping the overlay active"),
             _flag("--fault-log", metavar="FILE",
                   help="write the deterministic fault log (JSONL); "
                        "byte-identical across runs with equal seeds"),
+            _flag("--no-faults", action="store_true",
+                  help="fault-free baseline: keep traffic and rules but "
+                       "inject nothing; detection passes iff zero false "
+                       "positives"),
             _flag("--no-health", action="store_true",
                   help="skip the streaming health engine and the detection "
-                       "scorecard"),
+                       "scorecard (exit status: recovery only)"),
+            _flag("--tolerance", type=float, default=1.0,
+                  help="detection-latency tolerance (s) when joining alerts "
+                       "to truth windows"),
+            _flag("--rules", metavar="FILE",
+                  help="alert-rule file (docs/observability.md#alert-rules); "
+                       "default: built-in rules"),
+            _flag("--alert-log", metavar="FILE",
+                  help="write the deterministic alert timeline (JSONL); "
+                       "byte-identical across runs with equal seeds"),
+            _flag("--health-report", metavar="FILE",
+                  help="write a self-contained HTML health report (SLI time "
+                       "series with alert/truth bands)"),
+            _flag("--scorecard-json", metavar="FILE",
+                  help="write the detection scorecard as JSON"),
+            _flag("--postmortem-dir", metavar="DIR",
+                  help="capture a postmortem bundle (causal ancestry, "
+                       "flight-recorder window, active alert/fault context) "
+                       "on every alert firing / invariant violation and "
+                       "write them under DIR; byte-identical across runs "
+                       "with equal seeds"),
         ],
         request=_chaos_request,
-        artifacts={"fault_log": "fault_log", **_HEALTH_OUTPUTS},
-        health_flags=True, obs_flags=True),
+        artifacts={"fault_log": "fault_log", "alert_log": "alert_timeline",
+                   "health_report": HTML, "scorecard_json": "scorecard",
+                   "postmortem_dir": "postmortem"},
+        present=_present_chaos,
+        obs_flags=True),
     "pool": RunCommand(
         help="elastic controller pool: chaos gauntlet or autoscale demo "
              "(docs/cluster.md)",
@@ -334,22 +367,6 @@ RUN_COMMANDS: Dict[str, RunCommand] = {
         artifacts={"events": "pool_events", "fault_log": "fault_log",
                    "scorecard_json": "scorecard"},
         present=_present_pool),
-    "health": RunCommand(
-        help="chaos-verified detection: SLI report + alert scorecard "
-             "(docs/observability.md#health)",
-        scenarios=("chaos",),
-        flags=_CHAOS_FLAGS + [
-            _flag("--no-faults", action="store_true",
-                  help="fault-free baseline: keep traffic and rules but "
-                       "inject nothing; exit 0 iff zero false positives"),
-            _flag("--tolerance", type=float, default=1.0,
-                  help="detection-latency tolerance (s) when joining alerts "
-                       "to truth windows"),
-        ],
-        request=_chaos_request,
-        artifacts=_HEALTH_OUTPUTS,
-        present=_present_health,
-        health_flags=True, obs_flags=True),
     "telemetry": RunCommand(
         help="sampled-telemetry accuracy/overhead scorecard "
              "(docs/observability.md#sampled-telemetry)",
@@ -440,12 +457,43 @@ def cmd_run(args) -> int:
     return 0 if ok else 1
 
 
+class InspectRequestError(Exception):
+    """An ``inspect`` output the file's kind cannot give."""
+
+
+def _inspect_outputs(args, entry, sections) -> Dict[str, Tuple[str, str]]:
+    """path -> (text, line to print) of each file ``inspect`` was asked
+    to write; built before anything prints, so a refused request exits
+    2 with nothing written."""
+    outputs = {}
+    if args.critpath:
+        if entry.spans is None:
+            raise InspectRequestError(
+                f"{args.file} is a {entry.kind} file; --critpath wants "
+                "control-path spans (a trace or a postmortem bundle)")
+        spans = entry.spans(args.file)
+        outputs[args.critpath] = (
+            report_jsonl(attribute(spans), longest_chain(spans)),
+            ARTIFACTS[INSPECT_ARTIFACTS["critpath"]].summary.format(
+                path=args.critpath))
+    if args.html:
+        outputs[args.html] = (render_html(f"inspect — {args.file}", sections),
+                              f"inspect page -> {args.html}")
+    return outputs
+
+
 def cmd_inspect(args) -> int:
     """Summarize any artifact the CLI writes (the kinds of
     repro.obs.artifacts.ARTIFACTS), told apart by its schema header or
-    its keys."""
+    its keys; optionally also write the critical-path report and the
+    summary as a page."""
     try:
-        sections = inspect_sections(args.file)
+        entry = ARTIFACTS[sniff_kind(args.file)]
+        sections = entry.sections(args.file)
+        outputs = _inspect_outputs(args, entry, sections)
+    except InspectRequestError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -454,41 +502,10 @@ def cmd_inspect(args) -> int:
               file=sys.stderr)
         return 2
     print(render_text(sections))
-    return 0
-
-
-def cmd_postmortem(args) -> int:
-    """Render a postmortem bundle (or a causality trace): the `inspect`
-    summary, plus optionally the critical-path report as JSONL and the
-    same summary as a self-contained HTML page."""
-    from repro.obs.critpath import attribute, longest_chain, report_jsonl
-
-    try:
-        entry = ARTIFACTS[sniff_kind(args.bundle)]
-        if entry.spans is None:
-            print(f"{args.bundle} is a {entry.kind} file; postmortem wants "
-                  f"a bundle (chaos/health --postmortem-dir) or a "
-                  f"causality trace", file=sys.stderr)
-            return 2
-        sections = entry.sections(args.bundle)
-        spans = entry.spans(args.bundle) if args.jsonl else []
-    except OSError as exc:
-        print(f"cannot read {args.bundle}: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"not a postmortem bundle: {args.bundle} ({exc})",
-              file=sys.stderr)
-        return 2
-    print(render_text(sections))
-    if args.jsonl:
-        with open(args.jsonl, "w") as handle:
-            handle.write(report_jsonl(attribute(spans), longest_chain(spans)))
-        print(ARTIFACTS[POSTMORTEM_ARTIFACTS["jsonl"]].summary.format(
-            path=args.jsonl))
-    if args.html:
-        with open(args.html, "w") as handle:
-            handle.write(render_html(f"Postmortem — {args.bundle}", sections))
-        print(f"postmortem page -> {args.html}")
+    for path, (text, line) in outputs.items():
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(line)
     return 0
 
 
@@ -513,34 +530,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_health_output_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("health engine")
-    group.add_argument("--rules", metavar="FILE",
-                       help="alert-rule file (docs/observability.md"
-                            "#alert-rules); default: built-in rules")
-    group.add_argument("--alert-log", metavar="FILE",
-                       help="write the deterministic alert timeline (JSONL); "
-                            "byte-identical across runs with equal seeds")
-    group.add_argument("--health-report", metavar="FILE",
-                       help="write a self-contained HTML health report "
-                            "(SLI time series with alert/truth bands)")
-    group.add_argument("--scorecard-json", metavar="FILE",
-                       help="write the detection scorecard as JSON")
-    group.add_argument("--postmortem-dir", metavar="DIR",
-                       help="capture a postmortem bundle (causal ancestry, "
-                            "flight-recorder window, active alert/fault "
-                            "context) on every alert firing / invariant "
-                            "violation and write them under DIR; "
-                            "byte-identical across runs with equal seeds")
-
-
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(obs_capable=True)
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--trace", metavar="FILE",
-        help="record a control-path trace; writes FILE (JSONL) plus a "
-             "Chrome trace_event twin (open in chrome://tracing / Perfetto)")
+        help="record a causal control-path trace (span, event and journey "
+             "ids: `inspect` attributes Packet-In latency per stage); "
+             "writes FILE (JSONL) plus a Chrome trace_event twin (open in "
+             "chrome://tracing / Perfetto)")
     group.add_argument(
         "--metrics", metavar="FILE",
         help="record counters/gauges/histograms to FILE (JSONL)")
@@ -557,11 +555,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "--profile", action="store_true",
         help="profile the engine (per-callback wall time, heap depth) "
              "and print the hot-callback table")
-    group.add_argument(
-        "--causality", action="store_true",
-        help="record causal provenance (event parent ids) and stamp "
-             "span/journey ids on the trace, enabling per-stage "
-             "latency attribution in `inspect` / `postmortem`")
     group.add_argument(
         "--manifest", metavar="FILE",
         help="write a reproducibility manifest (command, seed, config, "
@@ -581,7 +574,6 @@ def _wants_obs(args) -> bool:
         or getattr(args, "metrics", None)
         or getattr(args, "prom", None)
         or getattr(args, "profile", False)
-        or getattr(args, "causality", False)
         or getattr(args, "manifest", None)
     )
 
@@ -597,7 +589,6 @@ def _run_observed(args, argv: Optional[List[str]]) -> int:
         metrics=bool(args.metrics or args.prom),
         profile=args.profile,
         sample_interval=args.sample_interval,
-        causality=args.causality,
     )
     with observed(obs):
         status = args.func(args)
@@ -681,8 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=spec.help)
         for option, keywords in spec.flags:
             command.add_argument(option, **keywords)
-        if spec.health_flags:
-            _add_health_output_flags(command)
         if spec.obs_flags:
             _add_obs_flags(command)
         command.set_defaults(func=cmd_run)
@@ -693,21 +682,12 @@ def build_parser() -> argparse.ArgumentParser:
              + ", ".join(ARTIFACTS).replace("_", " "))
     inspect.add_argument("file", help="an artifact (docs/observability.md"
                                       "#artifacts)")
+    inspect.add_argument("--critpath", metavar="OUT",
+                         help="write the critical-path report (JSONL) of a "
+                              "trace or postmortem bundle")
+    inspect.add_argument("--html", metavar="OUT",
+                         help="write the summary as a self-contained HTML page")
     inspect.set_defaults(func=cmd_inspect)
-
-    postmortem = sub.add_parser(
-        "postmortem",
-        help="render a postmortem bundle (chaos/health --postmortem-dir) "
-             "or causality trace: trigger context, causal ancestry, "
-             "per-stage latency attribution, longest chain")
-    postmortem.add_argument("bundle",
-                            help="a postmortem-*.jsonl bundle or a "
-                                 "--trace --causality JSONL file")
-    postmortem.add_argument("--jsonl", metavar="FILE",
-                            help="write the critical-path report as JSONL")
-    postmortem.add_argument("--html", metavar="FILE",
-                            help="write a self-contained HTML postmortem page")
-    postmortem.set_defaults(func=cmd_postmortem)
     return parser
 
 

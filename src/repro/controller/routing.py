@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.config import PRIORITY_PHYSICAL_FLOW
 from repro.net.flow import FlowKey
 from repro.net.host import Host
 from repro.net.topology import Network
@@ -24,11 +25,14 @@ from repro.switch.switch import OpenFlowSwitch
 
 @dataclass
 class HopRule:
-    """One forwarding rule to be installed at one switch."""
+    """One per-flow forwarding rule to be installed at one switch (with
+    its priority — middlebox return-leg rules on the overlay need a
+    label-qualified higher one, see :mod:`repro.core.policy`)."""
 
     dpid: str
     match: Match
     actions: List[Action]
+    priority: int = PRIORITY_PHYSICAL_FLOW
 
 
 class Router:

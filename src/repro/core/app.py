@@ -43,6 +43,7 @@ from repro.obs import path as obs_path
 from repro.core.overlay import OverlayError, ScotchOverlay
 from repro.core.policy import PolicyRegistry
 from repro.core.withdrawal import WithdrawalManager
+from repro.sim.process import PeriodicTimer
 from repro.telemetry.service import SamplingStatsService
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -133,7 +134,9 @@ class ScotchApp(RateLimitedReactiveApp):
         self.monitor.start()
         self.heartbeat.start()
         self.stats_service.start()
-        self.sim.schedule(self._DB_PRUNE_INTERVAL, self._prune_flow_db, daemon=True)
+        self._prune_timer = PeriodicTimer(self.sim, self._DB_PRUNE_INTERVAL,
+                                          self._prune_flow_db)
+        self._prune_timer.start()
 
     #: How often dropped-flow records are purged from the Flow Info
     #: Database (live flows are retired by FlowRemoved instead).
@@ -166,7 +169,7 @@ class ScotchApp(RateLimitedReactiveApp):
         ]
         for key in stale:
             self.flow_db.forget(key)
-        self.sim.schedule(self._DB_PRUNE_INTERVAL, self._prune_flow_db, daemon=True)
+        self._prune_timer.rearm()
 
     def _add_managed_switch(self, switch_name: str) -> None:
         switch = self.network[switch_name]

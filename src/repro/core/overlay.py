@@ -15,9 +15,9 @@ port)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.controller.routing import HopRule
 from repro.core.config import (
     LB_TABLE,
     MAIN_TABLE,
@@ -43,18 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class OverlayError(Exception):
     """Raised on inconsistent overlay configuration."""
-
-
-@dataclass
-class OverlayRule:
-    """One per-flow rule to install at a vSwitch (with its priority —
-    middlebox return-leg rules need a label-qualified higher priority,
-    see :mod:`repro.core.policy`)."""
-
-    dpid: str
-    match: Match
-    actions: List[Action]
-    priority: int = PRIORITY_PHYSICAL_FLOW
 
 
 class ScotchOverlay:
@@ -333,7 +321,7 @@ class ScotchOverlay:
 
     def overlay_route(
         self, key: "FlowKey", entry_vswitch: str, dst_host: str
-    ) -> List[OverlayRule]:
+    ) -> List[HopRule]:
         """Per-flow vSwitch rules forwarding ``key`` from its entry
         vSwitch to the destination host across the mesh, **last hop
         first** (make-before-break).  All targets are vSwitches (cheap
@@ -341,17 +329,17 @@ class ScotchOverlay:
         match = Match.for_flow(key)
         exit_vswitch = self.exit_vswitch_for(dst_host)
         # Build in forward (entry -> exit) order, then flip once.
-        rules: List[OverlayRule] = []
+        rules: List[HopRule] = []
         if entry_vswitch == exit_vswitch:
             rules.append(
-                OverlayRule(entry_vswitch, match, self.delivery_actions(entry_vswitch, dst_host))
+                HopRule(entry_vswitch, match, self.delivery_actions(entry_vswitch, dst_host))
             )
         else:
             rules.append(
-                OverlayRule(entry_vswitch, match, self.mesh_hop_actions(entry_vswitch, exit_vswitch))
+                HopRule(entry_vswitch, match, self.mesh_hop_actions(entry_vswitch, exit_vswitch))
             )
             rules.append(
-                OverlayRule(exit_vswitch, match, self.delivery_actions(exit_vswitch, dst_host))
+                HopRule(exit_vswitch, match, self.delivery_actions(exit_vswitch, dst_host))
             )
         rules.reverse()
         return rules

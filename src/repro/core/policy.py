@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+from repro.controller.routing import HopRule
 from repro.core.config import PRIORITY_SCOTCH_DEFAULT
 from repro.core.overlay import OverlayError, ScotchOverlay
 from repro.switch.actions import Action
@@ -163,7 +164,7 @@ class PolicyRegistry:
         self, key: "FlowKey", entry_vswitch: str, dst_host: str, chain: Sequence[str]
     ):
         """Per-flow vSwitch rules for an overlay path through ``chain``,
-        last hop first (a list of :class:`~repro.core.overlay.OverlayRule`).
+        last hop first (a list of :class:`~repro.controller.routing.HopRule`).
 
         The flow hops: entry vSwitch -> (tunnel) S_U -> middlebox -> S_D
         -> (green tunnel, label kept) aggregation vSwitch -> ... -> exit
@@ -177,12 +178,10 @@ class PolicyRegistry:
         (fresh, label-less arrivals must keep hitting the into-middlebox
         rule, not the onward one).
         """
-        from repro.core.overlay import OverlayRule
-
         if not chain:
             return self.overlay.overlay_route(key, entry_vswitch, dst_host)
         match = Match.for_flow(key)
-        rules: List[OverlayRule] = []
+        rules: List[HopRule] = []
         cursor = entry_vswitch
         incoming_label: Optional[int] = None  # label on arrival at `cursor`
         for middlebox in chain:
@@ -210,13 +209,12 @@ class PolicyRegistry:
         """A per-flow rule for one overlay leg.  When the packet arrives
         still carrying a green-tunnel label, the rule matches that label
         at elevated priority and pops it before forwarding."""
-        from repro.core.overlay import OverlayRule
         from repro.core.config import PRIORITY_PHYSICAL_FLOW
         from repro.switch.actions import PopMpls
 
         if incoming_label is None:
-            return OverlayRule(dpid, match, list(actions))
+            return HopRule(dpid, match, list(actions))
         qualified = Match(mpls_label=incoming_label, **match.fields)
-        return OverlayRule(
+        return HopRule(
             dpid, qualified, [PopMpls()] + list(actions), priority=PRIORITY_PHYSICAL_FLOW + 1
         )

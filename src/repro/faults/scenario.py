@@ -250,8 +250,8 @@ class RunReport:
     page_label = "health report"
 
     def page(self) -> Tuple[str, List[Section]]:
-        """The health report (title, sections): what ``health`` prints
-        and ``--health-report`` writes as a page."""
+        """The health report (title, sections): what ``--health-report``
+        writes as a page (``chaos`` prints it beside the run report)."""
         return f"Scotch health — seed {self.seed}", health_sections(
             self.sli_series, self.alert_timeline, self.duration, self.truth,
             self.scorecard)
@@ -279,21 +279,6 @@ class RunReport:
 # ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
-def _flight_recorder(sim: Any) -> Any:
-    """Postmortem instrumentation for one run: a flight recorder (which
-    turns causal provenance on) — the outer Observability's when it
-    already has one via flight=, else a local one."""
-    obs = get_default_obs()
-    flight = getattr(obs, "flight", None)
-    if flight is None:
-        flight = FlightRecorder()
-        flight.bind(sim, run=0)
-        flight.attach_metrics(obs.metrics)
-        if obs.tracer.enabled and obs.tracer.flight is None:
-            obs.tracer.flight = flight
-    return flight
-
-
 def run(
     scenario: str,
     seed: int = 1,
@@ -350,7 +335,15 @@ def run(
         build_wall = perf_counter() - started
         build_events = sim.events_fired
         pool = getattr(dep, "pool", None)
-        flight = _flight_recorder(sim) if postmortem else None
+        flight = None
+        if postmortem:
+            # The run's own flight recorder (it turns causal provenance
+            # on), fed the spans of an enabled outer tracer.
+            flight = FlightRecorder()
+            flight.bind(sim, run=0)
+            flight.attach_metrics(this.metrics)
+            if outer.tracer.enabled:
+                outer.tracer.flight = flight
 
         # Start order is part of the byte-identity contract: engine,
         # traffic, injector, checker, collector.

@@ -67,6 +67,11 @@ class Observability:
     enabled; None disables sampling (instruments still record, only the
     time series is absent — and the simulation's event calendar is left
     untouched, which the determinism tests rely on).
+
+    A trace is always causal: every simulator bound while tracing is on
+    records causal provenance, so trace records carry span and event
+    ids (docs/observability.md#causality--flight-recorder).  With
+    tracing off, provenance stays off.
     """
 
     enabled = True
@@ -77,30 +82,11 @@ class Observability:
         metrics: bool = True,
         profile: bool = False,
         sample_interval: Optional[float] = None,
-        causality: bool = False,
-        flight: Any = None,
     ):
         self.tracer = Tracer() if trace else NULL_TRACER
         self.metrics = MetricsRegistry() if metrics else NULL_METRICS
         self.profiler = EngineProfiler() if profile else None
         self.sample_interval = sample_interval
-        #: Thread causal provenance through every bound simulator and
-        #: stamp span/event ids on trace records (docs/observability.md
-        #: #causality--flight-recorder).
-        self.causality = causality
-        if self.tracer.enabled:
-            self.tracer.causality = causality
-        #: Flight recorder: pass True (default rings), an int (event
-        #: ring size) or a FlightRecorder instance; None or False disables.
-        if flight is True or type(flight) is int:
-            from repro.obs.flight import DEFAULT_EVENTS, FlightRecorder
-            flight = FlightRecorder(DEFAULT_EVENTS if flight is True else flight)
-        self.flight = flight or None
-        if self.flight is not None:
-            if self.tracer.enabled:
-                self.tracer.flight = self.flight
-            if self.metrics.enabled:
-                self.flight.attach_metrics(self.metrics)
         self.samplers = []
         #: How many simulators have bound (the tracer's run index).
         self.runs = 0
@@ -116,10 +102,7 @@ class Observability:
             self.metrics.fold()
         if self.tracer.enabled:
             self.tracer.bind(sim, run=run)
-        if self.causality:
             sim.enable_provenance(run=run)
-        if self.flight is not None:
-            self.flight.bind(sim, run=run)
         if self.profiler is not None:
             self.profiler.attach(sim)
         if self.metrics.enabled and self.sample_interval:

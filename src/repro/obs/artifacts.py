@@ -48,7 +48,6 @@ from repro.obs.critpath import (
     attribute,
     attribution_line,
     attribution_sections,
-    has_causality,
     longest_chain,
     read_report,
 )
@@ -156,8 +155,6 @@ def summarize_trace(path: str) -> Dict[str, Any]:
           "records": int, "spans": int, "instants": int, "open_spans": int,
           "stages": {name: {"count", "mean_ms", "p50_ms", "p99_ms", "max_ms"}},
           "packet_in": {"count", "relayed", "routes": {route: count}},
-          "causality": bool,
-          # and, when causality is True:
           "attribution": critpath.attribute(...), "longest": journey|None,
         }
     """
@@ -193,7 +190,7 @@ def summarize_trace(path: str) -> Dict[str, Any]:
         }
         for name, values in sorted(durations.items())
     }
-    summary = {
+    return {
         "records": len(records),
         "spans": spans,
         "instants": instants,
@@ -201,12 +198,9 @@ def summarize_trace(path: str) -> Dict[str, Any]:
         "stages": stages,
         "packet_in": {"count": pktin_count, "relayed": relayed,
                       "routes": dict(sorted(routes.items()))},
-        "causality": has_causality(records),
+        "attribution": attribute(records),
+        "longest": longest_chain(records),
     }
-    if summary["causality"]:
-        summary["attribution"] = attribute(records)
-        summary["longest"] = longest_chain(records)
-    return summary
 
 
 def _trace_sections(path: str) -> List[Section]:
@@ -218,16 +212,14 @@ def _trace_sections(path: str) -> List[Section]:
           round(stats["p50_ms"], 4), round(stats["p99_ms"], 4),
           round(stats["max_ms"], 4)]
          for name, stats in summary["stages"].items()])]
-    lines = []
-    if summary["causality"]:
-        sections += attribution_sections(
-            summary["attribution"], summary["longest"],
-            "Packet-In latency attribution (causality trace)")
-        lines.append(attribution_line(summary["attribution"]))
+    sections += attribution_sections(
+        summary["attribution"], summary["longest"],
+        "Packet-In latency attribution")
     pktin = summary["packet_in"]
     routes = ", ".join(f"{route}={count}"
                        for route, count in pktin["routes"].items())
-    lines += [
+    lines = [
+        attribution_line(summary["attribution"]),
         f"records: {summary['records']}  spans: {summary['spans']}  "
         f"instants: {summary['instants']}  open spans: {summary['open_spans']}",
         f"Packet-In journeys: {pktin['count']}  via overlay relay: "
@@ -351,22 +343,40 @@ def _scorecard_sections(path: str) -> List[Section]:
     return scorecard_sections(scorecard_from_payload(load_json(path)))
 
 
+#: The telemetry scorecard's columns (``telemetry_rows``).
+TELEMETRY_HEADERS = ["mode", "recall", "prec", "det delay", "mig delay",
+                     "polls", "reports", "bytes", "reduction", "cpu share"]
+
+
+def telemetry_rows(runs: List[Dict[str, Any]]) -> List[List[Any]]:
+    """One scorecard row per run payload (the ``telemetry_runs`` of a
+    ``telemetry_scorecard`` file): what ``inspect`` and ``telemetry``
+    both show."""
+    def delay(value: Optional[float]) -> str:
+        return "-" if value is None else f"{value:.2f}s"
+
+    return [[
+        (run["mode"] if run["period"] == 0
+         else f"{run['mode']} 1/{run['period']}"),
+        f"{run['recall']:.2f}",
+        f"{run['precision']:.2f}",
+        delay(run["mean_detection_delay"]),
+        delay(run["mean_migration_delay"]),
+        run["polls_sent"],
+        run["sample_reports"],
+        run["monitoring_bytes"],
+        (f"{run['byte_reduction']:.1f}x" if run["mode"] != "poll"
+         else "1.0x"),
+        f"{run['controller_cpu_share'] * 100:.2f}%",
+    ] for run in runs]
+
+
 def _telemetry_scorecard_sections(path: str) -> List[Section]:
     payload = load_json(path)
-    runs = payload.get("telemetry_runs", [])
-    rows = [[
-        (run["mode"] if run.get("period", 0) == 0
-         else f"{run['mode']} 1/{run['period']}"),
-        round(float(run["recall"]), 4),
-        round(float(run["precision"]), 4),
-        run["monitoring_bytes"],
-        f"{float(run['byte_reduction']):.1f}x",
-        f"{float(run['controller_cpu_share']) * 100:.2f}%",
-    ] for run in runs]
+    runs = payload["telemetry_runs"]
     return [
-        Table(f"Telemetry scorecard — {path}",
-              ["mode", "recall", "precision", "bytes", "reduction",
-               "cpu share"], rows),
+        Table(f"Telemetry scorecard — {path}", TELEMETRY_HEADERS,
+              telemetry_rows(runs)),
         Text(f"runs: {len(runs)}  seed: {payload.get('seed')}  "
              f"elephants: {payload.get('elephants')}  "
              f"(schema v{payload.get('version')})")]
@@ -418,8 +428,9 @@ class Artifact:
     #: Single-object kinds: top-level keys that identify the object.
     #: Empty for JSONL kinds, which carry the schema header instead.
     keys: FrozenSet[str] = frozenset()
-    #: Kinds that carry control-path spans (what ``postmortem`` runs the
-    #: critical-path analysis on): the spans of the file at a path.
+    #: Kinds that carry control-path spans (what ``inspect --critpath``
+    #: runs the critical-path analysis on): the spans of the file at a
+    #: path.
     spans: Optional[Callable[[str], List[Dict[str, Any]]]] = None
 
     @property
@@ -429,9 +440,9 @@ class Artifact:
 
 
 ARTIFACTS: Dict[str, Artifact] = {entry.kind: entry for entry in (
-    Artifact(TRACE, 1, "`--trace FILE`",
-             "per-stage latency percentiles, routes; with `--causality` "
-             "also the latency attribution and the longest journey",
+    Artifact(TRACE, 2, "`--trace FILE`",
+             "per-stage latency percentiles, routes, the latency "
+             "attribution and the longest journey",
              "trace: {count} records -> {path}", _trace_sections, spans=read_jsonl),
     Artifact(METRICS, 1, "`--metrics FILE`",
              "final counter/gauge values, histogram quantiles, sampled span",
@@ -441,7 +452,7 @@ ARTIFACTS: Dict[str, Artifact] = {entry.kind: entry for entry in (
              "fault log: {count} actions -> {path}",
              _tally("Fault log", ["kind", "phase"], ["fault", "phase"],
                     "actions")),
-    Artifact(ALERT_TIMELINE, 1, "`chaos`/`health --alert-log FILE`",
+    Artifact(ALERT_TIMELINE, 1, "`chaos --alert-log FILE`",
              "count per alert and state, time span",
              "alert timeline: {count} transitions -> {path}",
              _tally("Alert timeline", ["alert", "state"], ["alert", "state"],
@@ -450,16 +461,16 @@ ARTIFACTS: Dict[str, Artifact] = {entry.kind: entry for entry in (
              "count per pool event, time span",
              "pool events: {count} -> {path}",
              _tally("Pool events", ["event"], ["event"], "events")),
-    Artifact(POSTMORTEM, 1, "`chaos`/`health --postmortem-dir DIR` "
+    Artifact(POSTMORTEM, 1, "`chaos --postmortem-dir DIR` "
              "(one file per trigger)",
              "trigger, alerts firing, faults open, causal ancestry, metric "
              "deltas, flight-window latency attribution",
              "postmortems: {count} bundles -> {path}", _postmortem_sections,
              spans=lambda path: read_bundle(path)["flight"]["spans"]),
-    Artifact(CRITPATH, 1, "`postmortem FILE --jsonl OUT`",
+    Artifact(CRITPATH, 1, "`inspect FILE --critpath OUT`",
              "per-stage latency attribution, the longest journey",
              "critical-path report -> {path}", _critpath_sections),
-    Artifact(SCORECARD, 1, "`chaos`/`health`/`pool --scorecard-json FILE`",
+    Artifact(SCORECARD, 1, "`chaos`/`pool --scorecard-json FILE`",
              "detection recall per fault class, precision per rule",
              "scorecard -> {path}", _scorecard_sections,
              keys=frozenset({"classes", "rules", "false_positives"})),

@@ -58,8 +58,6 @@ class NullTracer:
     skip building span arguments entirely."""
 
     enabled = False
-    causality = False
-    flight = None
 
     def bind(self, sim: Any, run: int = 0) -> None:
         pass
@@ -110,8 +108,6 @@ class NullObservability:
     tracer = NULL_TRACER
     metrics = NULL_METRICS
     profiler = None
-    causality = False
-    flight = None
 
     def bind(self, sim: Any) -> None:
         pass

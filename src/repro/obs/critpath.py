@@ -1,8 +1,7 @@
 """Critical-path analysis of Packet-In journeys (Scotch §4–5, Fig. 7).
 
-A causality-enabled trace (``Observability(causality=True)``) stamps a
-``journey`` arg on every control-path stage span pointing at its
-``packet_in`` journey span's id.  This module walks that DAG to answer
+Every trace stamps a ``journey`` arg on each control-path stage span,
+pointing at its ``packet_in`` journey span's id.  This module walks that DAG to answer
 the paper's question — *where* does Packet-In latency accrue — with
 per-stage attribution whose sums reconcile against the end-to-end span
 durations:
@@ -15,9 +14,10 @@ durations:
 * :func:`longest_chain` extracts the single slowest journey with its
   ordered stages — the critical path a person should look at first.
 
-Shown by ``scotch-repro inspect`` and ``scotch-repro postmortem``
-(:func:`attribution_sections`: attribution table + span tree, as text
-or as a page) and exported as JSONL by ``postmortem --jsonl``.
+Shown by ``scotch-repro inspect`` for traces and postmortem bundles
+(:func:`attribution_sections`: attribution table + span tree, as text,
+or as a page with ``inspect --html``) and exported as JSONL by
+``inspect --critpath``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ UNATTRIBUTED = "(unattributed)"
 
 
 def journeys(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Group a causality trace into journey dicts.
+    """Group a trace's spans into journey dicts.
 
     Each completed ``packet_in`` span with an ``id`` becomes::
 
@@ -76,12 +76,6 @@ def journeys(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     for journey in order:
         journey["stages"].sort(key=lambda r: (r["t0"], r.get("id", 0)))
     return order
-
-
-def has_causality(records: List[Dict[str, Any]]) -> bool:
-    """True when the trace carries span ids (a causality-enabled run)."""
-    return any(record.get("id") is not None for record in records
-               if record.get("type") == "span")
 
 
 def attribute(records: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -195,8 +189,7 @@ def attribution_sections(report: Dict[str, Any],
     """The attribution table and the longest chain's span tree — or,
     with no completed journeys, a note on the page saying so."""
     if not report["journeys"]:
-        return [Text("No completed Packet-In journeys in this window "
-                     "(causality tracing off, or none finished).",
+        return [Text("No completed Packet-In journeys in this window.",
                      title=title, page_only=True)]
     sections: List[Section] = [
         Table(title, ["stage", "count", "total (s)", "share", "p50 (ms)",

@@ -50,8 +50,7 @@ def punt_begin(obs: Any, packet: Any, switch: str, in_port: int, reason: str) ->
         SPAN_PACKET_IN, track=track, switch=switch, in_port=in_port, reason=reason)
     packet.metadata[KEY_PKTIN] = pktin
     # Stage spans link back to their journey so the critical-path
-    # analyzer can walk the DAG under each packet_in (obs/critpath); the
-    # tracer keeps the link only with causality on.
+    # analyzer can walk the DAG under each packet_in (obs/critpath).
     packet.metadata[KEY_STAGE] = tracer.begin(
         SPAN_OFA_QUEUE, track=track, switch=switch, journey=pktin)
 

@@ -1,7 +1,7 @@
 """The report model and its two renderers.
 
 Everything the repo shows a person — a figure's rows, a run report, an
-``inspect`` summary, a health or postmortem page — is a list of
+``inspect`` summary or page, a health page — is a list of
 *sections*: a :class:`Table`, a preformatted :class:`Text`, or a
 time-series :class:`Chart`.  Code that has something to report builds
 sections; only :func:`render_text` (terminals, tests, markdown) and

@@ -37,11 +37,11 @@ _CHROME_INSTANT_SCOPE = "t"
 class Tracer:
     """Collects spans/instants across one or more bound simulators.
 
-    With :attr:`causality` on (``Observability(causality=True)``) every
-    record additionally carries its span ``id`` and the ``(run, seq)``
-    id of the simulator event that produced it (``ev``), linking spans
-    into the engine's causal DAG; with it off (the default) records are
-    byte-identical to pre-causality traces.
+    Every record carries its span ``id`` and the ``(run, seq)`` id of
+    the simulator event that produced it (``ev``), linking spans into
+    the engine's causal DAG (:class:`~repro.obs.Observability` turns
+    provenance on for every simulator it traces); stage spans keep their
+    ``journey=`` link to the enclosing Packet-In span.
     """
 
     enabled = True
@@ -56,9 +56,6 @@ class Tracer:
         #: Index of the currently bound simulator (a figure sweep builds
         #: several); stamped on every record, mapped to a Chrome pid.
         self.run = -1
-        #: Stamp span ids + producing-event ids on records (see class
-        #: docstring); set by Observability, not flipped mid-run.
-        self.causality = False
         #: A :class:`~repro.obs.flight.FlightRecorder` fed every
         #: *completed* record, or None.
         self.flight: Optional[Any] = None
@@ -77,13 +74,9 @@ class Tracer:
     # Recording
     # ------------------------------------------------------------------
     def begin(self, name: str, track: str = "main", **args: Any) -> int:
-        """Open a span; returns its id for :meth:`end`/:meth:`annotate`.
-        A ``journey=`` link to the enclosing span is kept only with
-        causality on."""
+        """Open a span; returns its id for :meth:`end`/:meth:`annotate`."""
         span_id = self._next_id
         self._next_id += 1
-        if not self.causality:
-            args.pop("journey", None)
         record: Dict[str, Any] = {
             "type": "span",
             "run": self.run,
@@ -93,10 +86,9 @@ class Tracer:
             "t0": self._now(),
             "t1": None,
             "args": dict(args),
+            "id": span_id,
+            "ev": self._event_id(),
         }
-        if self.causality:
-            record["id"] = span_id
-            record["ev"] = self._event_id()
         self._open[span_id] = record
         return span_id
 
@@ -137,11 +129,10 @@ class Tracer:
             "t0": now,
             "t1": now,
             "args": dict(args),
+            "id": self._next_id,
+            "ev": self._event_id(),
         }
-        if self.causality:
-            record["id"] = self._next_id
-            self._next_id += 1
-            record["ev"] = self._event_id()
+        self._next_id += 1
         self._records.append(record)
         if self.flight is not None:
             self.flight.record_span(record)

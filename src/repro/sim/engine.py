@@ -29,8 +29,9 @@ alive.  The tuple stays in the heap until it reaches the head, where
 counters are derived, not kept per event: ``heap_depth`` is the heap's
 length and ``pending`` subtracts the cancelled entries still in it.
 
-**Causal provenance** (off by default, enabled through
-:class:`~repro.obs.Observability` with ``causality=True``): when on,
+**Causal provenance** (off by default; every simulator a tracing
+:class:`~repro.obs.Observability` binds turns it on, as does a flight
+recorder): when on,
 :meth:`Simulator.schedule` records each new event's *parent* — the
 event whose callback scheduled it — so a run carries a causal DAG
 addressed by compact ``(run, seq)`` ids.  :meth:`ancestry` walks the

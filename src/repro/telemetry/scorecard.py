@@ -26,9 +26,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ScotchConfig
 from repro.faults.scenario import RunReport, Scenario, register, run
 from repro.net.flow import FlowKey, FlowSpec
-from repro.obs.artifacts import ARTIFACTS, TELEMETRY_SCORECARD
+from repro.obs.artifacts import (
+    ARTIFACTS,
+    TELEMETRY_HEADERS,
+    TELEMETRY_SCORECARD,
+    telemetry_rows,
+)
 from repro.obs.profiler import EngineProfiler
-from repro.obs.report import Section, Table, Text, canonical_json, render_text
+from repro.obs.report import Section, Table, Text, canonical_json
 from repro.testbed.deployment import build_deployment
 from repro.traffic import SpoofedFlood
 
@@ -84,7 +89,9 @@ class TelemetryScorecard:
                   f"{self.duration:.0f}s, flood {self.attack_rate:.0f} fps, "
                   f"{self.elephants} elephants (threshold "
                   f"{self.elephant_packet_threshold} pkts), {self.mice} mice",
-                  _HEADERS, _rows(self)),
+                  TELEMETRY_HEADERS,
+                  telemetry_rows([_run_payload(self, point)
+                                  for point in self.runs])),
             Text("reduction = poll-baseline monitoring bytes / this run's "
                  "monitoring bytes; cpu share = monitoring callbacks' share "
                  "of total callback wall time (profiler; wall-clock derived, "
@@ -303,35 +310,3 @@ def telemetry_scorecard_json(card: TelemetryScorecard) -> str:
         "telemetry_runs": [_run_payload(card, point) for point in card.runs],
     }
     return canonical_json(payload)
-
-
-def _rows(card: TelemetryScorecard) -> List[List[object]]:
-    rows = []
-    for point in card.runs:
-        label = (point.mode if point.period == 0
-                 else f"{point.mode} 1/{point.period}")
-        rows.append([
-            label,
-            f"{point.recall:.2f}",
-            f"{point.precision:.2f}",
-            (f"{point.mean_detection_delay:.2f}s"
-             if point.mean_detection_delay is not None else "-"),
-            (f"{point.mean_migration_delay:.2f}s"
-             if point.mean_migration_delay is not None else "-"),
-            point.polls_sent,
-            point.sample_reports,
-            point.monitoring_bytes,
-            (f"{card.byte_reduction(point):.1f}x"
-             if point.mode != "poll" else "1.0x"),
-            f"{point.controller_cpu_share * 100:.2f}%",
-        ])
-    return rows
-
-
-_HEADERS = ["mode", "recall", "prec", "det delay", "mig delay",
-            "polls", "reports", "bytes", "reduction", "cpu share"]
-
-
-def format_telemetry_scorecard(card: TelemetryScorecard) -> str:
-    """ASCII accuracy/overhead table."""
-    return render_text(card.page()[1])

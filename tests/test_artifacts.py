@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import OBS_ARTIFACTS, POSTMORTEM_ARTIFACTS, RUN_COMMANDS, main
+from repro.cli import INSPECT_ARTIFACTS, OBS_ARTIFACTS, RUN_COMMANDS, main
 from repro.faults import HTML
 from repro.obs.artifacts import (
     ARTIFACTS,
@@ -51,7 +51,7 @@ def written(tmp_path_factory):
     run(["chaos", "--seed", "1", "--duration", "16"],
         fault_log="--fault-log", alert_timeline="--alert-log",
         scorecard="--scorecard-json", postmortem="--postmortem-dir")
-    run(["fig", "4", "--quick", "--causality"], trace="--trace",
+    run(["fig", "4", "--quick"], trace="--trace",
         metrics="--metrics", manifest="--manifest")
     run(["scale", "--seed", "1", "--host-vswitches", "6", "--mesh", "2",
          "--tors", "2", "--targets", "2", "--duration", "1"],
@@ -61,7 +61,7 @@ def written(tmp_path_factory):
     (bundle_dir,) = files["postmortem"]
     files["postmortem"] = sorted(bundle_dir.iterdir())
     assert files["postmortem"], "the chaos run must trip an alert"
-    run(["postmortem", str(files["trace"][0])], critpath="--jsonl")
+    run(["inspect", str(files["trace"][0])], critpath="--critpath")
     return files
 
 
@@ -85,7 +85,7 @@ def test_table_holds_exactly_the_kinds_the_cli_writes():
     reachable = {kind for spec in RUN_COMMANDS.values()
                  for kind in spec.artifacts.values()}
     reachable |= set(OBS_ARTIFACTS.values())
-    reachable |= set(POSTMORTEM_ARTIFACTS.values())
+    reachable |= set(INSPECT_ARTIFACTS.values())
     assert reachable - {HTML} == set(ARTIFACTS)
     for kind, entry in ARTIFACTS.items():
         assert entry.kind == kind and entry.version >= 1

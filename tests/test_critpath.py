@@ -13,7 +13,6 @@ from repro.obs.critpath import (
     attribution_rows,
     attribution_sections,
     format_tree,
-    has_causality,
     journeys,
     longest_chain,
     read_report,
@@ -102,13 +101,6 @@ def test_longest_chain_and_tree_rendering():
     assert longest_chain([]) is None
 
 
-def test_has_causality():
-    assert has_causality(_synthetic_trace())
-    assert not has_causality([
-        {"type": "span", "name": SPAN_PACKET_IN, "t0": 0.0, "t1": 1.0,
-         "args": {}}])
-
-
 def test_report_jsonl_and_html():
     records = _synthetic_trace()
     report = attribute(records)
@@ -142,8 +134,8 @@ def test_report_jsonl_and_html():
 # ----------------------------------------------------------------------
 # The fig3 scenario (acceptance: stage sums reconcile with end-to-end)
 # ----------------------------------------------------------------------
-def _fig3_causality_records():
-    obs = Observability(trace=True, metrics=False, causality=True)
+def _fig3_trace_records():
+    obs = Observability(trace=True, metrics=False)
     with observed(obs):
         bed = build_single_switch(seed=1)
         client = NewFlowSource(bed.sim, bed.client, SERVER_IP, rate_fps=100.0)
@@ -156,7 +148,7 @@ def _fig3_causality_records():
 
 @pytest.mark.slow
 def test_fig3_stage_sums_reconcile_with_journey_durations():
-    records = _fig3_causality_records()
+    records = _fig3_trace_records()
     grouped = journeys(records)
     assert len(grouped) > 50, "the fig3 workload must produce journeys"
     for journey in grouped:

@@ -197,6 +197,8 @@ def test_fault_free_baseline_has_zero_false_positives():
     report = run("chaos", seed=1, plan=FaultPlan(), health=True)
     card = report.scorecard
     assert card.clean
+    # ... and recovers, so `chaos --no-faults` exits 0 on both verdicts.
+    assert report.healthy
     # The flood is kept, so the only truth window is the synthetic
     # flash crowd — and the overload rule detecting it is a TP.
     assert list(card.classes) == [FLASH_CROWD]

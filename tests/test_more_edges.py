@@ -101,11 +101,11 @@ def test_flow_spec_batch_larger_than_flow():
 
 
 def test_overlay_rule_defaults():
-    from repro.core.overlay import OverlayRule
+    from repro.controller.routing import HopRule
     from repro.core.config import PRIORITY_PHYSICAL_FLOW
     from repro.switch.match import Match
 
-    rule = OverlayRule("mv0", Match.any(), [])
+    rule = HopRule("mv0", Match.any(), [])
     assert rule.priority == PRIORITY_PHYSICAL_FLOW
 
 

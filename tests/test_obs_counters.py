@@ -19,6 +19,7 @@ from repro.cluster import PoolTraffic, build_pool_deployment, pool_chaos_config
 from repro.obs import Observability, observed
 from repro.obs import path as obs_path
 from repro.obs.base import NullCounter
+from repro.obs.flight import FlightRecorder
 from repro.sim.engine import Simulator
 from repro.switch.switch import OpenFlowSwitch
 from repro.testbed.deployment import build_deployment
@@ -212,9 +213,8 @@ def test_no_registry_counter_is_incremented_beside_an_attribute():
 
 
 @pytest.mark.parametrize("metrics", [True, False])
-def test_flight_false_disables_the_recorder(metrics):
-    obs = Observability(trace=False, metrics=metrics, flight=False)
-    assert obs.flight is None
+def test_untraced_run_keeps_provenance_off(metrics):
+    obs = Observability(trace=False, metrics=metrics)
     sim = Simulator(seed=1, obs=obs)
     fired = []
     sim.schedule(1.0, fired.append, 1)
@@ -224,10 +224,11 @@ def test_flight_false_disables_the_recorder(metrics):
 
 
 def test_flight_without_causality_turns_provenance_on():
-    obs = Observability(trace=False, metrics=False, flight=4)
-    sim = Simulator(seed=1, obs=obs)
+    sim = Simulator(seed=1, obs=Observability(trace=False, metrics=False))
+    flight = FlightRecorder(events=4)
+    flight.bind(sim)
     assert sim.provenance_enabled
     sim.schedule(1.0, list)
     sim.run()
-    (event,) = obs.flight.window()["events"]
+    (event,) = flight.window()["events"]
     assert event["t"] == 1.0 and event["callback"] != "(unknown)"

@@ -177,7 +177,7 @@ def test_export_jsonl_writes_schema_header(tmp_path):
     with open(path) as handle:
         lines = handle.read().strip().splitlines()
     assert json.loads(lines[0]) == {"type": "schema", "schema": "trace",
-                                    "version": 1}
+                                    "version": 2}
     assert len(lines) == 2
     # read_jsonl skips the header transparently.
     assert read_jsonl(path) == tracer.records()
@@ -187,7 +187,6 @@ def test_causality_stamps_span_ids_and_event_ids():
     sim = Simulator()
     sim.enable_provenance()
     tracer = Tracer()
-    tracer.causality = True
     tracer.bind(sim)
 
     def work():

@@ -173,3 +173,22 @@ def test_sampling_service_restart_does_not_double_exports():
     dep.sim.run(until=4.0)
     window2 = service.samplers[vswitch].reports_sent - window1
     assert window2 <= window1 + 2  # restart may re-phase by one export
+
+
+def test_scotch_flow_db_prune_is_one_tick_chain():
+    from repro.testbed.deployment import build_deployment
+
+    dep = build_deployment(seed=4, racks=2, mesh_per_rack=1, backups=1)
+    app = dep.scotch
+
+    def pending_prunes():
+        return sum(1 for _, _, event in dep.sim._heap
+                   if not event.cancelled
+                   and event.callback == app._prune_flow_db)
+
+    # ScotchApp.start() (run by the builder) armed exactly one tick.
+    assert pending_prunes() == 1
+    _cycle(app._prune_timer)
+    assert pending_prunes() == 1
+    dep.sim.run(until=25.0)  # two prunes fired and re-armed
+    assert pending_prunes() == 1

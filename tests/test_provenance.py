@@ -3,7 +3,7 @@
 Contracts:
 
 * Off by default — a plain run records nothing, pays nothing, and
-  `current_event_id`/`ancestry` stay empty.
+  `current_event_id`/`ancestry` stay empty; tracing turns it on.
 * On, every scheduled event knows its parent (the event whose callback
   scheduled it), `ancestry` walks the chain newest-first with a depth
   bound, and ids are compact `(run, seq)` pairs.
@@ -191,34 +191,27 @@ def test_flight_window_is_json_serializable_and_plain():
 
 
 def test_observability_wires_causality_and_flight():
-    obs = Observability(trace=True, metrics=True, causality=True, flight=32)
-    assert obs.causality and obs.tracer.causality
-    assert isinstance(obs.flight, FlightRecorder)
-    assert obs.flight.events.maxlen == 32
-    assert obs.tracer.flight is obs.flight
+    """Tracing turns provenance on; a flight recorder bound beside it
+    gets the event ring and, through the tracer, the completed spans
+    with their span and event ids (the wiring `faults.run` does)."""
+    obs = Observability(trace=True, metrics=True)
     with observed(obs):
         sim = Simulator()
         assert sim.provenance_enabled
+        flight = FlightRecorder(events=32)
+        flight.bind(sim)
+        flight.attach_metrics(obs.metrics)
+        obs.tracer.flight = flight
 
         def work():
             sim.obs.tracer.end(sim.obs.tracer.begin("work"))
 
         sim.schedule(0.5, work)
         sim.run()
-    assert len(obs.flight.events) == 1
+    assert flight.events.maxlen == 32
+    assert len(flight.events) == 1
     # The completed span reached the flight ring and carries its id +
     # the (run, seq) id of the event whose callback opened it.
-    (record,) = list(obs.flight.spans)
+    (record,) = list(flight.spans)
     assert record["id"] == 0
     assert record["ev"] == [0, 0]
-
-
-def test_causality_off_keeps_trace_records_unchanged():
-    obs = Observability(trace=True, metrics=False)
-    with observed(obs):
-        sim = Simulator()
-        sim.obs.tracer.end(sim.obs.tracer.begin("work"))
-        sim.obs.tracer.instant("mark")
-    for record in obs.tracer.records():
-        assert "id" not in record
-        assert "ev" not in record

@@ -12,10 +12,9 @@ pytestmark = pytest.mark.slow  # scenario-scale runs (several seconds each)
 
 from repro.core.config import ScotchConfig
 from repro.obs import Observability, observed
-from repro.obs.report import render_html
+from repro.obs.report import render_html, render_text
 from repro.telemetry.scorecard import (
     TELEMETRY_SCORECARD_VERSION,
-    format_telemetry_scorecard,
     run_telemetry_scorecard,
     telemetry_scorecard_json,
 )
@@ -96,7 +95,7 @@ def test_scorecard_json_is_canonical_and_deterministic(card, payload):
 
 
 def test_ascii_and_html_renderings(card):
-    text = format_telemetry_scorecard(card)
+    text = render_text(card.page()[1])
     assert "Telemetry scorecard" in text
     assert "sample 1/10" in text
     assert "recall" in text
