@@ -31,7 +31,7 @@ ReliableSender` for the state it installs.
   low-water mark held ``pool_scale_cooldown``), with a
   ``pool_warmup`` guard between actions.
 * **Rebalancing** — EASM-style best-fit: when the busiest member
-  carries more than ``pool_imbalance_ratio`` times the idlest one,
+  carries more than ``POOL_IMBALANCE_RATIO`` times the idlest one,
   migrate the switch whose load best levels the two.
 
 Everything the pool does lands in :attr:`events` with stable key
@@ -50,7 +50,7 @@ import json
 from repro.cluster.bus import PoolBus
 from repro.controller.base_app import BaseApp
 from repro.controller.reliability import ReliableSender
-from repro.core.config import PRIORITY_PHYSICAL_FLOW, ScotchConfig
+from repro.core.config import POOL_IMBALANCE_RATIO, PRIORITY_PHYSICAL_FLOW, ScotchConfig
 from repro.obs.metrics import LATENCY_BUCKETS_S
 from repro.obs.rules import AlertRule, AlertState
 from repro.openflow.messages import FlowMod, RoleMod
@@ -365,7 +365,7 @@ class PoolMember:
             busiest = max(live, key=lambda m: (per_member[m], m))
             idlest = min(live, key=lambda m: (per_member[m], m))
             hi, lo = per_member[busiest], per_member[idlest]
-            imbalanced = (hi > lo * self.config.pool_imbalance_ratio
+            imbalanced = (hi > lo * POOL_IMBALANCE_RATIO
                           if lo > 0 else hi > 0)
             if imbalanced and len(per_dpid[busiest]) > 1:
                 # Best fit: the switch whose load is closest to half the

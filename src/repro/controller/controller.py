@@ -167,7 +167,6 @@ class OpenFlowController:
         table_id: int = 0,
         command: str = ADD,
         idle_timeout: float = 0.0,
-        hard_timeout: float = 0.0,
         cookie: Optional[object] = None,
     ) -> FlowMod:
         message = FlowMod(
@@ -177,18 +176,13 @@ class OpenFlowController:
             table_id=table_id,
             command=command,
             idle_timeout=idle_timeout,
-            hard_timeout=hard_timeout,
             cookie=cookie,
         )
         self.datapaths[dpid].send(message)
         return message
 
-    def group_mod(
-        self, dpid: str, group_id: int, buckets: list, command: str = ADD, group_type: str = "select"
-    ) -> GroupMod:
-        message = GroupMod(
-            group_id=group_id, group_type=group_type, buckets=buckets, command=command
-        )
+    def group_mod(self, dpid: str, group_id: int, buckets: list, command: str = ADD) -> GroupMod:
+        message = GroupMod(group_id=group_id, buckets=buckets, command=command)
         self.datapaths[dpid].send(message)
         return message
 
@@ -197,10 +191,8 @@ class OpenFlowController:
         self.datapaths[dpid].send(message)
         return message
 
-    def request_flow_stats(
-        self, dpid: str, table_id: Optional[int] = None, match: Optional[Match] = None
-    ) -> FlowStatsRequest:
-        message = FlowStatsRequest(table_id=table_id, match=match)
+    def request_flow_stats(self, dpid: str, table_id: Optional[int] = None) -> FlowStatsRequest:
+        message = FlowStatsRequest(table_id=table_id)
         self.stats_polls_sent += 1
         self.stats_bytes_requests += wire_bytes(message)
         self.datapaths[dpid].send(message)

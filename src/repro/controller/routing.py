@@ -73,14 +73,11 @@ class Router:
         self,
         path: Sequence[str],
         key: FlowKey,
-        first_hop_in_port: Optional[int] = None,
     ) -> List[HopRule]:
         """Exact-match forwarding rules for ``key`` along ``path``.
 
         Returned **last hop first** — installing in list order implements
-        the paper's make-before-break ordering.  ``first_hop_in_port``
-        additionally pins the first hop's rule to the flow's ingress port
-        when given.
+        the paper's make-before-break ordering.
         """
         rules: List[HopRule] = []
         for index in range(len(path) - 1):
@@ -94,7 +91,6 @@ class Router:
                 key.proto,
                 key.src_port,
                 key.dst_port,
-                in_port=first_hop_in_port if index == 0 else None,
             )
             rules.append(HopRule(node_name, match, [Output(out_port)]))
         rules.reverse()

@@ -30,6 +30,7 @@ from repro.core.config import (
     ACTIVATION_RESEND_GAP,
     ACTIVATION_RESENDS,
     FLOW_IDLE_TIMEOUT,
+    MIGRATION_BACKLOG_LIMIT,
     TABLE_FULL_RATE_THRESHOLD,
     TCAM_HEADROOM_FRACTION,
     VSWITCH_FLOW_TABLE,
@@ -44,6 +45,7 @@ from repro.core.overlay import OverlayError, ScotchOverlay
 from repro.core.policy import PolicyRegistry
 from repro.core.withdrawal import WithdrawalManager
 from repro.sim.process import PeriodicTimer
+from repro.switch.group_table import flow_bucket
 from repro.telemetry.service import SamplingStatsService
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,9 +60,8 @@ class ScotchApp(RateLimitedReactiveApp):
         overlay: ScotchOverlay,
         config: Optional[ScotchConfig] = None,
         policy: Optional[PolicyRegistry] = None,
-        group_key=None,
     ):
-        super().__init__(config or overlay.config, group_key)
+        super().__init__(config or overlay.config)
         self.overlay = overlay
         self._policy = policy
         # Populated in start().
@@ -99,7 +100,6 @@ class ScotchApp(RateLimitedReactiveApp):
         self.policy = self._policy
         self.monitor = CongestionMonitor(
             self.sim,
-            self.config,
             self._on_congested,
             self._on_cleared,
             pressure_check=self._tcam_pressure,
@@ -117,7 +117,7 @@ class ScotchApp(RateLimitedReactiveApp):
             self.config,
         )
         self.withdrawal = WithdrawalManager(
-            self.sim, self.overlay, self.flow_db, self.schedulers, self.config
+            self.sim, self.overlay, self.flow_db, self.schedulers
         )
         self.reliable = ReliableSender(self.sim, self.controller, self.config)
         self.heartbeat = HeartbeatMonitor(
@@ -294,7 +294,7 @@ class ScotchApp(RateLimitedReactiveApp):
         # overlay data path).
         if pending.first_hop in self.overlay.active and any(
             node in self.schedulers
-            and self.schedulers[node].backlog() > self.config.migration_backlog_limit
+            and self.schedulers[node].backlog() > MIGRATION_BACKLOG_LIMIT
             for node in path
         ):
             self._route_overlay(pending)
@@ -402,14 +402,10 @@ class ScotchApp(RateLimitedReactiveApp):
         """The vSwitch the switch's select group will hash this flow to —
         computed with the same flow hash the group table uses, so the
         controller's rules land where the data plane sends the packets."""
-        import zlib
-
         serving = self.overlay.live_assignment(switch_name)
         if not serving:
             return None
-        switch = self.network[switch_name]
-        token = f"{switch.hash_seed}|{key}"
-        return serving[zlib.crc32(token.encode("utf-8")) % len(serving)]
+        return serving[flow_bucket(key, len(serving))]
 
     # ------------------------------------------------------------------
     # Activation / withdrawal

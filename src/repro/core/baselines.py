@@ -170,7 +170,7 @@ class DedicatedPortApp(RateLimitedReactiveApp):
     def start(self) -> None:
         super().start()
         self.monitor = CongestionMonitor(
-            self.sim, self.config, self._activate_deflection, self._deactivate_deflection
+            self.sim, self._activate_deflection, self._deactivate_deflection
         )
         for name in self.managed_switches:
             self.monitor.watch(name, self.network[name].profile)

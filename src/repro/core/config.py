@@ -57,21 +57,44 @@ ACTIVATION_RESENDS = 2
 #: Spacing between activation re-sends, seconds.
 ACTIVATION_RESEND_GAP = 0.05
 
+# -- congestion detection (§4.2, §5.5) ----------------------------------
+#: Activate the overlay when a switch's observed new-flow (Packet-In)
+#: rate reaches this fraction of its OFA Packet-In capacity.
+ACTIVATE_FRACTION = 0.8
+#: Withdraw when the new-flow rate falls below this fraction ...
+WITHDRAW_FRACTION = 0.6
+#: ... and stays there for this long, seconds (avoids flapping).
+WITHDRAW_HOLD = 3.0
+#: Congestion-monitor evaluation period, seconds.
+MONITOR_INTERVAL = 0.25
+
+# -- sampled telemetry (docs/observability.md, "Sampled telemetry") -----
+#: How often each sampling vSwitch exports its accumulated sample
+#: records to the controller, seconds.
+SAMPLE_EXPORT_INTERVAL = 0.25
+#: In ``hybrid`` stats mode, full polls run this many times slower than
+#: ``STATS_INTERVAL``.
+HYBRID_POLL_MULTIPLIER = 5.0
+
+# -- large-flow migration (§5.3) ----------------------------------------
+#: Skip migrating onto switches whose pending install backlog exceeds
+#: this ("checks the message rate of all switches on the path to make
+#: sure their control plane is not overloaded").
+MIGRATION_BACKLOG_LIMIT = 50
+
+# -- rule lifetimes -------------------------------------------------------
+#: Idle timeout for §5.5 pin rules keeping residual flows on the overlay.
+PIN_IDLE_TIMEOUT = 10.0
+
+# -- controller pool (docs/cluster.md) ------------------------------------
+#: Migrate a switch when the busiest member carries more than this
+#: multiple of the idlest member's Packet-In load.
+POOL_IMBALANCE_RATIO = 2.0
+
 
 @dataclass
 class ScotchConfig:
     """Tunables of the Scotch controller application."""
-
-    # -- congestion detection (§4.2, §5.5) ---------------------------------
-    #: Activate the overlay when a switch's observed new-flow (Packet-In)
-    #: rate reaches this fraction of its OFA Packet-In capacity.
-    activate_fraction: float = 0.8
-    #: Withdraw when the new-flow rate falls below this fraction ...
-    withdraw_fraction: float = 0.6
-    #: ... and stays there for this long (avoids flapping).
-    withdraw_hold: float = 3.0
-    #: Monitor evaluation period, seconds.
-    monitor_interval: float = 0.25
 
     # -- controller install budget (Fig. 7, §5.2, §6.1) --------------------
     #: Per-switch rule install rate R.  None = the switch profile's
@@ -102,34 +125,17 @@ class ScotchConfig:
     #:              vSwitch; the controller scales samples into per-flow
     #:              estimates and feeds them down the same stats path.
     #: ``hybrid`` — sampling plus a slow full poll (every
-    #:              ``STATS_INTERVAL * hybrid_poll_multiplier``) to
+    #:              ``STATS_INTERVAL * HYBRID_POLL_MULTIPLIER``) to
     #:              true-up the estimates.
     #: ``off``    — no flow measurement at all (baseline for the
     #:              monitoring-overhead benchmark).
     stats_mode: str = "poll"
     #: Sample 1 packet in this many (the NetFlow/sFlow sampling period N).
     sampling_period: int = 10
-    #: How often each sampling vSwitch exports its accumulated sample
-    #: records to the controller, seconds.
-    sample_export_interval: float = 0.25
-    #: In ``hybrid`` mode, full polls run this many times slower than
-    #: ``STATS_INTERVAL``.
-    hybrid_poll_multiplier: float = 5.0
-    #: Skip migrating onto switches whose pending install backlog exceeds
-    #: this ("checks the message rate of all switches on the path to make
-    #: sure their control plane is not overloaded").
-    migration_backlog_limit: int = 50
-
-    # -- rule lifetimes ------------------------------------------------------
-    #: Idle timeout for §5.5 pin rules keeping residual flows on the overlay.
-    pin_idle_timeout: float = 10.0
 
     # -- load balancing / overlay shape (§5.1) -------------------------------
     #: How many mesh vSwitches each congested switch spreads over.
     vswitches_per_switch: int = 2
-    #: Tunnel encapsulation for the overlay: "mpls" (default) or "gre"
-    #: (§4.1: "any of the available tunneling protocols").
-    tunnel_kind: str = "mpls"
 
     # -- failure detection (§5.6) -------------------------------------------
     heartbeat_interval: float = 1.0
@@ -182,13 +188,8 @@ class ScotchConfig:
     pool_warmup: float = 2.0
     #: Load-rebalance evaluation period, seconds.
     pool_rebalance_interval: float = 1.0
-    #: Migrate a switch when the busiest member carries more than this
-    #: multiple of the idlest member's Packet-In load.
-    pool_imbalance_ratio: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.withdraw_fraction < self.activate_fraction <= 1:
-            raise ValueError("need 0 < withdraw_fraction < activate_fraction <= 1")
         if self.overlay_threshold >= self.drop_threshold:
             raise ValueError("overlay_threshold must be below drop_threshold")
         if self.install_rate is not None and self.install_rate <= 0:
@@ -197,8 +198,6 @@ class ScotchConfig:
             raise ValueError("overlay_install_rate must be positive")
         if self.vswitches_per_switch < 1:
             raise ValueError("need at least one vSwitch per switch")
-        if self.tunnel_kind not in ("mpls", "gre"):
-            raise ValueError(f"unknown tunnel kind {self.tunnel_kind!r}")
         if self.reliable_install_timeout <= 0:
             raise ValueError("reliable_install_timeout must be positive")
         if self.reliable_install_timeout_cap < self.reliable_install_timeout:
@@ -209,10 +208,6 @@ class ScotchConfig:
             raise ValueError(f"unknown stats mode {self.stats_mode!r}")
         if self.sampling_period < 1:
             raise ValueError("sampling_period must be >= 1")
-        if self.sample_export_interval <= 0:
-            raise ValueError("sample_export_interval must be positive")
-        if self.hybrid_poll_multiplier < 1:
-            raise ValueError("hybrid_poll_multiplier must be >= 1")
         if self.controllers < 1:
             raise ValueError("controllers must be >= 1")
         if not 1 <= self.pool_min_controllers <= self.pool_max_controllers:
@@ -231,5 +226,3 @@ class ScotchConfig:
             raise ValueError("pool_warmup must be non-negative")
         if self.pool_rebalance_interval <= 0:
             raise ValueError("pool_rebalance_interval must be positive")
-        if self.pool_imbalance_ratio <= 1:
-            raise ValueError("pool_imbalance_ratio must exceed 1")

@@ -7,11 +7,9 @@ Per physical switch the controller keeps:
 * a **large-flow migration queue** — FlowMods that move elephants from
   the overlay onto physical paths;
 * **per-ingress-port queues** (lowest priority) — pending new flows,
-  served round-robin so one attacked port cannot starve the others.
-  The grouping is pluggable (§5.2: "we can classify the flows into
-  different groups and enforce fair sharing of the SDN network across
-  groups", e.g. per customer): pass ``group_key`` to change how pending
-  flows map to queues.
+  served round-robin so one attacked port cannot starve the others
+  (§5.2's fair sharing across flow groups, with the ingress port as the
+  group: the design Fig. 11 evaluates).
 
 One server per switch drains these in strict priority order at rate R —
 the switch's lossless rule-insertion rate (§6.1) — so the controller
@@ -102,13 +100,9 @@ class InstallScheduler:
         config: ScotchConfig,
         on_admit: Callable[[PendingFlow], None],
         on_overlay: Callable[[PendingFlow], None],
-        group_key: Optional[Callable[[PendingFlow], object]] = None,
     ):
         if rate <= 0:
             raise ValueError("install rate R must be positive")
-        #: Maps a pending flow to its fair-sharing queue; the default is
-        #: the paper's per-ingress-port differentiation.
-        self.group_key = group_key or (lambda pending: pending.ingress_port)
         self.sim = sim
         self.controller = controller
         self.dpid = dpid
@@ -146,9 +140,9 @@ class InstallScheduler:
         return queue
 
     def submit_new_flow(self, pending: PendingFlow) -> str:
-        """Enqueue a Packet-In onto its fair-sharing queue (per ingress
-        port by default); drops beyond the dropping threshold (§5.2)."""
-        queue = self._group_queue(self.group_key(pending))
+        """Enqueue a Packet-In onto its ingress port's fair-sharing
+        queue; drops beyond the dropping threshold (§5.2)."""
+        queue = self._group_queue(pending.ingress_port)
         if len(queue) >= self.config.drop_threshold:
             self.flows_dropped += 1
             queue.dropped += 1
@@ -275,11 +269,9 @@ class PathInstaller:
         self,
         controller: "OpenFlowController",
         schedulers: Dict[str, InstallScheduler],
-        settle_delay: float = SETTLE_DELAY,
     ):
         self.controller = controller
         self.schedulers = schedulers
-        self.settle_delay = settle_delay
 
     def install(
         self,
@@ -309,7 +301,7 @@ class PathInstaller:
             def advance() -> None:
                 if chained is not None:
                     chained()
-                sim.schedule(self.settle_delay, send_from, send_from, index + 1)
+                sim.schedule(self.SETTLE_DELAY, send_from, send_from, index + 1)
 
             scheduler = self.schedulers.get(job.dpid)
             if scheduler is None:
@@ -352,15 +344,11 @@ class RateLimitedReactiveApp(BaseApp):
     def __init__(
         self,
         config: Optional[ScotchConfig] = None,
-        group_key=None,
         managed_switches=(),
     ):
         super().__init__()
         self.config = config or ScotchConfig()
         self.managed_switches = list(managed_switches)
-        #: Optional fair-sharing grouping override (§5.2): a callable
-        #: PendingFlow -> hashable.  None = per ingress port.
-        self.group_key = group_key
         self.flow_db = FlowInfoDatabase()
         self.schedulers: Dict[str, InstallScheduler] = {}
         # Populated in start().
@@ -388,7 +376,6 @@ class RateLimitedReactiveApp(BaseApp):
             self.config,
             on_admit=self._admit_physical,
             on_overlay=self._handle_excess,
-            group_key=self.group_key,
         )
         return scheduler
 

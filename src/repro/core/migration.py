@@ -12,7 +12,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Set
 
 from repro.controller.flow_info_db import ROUTE_OVERLAY, ROUTE_PHYSICAL, FlowInfoDatabase
-from repro.core.config import STATS_INTERVAL, VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.config import (
+    MIGRATION_BACKLOG_LIMIT,
+    STATS_INTERVAL,
+    VSWITCH_FLOW_TABLE,
+    ScotchConfig,
+)
 from repro.core.flow_manager import InstallScheduler, MigrationRequest, PathInstaller
 from repro.net.flow import FlowKey
 from repro.openflow.messages import DELETE, FlowMod, FlowStatsReply
@@ -120,7 +125,7 @@ class ElephantMigrator:
         # retry when any path switch's pending-install backlog is high.
         for node in path:
             scheduler = self.schedulers.get(node)
-            if scheduler is not None and scheduler.backlog() > self.config.migration_backlog_limit:
+            if scheduler is not None and scheduler.backlog() > MIGRATION_BACKLOG_LIMIT:
                 self.migrations_deferred += 1
                 self.sim.schedule(STATS_INTERVAL, self._resubmit, key)
                 return

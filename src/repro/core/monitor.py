@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.core.config import TABLE_FULL_RATE_THRESHOLD, ScotchConfig
+from repro.core.config import (
+    ACTIVATE_FRACTION,
+    MONITOR_INTERVAL,
+    TABLE_FULL_RATE_THRESHOLD,
+    WITHDRAW_FRACTION,
+    WITHDRAW_HOLD,
+)
 from repro.sim.process import PeriodicTimer
 from repro.sim.ratelimit import RateEstimator
 
@@ -38,13 +44,11 @@ class CongestionMonitor:
     def __init__(
         self,
         sim: "Simulator",
-        config: ScotchConfig,
         on_congested: Callable[[str], None],
         on_cleared: Callable[[str], None],
         pressure_check: Optional[Callable[[str], bool]] = None,
     ):
         self.sim = sim
-        self.config = config
         self.on_congested = on_congested
         self.on_cleared = on_cleared
         #: Extra veto on withdrawal: while this returns True for a
@@ -54,7 +58,7 @@ class CongestionMonitor:
         self._switches: Dict[str, _SwitchState] = {}
         #: Restart-safe tick chain (sim.process.PeriodicTimer owns the
         #: pending event, so stop()/start() can never double the chain).
-        self._timer = PeriodicTimer(sim, config.monitor_interval, self._tick)
+        self._timer = PeriodicTimer(sim, MONITOR_INTERVAL, self._tick)
         self._obs = sim.obs
 
     def watch(self, dpid: str, profile: "SwitchProfile") -> None:
@@ -129,7 +133,7 @@ class CongestionMonitor:
             capacity = state.profile.packet_in_rate
             if not state.congested:
                 if (
-                    rate >= self.config.activate_fraction * capacity
+                    rate >= ACTIVATE_FRACTION * capacity
                     or table_full >= TABLE_FULL_RATE_THRESHOLD
                 ):
                     state.congested = True
@@ -139,14 +143,14 @@ class CongestionMonitor:
                     self.on_congested(dpid)
             else:
                 calm = (
-                    rate <= self.config.withdraw_fraction * capacity
+                    rate <= WITHDRAW_FRACTION * capacity
                     and table_full < TABLE_FULL_RATE_THRESHOLD / 2
                     and not (self.pressure_check is not None and self.pressure_check(dpid))
                 )
                 if calm:
                     if state.below_since is None:
                         state.below_since = self.sim.now
-                    elif self.sim.now - state.below_since >= self.config.withdraw_hold:
+                    elif self.sim.now - state.below_since >= WITHDRAW_HOLD:
                         state.congested = False
                         state.below_since = None
                         self._instant("overlay.withdraw", dpid)

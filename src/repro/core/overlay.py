@@ -98,13 +98,12 @@ class ScotchOverlay:
         self._vswitch(name)
         if name in self.mesh or name in self.backups:
             raise OverlayError(f"vSwitch {name!r} already in the overlay")
-        kind = self.config.tunnel_kind
         for peer in self.mesh + self.backups:
             self.mesh_tunnels[(name, peer)] = self.fabric.create(
-                name, peer, terminal_pops=1, kind=kind
+                name, peer, terminal_pops=1
             )
             self.mesh_tunnels[(peer, name)] = self.fabric.create(
-                peer, name, terminal_pops=1, kind=kind
+                peer, name, terminal_pops=1
             )
         (self.backups if backup else self.mesh).append(name)
 
@@ -137,14 +136,12 @@ class ScotchOverlay:
             for mesh_name in set(self.mesh + self.backups):
                 if mesh_name != host_vswitch:
                     self.delivery_tunnels[(mesh_name, host_name)] = self.fabric.create(
-                        mesh_name, host_vswitch, terminal_pops=1,
-                        kind=self.config.tunnel_kind,
+                        mesh_name, host_vswitch, terminal_pops=1
                     )
         else:
             for mesh_name in set(self.mesh + self.backups):
                 self.delivery_tunnels[(mesh_name, host_name)] = self.fabric.create(
-                    mesh_name, host_name, terminal_pops=0,
-                    kind=self.config.tunnel_kind,
+                    mesh_name, host_name, terminal_pops=0
                 )
 
     def port_label(self, switch: str, port_no: int) -> int:
@@ -177,9 +174,7 @@ class ScotchOverlay:
             vswitches = [self.mesh[(start + i) % len(self.mesh)] for i in range(count)]
             self._round_robin += count
         for vswitch_name in list(vswitches) + self.backups:
-            tunnel = self.fabric.create(
-                switch_name, vswitch_name, terminal_pops=2, kind=self.config.tunnel_kind
-            )
+            tunnel = self.fabric.create(switch_name, vswitch_name, terminal_pops=2)
             self.switch_tunnels[(switch_name, vswitch_name)] = tunnel
             self.tunnel_origin[tunnel.tunnel_id] = switch_name
             self.tunnel_entry_vswitch[tunnel.tunnel_id] = vswitch_name
@@ -244,7 +239,6 @@ class ScotchOverlay:
         switch = self.network[switch_name]
         group = GroupMod(
             group_id=SCOTCH_GROUP_ID,
-            group_type="select",
             buckets=self.group_buckets(switch_name),
             command=ADD,
         )
@@ -360,7 +354,6 @@ class ScotchOverlay:
         """A GroupMod MODIFY with the current live bucket set."""
         return GroupMod(
             group_id=SCOTCH_GROUP_ID,
-            group_type="select",
             buckets=self.group_buckets(switch_name),
             command=MODIFY,
         )

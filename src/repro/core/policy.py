@@ -86,16 +86,13 @@ class PolicyRegistry:
                 raise OverlayError(f"policy {policy.name!r}: middlebox {middlebox!r} not attached")
         self.policies.append(policy)
 
-    def attach_middlebox(
-        self, name: str, upstream: str, downstream: str, aggregation_vswitch: Optional[str] = None
-    ) -> MiddleboxAttachment:
+    def attach_middlebox(self, name: str, upstream: str, downstream: str) -> MiddleboxAttachment:
         """Register a middlebox between S_U=``upstream`` and
-        S_D=``downstream`` and install its static overlay plumbing."""
-        if aggregation_vswitch is None:
-            if not self.overlay.mesh:
-                raise OverlayError("overlay has no mesh vSwitches for aggregation")
-            aggregation_vswitch = self.overlay.mesh[0]
-        attachment = MiddleboxAttachment(name, upstream, downstream, aggregation_vswitch)
+        S_D=``downstream`` and install its static overlay plumbing; the
+        first mesh vSwitch aggregates its output."""
+        if not self.overlay.mesh:
+            raise OverlayError("overlay has no mesh vSwitches for aggregation")
+        attachment = MiddleboxAttachment(name, upstream, downstream, self.overlay.mesh[0])
         self.attachments[name] = attachment
         self.network.exclude_from_routing(name)
         self._install_plumbing(attachment)
@@ -114,7 +111,6 @@ class PolicyRegistry:
                 attachment.upstream,
                 terminal_pops=1,
                 terminal_extra_actions=[Output(mb_port_at_su)],
-                kind=self.overlay.config.tunnel_kind,
             )
         # S_D -> aggregation vSwitch tunnel (pops=0: the label stays on
         # so the aggregation vSwitch can distinguish the return leg)

@@ -22,8 +22,8 @@ from repro.core.config import (
     LB_TABLE,
     MAIN_TABLE,
     PIN_ACTIVITY_WINDOW,
+    PIN_IDLE_TIMEOUT,
     PRIORITY_OVERLAY_PIN,
-    ScotchConfig,
 )
 from repro.core.flow_manager import InstallScheduler
 from repro.core.overlay import ScotchOverlay
@@ -44,13 +44,11 @@ class WithdrawalManager:
         overlay: ScotchOverlay,
         flow_db: FlowInfoDatabase,
         schedulers: Dict[str, InstallScheduler],
-        config: ScotchConfig,
     ):
         self.sim = sim
         self.overlay = overlay
         self.flow_db = flow_db
         self.schedulers = schedulers
-        self.config = config
         self.withdrawals = 0
         self.pins_installed = 0
 
@@ -78,7 +76,7 @@ class WithdrawalManager:
                 priority=PRIORITY_OVERLAY_PIN,
                 actions=[PushMpls(label), GotoTable(LB_TABLE)],
                 table_id=MAIN_TABLE,
-                idle_timeout=self.config.pin_idle_timeout,
+                idle_timeout=PIN_IDLE_TIMEOUT,
             ))
         self.pins_installed += len(pins)
 

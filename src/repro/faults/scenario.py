@@ -26,7 +26,7 @@ both across the fault window and in a clean post-recovery window.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from importlib import import_module
 from time import perf_counter
@@ -327,7 +327,8 @@ def run(
             private.profiler = outer.profiler
         context = observed(private)
 
-    with context:
+    with ExitStack() as stack:
+        stack.enter_context(context)
         this.metrics = get_default_obs().metrics
         started = perf_counter()
         dep = this.build()
@@ -338,11 +339,13 @@ def run(
         flight = None
         if postmortem:
             # The run's own flight recorder (it turns causal provenance
-            # on), fed the spans of an enabled outer tracer.
+            # on), fed the spans of an enabled outer tracer until the
+            # run ends, however it ends.
             flight = FlightRecorder()
             flight.bind(sim, run=0)
             flight.attach_metrics(this.metrics)
             if outer.tracer.enabled:
+                stack.callback(setattr, outer.tracer, "flight", outer.tracer.flight)
                 outer.tracer.flight = flight
 
         # Start order is part of the byte-identity contract: engine,

@@ -1,9 +1,9 @@
 """Network substrate: packets, flows, links, topology, tunnels, hosts.
 
 This package models the data plane the paper's testbed runs on: Ethernet/
-IP/TCP-style packets with MPLS/GRE encapsulation stacks, finite-rate
+IP/TCP-style packets with MPLS encapsulation stacks, finite-rate
 links with drop-tail queues, a topology registry (backed by networkx),
-GRE/MPLS tunnels over the physical fabric, traffic-terminating hosts
+MPLS tunnels over the physical fabric, traffic-terminating hosts
 with tcpdump-style taps (:mod:`repro.net.tap`, which also computes the
 §3.2 client flow failure fraction from them), and the stateful
 middleboxes used by the policy-consistency design (paper Fig. 8).
@@ -18,14 +18,13 @@ from repro.net.addresses import ip_to_int, int_to_ip, make_ip
 from repro.net.flow import FlowKey
 from repro.net.links import DirectedLink, connect
 from repro.net.node import Node
-from repro.net.packet import GreHeader, MplsHeader, Packet
+from repro.net.packet import MplsHeader, Packet
 from repro.net.ports import Port
 from repro.net.topology import Network
 
 __all__ = [
     "DirectedLink",
     "FlowKey",
-    "GreHeader",
     "MplsHeader",
     "Network",
     "Node",

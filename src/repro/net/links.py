@@ -2,7 +2,7 @@
 
 A :class:`DirectedLink` is one direction of a cable: serialization at
 ``rate_bps``, propagation ``delay`` seconds, and a drop-tail queue of
-``queue_packets`` packet trains awaiting serialization.  ``connect``
+``QUEUE_PACKETS`` packet trains awaiting serialization.  ``connect``
 builds both directions and returns the two new ports.
 """
 
@@ -16,10 +16,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
     from repro.sim.engine import Simulator
 
-#: Default queue depth, in packet trains.  Deep enough that control-path
+#: Queue depth, in packet trains.  Deep enough that control-path
 #: experiments never see link loss (the paper's point: the data plane is
 #: uncongested), shallow enough that a saturated link drops.
-DEFAULT_QUEUE = 1000
+QUEUE_PACKETS = 1000
 
 
 class DirectedLink:
@@ -42,7 +42,6 @@ class DirectedLink:
         delay: float,
         dst_node: "Node",
         dst_port_no: int,
-        queue_packets: int = DEFAULT_QUEUE,
         name: str = "",
     ):
         if rate_bps <= 0:
@@ -56,7 +55,6 @@ class DirectedLink:
         self.dst_port_no = dst_port_no
         #: ``dst_node.arrive``, bound once (a switch's is its datapath's).
         self._arrive = dst_node.arrive
-        self.queue_packets = queue_packets
         self.name = name or f"->{dst_node.name}:{dst_port_no}"
         #: Serialization-start times of accepted-but-not-yet-serializing
         #: packets; the awaiting-serialization queue, as start times.
@@ -75,7 +73,7 @@ class DirectedLink:
         # the serialization start fires before this transmit.
         while pending and pending[0] <= now:
             pending.popleft()
-        if len(pending) >= self.queue_packets:
+        if len(pending) >= QUEUE_PACKETS:
             self.dropped += packet.count
             return
         start = self._busy_until
@@ -98,7 +96,6 @@ def connect(
     node_b: "Node",
     rate_bps: float = 1e9,
     delay: float = 50e-6,
-    queue_packets: int = DEFAULT_QUEUE,
 ) -> Tuple["Port", "Port"]:
     """Wire a full-duplex link between two nodes.
 
@@ -108,6 +105,6 @@ def connect(
     port_a = node_a.allocate_port()
     port_b = node_b.allocate_port()
     for src, dst in ((port_a, port_b), (port_b, port_a)):
-        src.attach(DirectedLink(sim, rate_bps, delay, dst.node, dst.port_no, queue_packets,
+        src.attach(DirectedLink(sim, rate_bps, delay, dst.node, dst.port_no,
                                 name=f"{src.name}->{dst.name}"))
     return port_a, port_b

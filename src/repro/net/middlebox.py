@@ -8,7 +8,7 @@ Scotch pins both the overlay and the physical path through the *same*
 middlebox instance.
 
 Middleboxes are bump-in-the-wire: two attachments (toward S_U and S_D);
-a packet arriving on one side leaves on the other after ``latency``.
+a packet arriving on one side leaves on the other after ``LATENCY``.
 They are excluded from ordinary route computation (``Network.
 exclude_from_routing``) so traffic only crosses them by explicit policy.
 """
@@ -24,13 +24,15 @@ from repro.net.packet import TCP_SYN, Packet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
+#: Per-packet processing latency of a middlebox, seconds.
+LATENCY = 50e-6
+
 
 class Middlebox(Node):
     """Base bump-in-the-wire element with per-packet processing latency."""
 
-    def __init__(self, sim: "Simulator", name: str, latency: float = 50e-6):
+    def __init__(self, sim: "Simulator", name: str):
         super().__init__(sim, name)
-        self.latency = latency
         self.packets_in = 0
         self.packets_dropped = 0
 
@@ -43,7 +45,7 @@ class Middlebox(Node):
         if out_port is None:
             self.packets_dropped += packet.count
             return
-        self.sim.schedule(self.latency, self.ports[out_port].send, packet)
+        self.sim.schedule(LATENCY, self.ports[out_port].send, packet)
 
     def _other_port(self, in_port: int) -> Optional[int]:
         others = [p for p in self.ports if p != in_port]
@@ -62,8 +64,8 @@ class Firewall(Middlebox):
     naively re-routed through a different firewall instance.
     """
 
-    def __init__(self, sim: "Simulator", name: str, latency: float = 50e-6):
-        super().__init__(sim, name, latency)
+    def __init__(self, sim: "Simulator", name: str):
+        super().__init__(sim, name)
         self._admitted: Set[FlowKey] = set()
         self.blocklist: Set[str] = set()
         self.rejected_unknown = 0

@@ -1,4 +1,4 @@
-"""Packet model with an MPLS/GRE encapsulation stack.
+"""Packet model with an MPLS encapsulation stack.
 
 A :class:`Packet` carries the inner five-tuple plus a stack of
 encapsulation headers (``encap``; the last element is outermost).  Scotch
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.net.flow import FlowKey
 
@@ -41,22 +41,8 @@ class MplsHeader:
             raise ValueError(f"MPLS label out of range: {self.label!r}")
 
 
-@dataclass(frozen=True)
-class GreHeader:
-    """A GRE header; ``key`` is the 32-bit GRE key."""
-
-    key: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.key < (1 << 32):
-            raise ValueError(f"GRE key out of range: {self.key!r}")
-
-
-Header = Union[MplsHeader, GreHeader]
-
 #: Wire overhead per encapsulation header, bytes.
 MPLS_OVERHEAD = 4
-GRE_OVERHEAD = 42  # outer IP + GRE
 
 
 class Packet:
@@ -106,7 +92,7 @@ class Packet:
         self.count = count
         self.tcp_flag = tcp_flag
         self.created_at = created_at
-        self.encap: List[Header] = []
+        self.encap: List[MplsHeader] = []
         self._overhead = 0  # wire bytes added by encap, maintained by push/pop
         self.popped_labels: List[int] = []
         self.metadata: Dict[str, Any] = {}
@@ -115,28 +101,28 @@ class Packet:
     # ------------------------------------------------------------------
     # Encapsulation
     # ------------------------------------------------------------------
-    def push(self, header: Header) -> None:
+    def push(self, header: MplsHeader) -> None:
         """Push an encapsulation header (becomes outermost)."""
         self.encap.append(header)
-        self._overhead += MPLS_OVERHEAD if type(header) is MplsHeader else GRE_OVERHEAD
+        self._overhead += MPLS_OVERHEAD
 
-    def pop(self) -> Header:
+    def pop(self) -> MplsHeader:
         """Pop the outermost encapsulation header."""
         if not self.encap:
             raise ValueError("pop on packet with empty encap stack")
         header = self.encap.pop()
-        self._overhead -= MPLS_OVERHEAD if type(header) is MplsHeader else GRE_OVERHEAD
+        self._overhead -= MPLS_OVERHEAD
         return header
 
     @property
-    def outer(self) -> Optional[Header]:
+    def outer(self) -> Optional[MplsHeader]:
         """Outermost encapsulation header, or None if bare."""
         return self.encap[-1] if self.encap else None
 
     @property
     def outer_mpls_label(self) -> Optional[int]:
         outer = self.outer
-        return outer.label if isinstance(outer, MplsHeader) else None
+        return outer.label if outer is not None else None
 
     @property
     def wire_size(self) -> int:
@@ -157,9 +143,7 @@ class Packet:
         return FlowKey(self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        encap = "".join(
-            f"+M{h.label}" if isinstance(h, MplsHeader) else f"+G{h.key}" for h in self.encap
-        )
+        encap = "".join(f"+M{h.label}" for h in self.encap)
         return (
             f"<Packet #{self.packet_id} {self.src_ip}:{self.src_port}->"
             f"{self.dst_ip}:{self.dst_port} p{self.proto} {self.tcp_flag}"

@@ -9,7 +9,7 @@ explicitly routes through them (paper §5.4).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import networkx as nx
 
@@ -51,11 +51,10 @@ class Network:
         b: str,
         rate_bps: float = 1e9,
         delay: float = 50e-6,
-        queue_packets: int = 1000,
     ) -> Tuple[int, int]:
         """Wire a full-duplex link; returns the new (port on a, port on b)."""
         node_a, node_b = self.nodes[a], self.nodes[b]
-        port_a, port_b = connect(self.sim, node_a, node_b, rate_bps, delay, queue_packets)
+        port_a, port_b = connect(self.sim, node_a, node_b, rate_bps, delay)
         self.graph.add_edge(
             a,
             b,
@@ -85,19 +84,14 @@ class Network:
     def neighbors(self, name: str) -> List[str]:
         return list(self.graph.neighbors(name))
 
-    def shortest_path(
-        self,
-        src: str,
-        dst: str,
-        exclude: Iterable[str] = (),
-    ) -> List[str]:
+    def shortest_path(self, src: str, dst: str) -> List[str]:
         """Minimum-delay node path from src to dst.
 
-        Routing-excluded nodes (middleboxes) and ``exclude`` are not used
-        as transit hops; endpoints are always permitted.  Raises
+        Routing-excluded nodes (middleboxes) are not used as transit
+        hops; endpoints are always permitted.  Raises
         ``networkx.NetworkXNoPath`` if disconnected.
         """
-        banned = frozenset(self._routing_excluded | set(exclude)) - {src, dst}
+        banned = frozenset(self._routing_excluded) - {src, dst}
         cache_key = (src, dst, banned)
         cached = self._path_cache.get(cache_key)
         if cached is not None:

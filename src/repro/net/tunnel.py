@@ -1,7 +1,9 @@
 """Tunnels over the physical data plane.
 
-A :class:`Tunnel` is a unidirectional MPLS (or GRE-keyed) path between
-two nodes.  Configuration is *offline* (paper §5.6): the fabric installs
+A :class:`Tunnel` is a unidirectional MPLS path between two nodes (the
+paper's §4.1 allows "any of the available tunneling protocols, such as
+GRE, MPLS, MAC-in-MAC"; MPLS carries both §5.2 labels in one header
+type).  Configuration is *offline* (paper §5.6): the fabric installs
 static label-switching rules at every transit switch and a terminal rule
 at the egress, none of which touches any OFA.
 
@@ -21,15 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.net.topology import Network
-from repro.switch.actions import (
-    Action,
-    GotoTable,
-    Output,
-    PopGre,
-    PopMpls,
-    PushMpls,
-    SetGreKey,
-)
+from repro.switch.actions import Action, GotoTable, Output, PopMpls, PushMpls
 from repro.switch.match import Match
 from repro.switch.switch import OpenFlowSwitch
 
@@ -42,49 +36,32 @@ TUNNEL_RULE_PRIORITY = 3000
 EGRESS_CONTINUE_TABLE = 1
 
 
-MPLS = "mpls"
-GRE = "gre"
-
-
 @dataclass
 class Tunnel:
-    """One configured unidirectional tunnel.
-
-    ``kind`` selects the encapsulation: MPLS label-switching (default)
-    or GRE keyed by the tunnel id — the paper's §4.1 allows "any of the
-    available tunneling protocols, such as GRE, MPLS, MAC-in-MAC".
-    """
+    """One configured unidirectional MPLS tunnel."""
 
     tunnel_id: int
     src: str
     dst: str
     path: List[str]
     terminal_pops: int = 1
-    kind: str = MPLS
 
     def entry_actions(self, network: Network) -> List[Action]:
         """Actions the source executes to put a packet into the tunnel."""
         first_hop_port = network.port_between(self.src, self.path[1])
-        encap = SetGreKey(self.tunnel_id) if self.kind == GRE else PushMpls(self.tunnel_id)
-        return [encap, Output(first_hop_port)]
+        return [PushMpls(self.tunnel_id), Output(first_hop_port)]
 
     def transit_match(self) -> Match:
         """The match transit switches use to label-switch this tunnel."""
-        if self.kind == GRE:
-            return Match(gre_key=self.tunnel_id)
         return Match(mpls_label=self.tunnel_id)
 
     def terminal_pop_actions(self) -> List[Action]:
-        """Decapsulation at the egress: the outer header is this
-        tunnel's kind; any further pops are inner MPLS labels (the §5.2
-        ingress-port label is MPLS in both modes)."""
-        if self.terminal_pops <= 0:
-            return []
-        outer: Action = PopGre() if self.kind == GRE else PopMpls()
-        return [outer] + [PopMpls() for _ in range(self.terminal_pops - 1)]
+        """Decapsulation at the egress: the tunnel label, then any inner
+        labels (the §5.2 ingress-port label)."""
+        return [PopMpls() for _ in range(self.terminal_pops)]
 
 
-#: First MPLS label (or GRE key) a fabric hands out.
+#: First MPLS label a fabric hands out.
 LABEL_BASE = 100_000
 
 
@@ -112,15 +89,12 @@ class TunnelFabric:
         dst: str,
         terminal_pops: int = 1,
         terminal_extra_actions: Optional[List[Action]] = None,
-        kind: str = MPLS,
     ) -> Tunnel:
         """Build a tunnel from ``src`` to ``dst`` along the shortest
         physical path and install its static rules.  Idempotent per
         full signature: an existing identical tunnel is returned
         unchanged."""
-        if kind not in (MPLS, GRE):
-            raise ValueError(f"unknown tunnel kind {kind!r}")
-        signature = (src, dst, terminal_pops, tuple(terminal_extra_actions or ()), kind)
+        signature = (src, dst, terminal_pops, tuple(terminal_extra_actions or ()))
         existing = self._by_signature.get(signature)
         if existing is not None:
             return self.tunnels[existing]
@@ -134,7 +108,6 @@ class TunnelFabric:
             dst=dst,
             path=path,
             terminal_pops=terminal_pops,
-            kind=kind,
         )
 
         # Label-switching rules at transit switches.

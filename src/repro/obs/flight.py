@@ -18,25 +18,22 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-#: Default ring depths: enough to cover the dispatch storm around a
-#: fault without holding more than a few hundred tuples alive.
-DEFAULT_EVENTS = 256
-DEFAULT_SPANS = 128
+#: Ring depths: enough to cover the dispatch storm around a fault
+#: without holding more than a few hundred tuples alive.
+EVENTS = 256
+SPANS = 128
 
 
 class FlightRecorder:
     """Bounded, deterministic rings of recent events/spans/metric deltas."""
 
-    def __init__(self, events: int = DEFAULT_EVENTS,
-                 spans: int = DEFAULT_SPANS):
-        if events < 1 or spans < 1:
-            raise ValueError("flight-recorder ring sizes must be >= 1")
+    def __init__(self):
         #: Fed inline by the engine dispatch loop: the seq of each fired
         #: event, resolved through the engine's provenance tables.
-        self.events: Deque[int] = deque(maxlen=events)
+        self.events: Deque[int] = deque(maxlen=EVENTS)
         #: Fed by the tracer on every completed span/instant (record
         #: dict references; the tracer owns them).
-        self.spans: Deque[Dict[str, Any]] = deque(maxlen=spans)
+        self.spans: Deque[Dict[str, Any]] = deque(maxlen=SPANS)
         self._registry: Optional[Any] = None
         self._marks: Dict[str, int] = {}
         self._sim: Optional[Any] = None
@@ -85,16 +82,15 @@ class FlightRecorder:
                 deltas[name] = delta
         return deltas
 
-    def window(self, remark: bool = True) -> Dict[str, Any]:
+    def window(self) -> Dict[str, Any]:
         """Freeze the recent past into a plain, deterministic dict.
 
         Returns ``{"events": [...], "spans": [...], "metric_deltas":
         {...}}`` with events rendered as ``{"run", "t", "seq",
         "callback"}`` (names resolved via the engine's deterministic
         :func:`~repro.sim.engine.callback_name`) and spans as shallow
-        copies of the tracer records.  With ``remark`` (the default)
-        the counter-delta baseline advances, so consecutive windows
-        report disjoint increments.
+        copies of the tracer records.  The counter-delta baseline
+        advances, so consecutive windows report disjoint increments.
         """
         events: List[Dict[str, Any]] = []
         for seq in self.events:
@@ -113,6 +109,5 @@ class FlightRecorder:
             "spans": spans,
             "metric_deltas": self.counter_deltas(),
         }
-        if remark:
-            self.mark()
+        self.mark()
         return window

@@ -33,7 +33,7 @@ from repro.obs.report import canonical_json
 
 #: Keep at most this many bundles per run (first-N; later triggers are
 #: counted in ``dropped`` rather than collected).
-DEFAULT_MAX_BUNDLES = 16
+MAX_BUNDLES = 16
 #: Ancestry depth bound.
 MAX_DEPTH = 48
 
@@ -87,13 +87,11 @@ class PostmortemCollector:
         flight: Optional[Any] = None,
         injector: Optional[Any] = None,
         context: Optional[Dict[str, Any]] = None,
-        max_bundles: int = DEFAULT_MAX_BUNDLES,
     ):
         self.sim = sim
         self.flight = flight
         self.injector = injector
         self.context = dict(context or {})
-        self.max_bundles = max_bundles
         self.bundles: List[Dict[str, Any]] = []
         #: Triggers past the bundle cap (counted, not collected).
         self.dropped = 0
@@ -123,7 +121,7 @@ class PostmortemCollector:
 
     # ------------------------------------------------------------------
     def _trigger(self, kind: str, name: str, detail: Dict[str, Any]) -> None:
-        if len(self.bundles) >= self.max_bundles:
+        if len(self.bundles) >= MAX_BUNDLES:
             self.dropped += 1
             return
         sim = self.sim

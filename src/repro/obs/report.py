@@ -201,16 +201,20 @@ def _chart_text(chart: Chart) -> str:
     return "\n".join(lines)
 
 
+#: Character grid of :func:`ascii_plot`.
+_PLOT_WIDTH = 60
+_PLOT_HEIGHT = 12
+
+
 def ascii_plot(
     points: Sequence[Tuple[float, float]],
-    width: int = 60,
-    height: int = 12,
     x_label: str = "",
     y_label: str = "",
 ) -> str:
     """A scatter/step plot of (x, y) points on a character grid."""
     if not points:
         return "(no data)"
+    width, height = _PLOT_WIDTH, _PLOT_HEIGHT
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x_low, x_high = min(xs), max(xs)

@@ -145,12 +145,12 @@ class Tracer:
     # ------------------------------------------------------------------
     # Access / export
     # ------------------------------------------------------------------
-    def records(self, include_open: bool = True) -> List[Dict[str, Any]]:
+    def records(self) -> List[Dict[str, Any]]:
         """All records: completed ones in completion order, then any
-        still-open spans (in-flight at simulation end) by span id."""
+        still-open spans (in-flight at simulation end, ``t1`` None) by
+        span id."""
         out = list(self._records)
-        if include_open:
-            out.extend(self._open[i] for i in sorted(self._open))
+        out.extend(self._open[i] for i in sorted(self._open))
         return out
 
     def export_jsonl(self, path: str) -> int:

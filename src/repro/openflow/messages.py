@@ -66,7 +66,6 @@ class FlowMod(Message):
     table_id: int = 0
     command: str = ADD
     idle_timeout: float = 0.0
-    hard_timeout: float = 0.0
     cookie: Optional[object] = None
     #: Ask the switch to send FlowRemoved when this rule expires (the
     #: OpenFlow SEND_FLOW_REM flag).  On by default for controller-
@@ -76,10 +75,9 @@ class FlowMod(Message):
 
 @dataclass
 class GroupMod(Message):
-    """Controller -> switch: add/modify/remove a group entry."""
+    """Controller -> switch: add/modify/remove a ``select`` group entry."""
 
     group_id: int = 0
-    group_type: str = "select"
     buckets: List[Bucket] = field(default_factory=list)
     command: str = ADD
 
@@ -98,7 +96,6 @@ class FlowStatsRequest(Message):
     """Controller -> switch: dump per-rule counters (§5.3 flow-stats query)."""
 
     table_id: Optional[int] = None
-    match: Optional[Match] = None
 
 
 @dataclass
@@ -182,7 +179,7 @@ def wire_bytes(message: Message) -> int:
 
 @dataclass
 class FlowRemoved(Message):
-    """Switch -> controller: a rule expired (idle/hard timeout) or was
+    """Switch -> controller: a rule expired (idle timeout) or was
     deleted.  Lets the controller retire per-flow state (Flow Info
     Database entries) when the flow itself is gone."""
 

@@ -27,9 +27,8 @@ from repro.sim.queues import BoundedQueue
 class RateLimitedServer:
     """Single-server FIFO with service rate ``rate`` items/second.
 
-    ``handler(item)`` is invoked when an item completes service.  If
-    ``drop_handler`` is given it is invoked with each item dropped on
-    arrival to a full queue.
+    ``handler(item)`` is invoked when an item completes service; an
+    item arriving to a full queue is dropped and counted.
     """
 
     def __init__(
@@ -39,14 +38,12 @@ class RateLimitedServer:
         queue_capacity: Optional[int],
         handler: Callable[[Any], None],
         name: str = "server",
-        drop_handler: Optional[Callable[[Any], None]] = None,
     ):
         if rate <= 0:
             raise ValueError("service rate must be positive")
         self.sim = sim
         self.rate = rate
         self.handler = handler
-        self.drop_handler = drop_handler
         self.name = name
         self.queue = BoundedQueue(queue_capacity, name=f"{name}.queue")
         self.busy = False
@@ -67,8 +64,6 @@ class RateLimitedServer:
         """Offer ``item``; returns False if it was dropped (queue full)."""
         if not self.queue.offer(item):
             self.dropped += 1
-            if self.drop_handler is not None:
-                self.drop_handler(item)
             return False
         if not self.busy:
             self._begin_service()

@@ -18,7 +18,6 @@ from repro.switch.actions import (
     Output,
     PopMpls,
     PushMpls,
-    SetGreKey,
 )
 from repro.switch.flow_table import FlowEntry, FlowTable, TableFullError
 from repro.switch.group_table import Bucket, GroupEntry, GroupTable
@@ -56,7 +55,6 @@ __all__ = [
     "PhysicalSwitch",
     "PopMpls",
     "PushMpls",
-    "SetGreKey",
     "SwitchProfile",
     "TableFullError",
     "VSwitch",

@@ -3,7 +3,7 @@
 Actions are plain data; :mod:`repro.switch.datapath` interprets them.
 The subset implemented is exactly what Scotch's pipelines need: output,
 punt-to-controller, group indirection, MPLS push/pop (tunnel + ingress
-labels), GRE key set, goto-table, and drop.
+labels), goto-table, and drop.
 """
 
 from __future__ import annotations
@@ -54,18 +54,6 @@ class PopMpls(Action):
     """Pop the outermost MPLS shim; the label is recorded on the packet
     (``popped_labels``) so the OFA can attach it to Packet-In metadata —
     this is how the inner ingress-port label of paper §5.2 survives."""
-
-
-@dataclass(frozen=True)
-class SetGreKey(Action):
-    """Encapsulate in GRE with the given key (alternative to MPLS)."""
-
-    key: int
-
-
-@dataclass(frozen=True)
-class PopGre(Action):
-    """Remove the outermost GRE header, recording its key."""
 
 
 @dataclass(frozen=True)

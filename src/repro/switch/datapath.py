@@ -45,7 +45,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
-from repro.net.packet import GreHeader, MplsHeader, Packet
+from repro.net.packet import MplsHeader, Packet
 from repro.switch.actions import (
     Action,
     Controller,
@@ -53,10 +53,8 @@ from repro.switch.actions import (
     GotoTable,
     Group,
     Output,
-    PopGre,
     PopMpls,
     PushMpls,
-    SetGreKey,
 )
 from repro.switch.flow_table import FlowTable
 from repro.switch.group_table import GroupTable
@@ -68,10 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Hardware ingress buffer, in packet trains.
 INGRESS_BUFFER = 200
-
-#: What the pipeline does with a packet that misses every table.
-MISS_TO_CONTROLLER = "controller"
-MISS_DROP = "drop"
 
 
 class Datapath:
@@ -88,7 +82,6 @@ class Datapath:
             for i in range(profile.n_tables)
         ]
         self.groups = GroupTable()
-        self.miss_policy = MISS_TO_CONTROLLER
         #: Noted, not yet admitted: ``(at, seq, packet, in_port, link)``.
         self._arrivals: List[tuple] = []
         self._arrival_seq = 0
@@ -187,7 +180,8 @@ class Datapath:
         while True:
             entry = tables[table_id].lookup(packet, in_port, now)
             if entry is None:
-                self._miss(packet, in_port)
+                self.punted += 1
+                self.switch.ofa.punt(packet, in_port, reason="no_match")
                 return
             next_table = self.execute_actions(packet, entry.actions, in_port)
             if next_table is None:
@@ -198,13 +192,6 @@ class Datapath:
                     f"goto-table loop at {self.switch.name} table {next_table}"
                 )
             table_id = next_table
-
-    def _miss(self, packet: Packet, in_port: int) -> None:
-        if self.miss_policy == MISS_TO_CONTROLLER and self.switch.ofa is not None:
-            self.punted += 1
-            self.switch.ofa.punt(packet, in_port, reason="no_match")
-        else:
-            self.dropped_policy += packet.count
 
     def execute_actions(
         self, packet: Packet, actions: List[Action], in_port: int = 0
@@ -241,15 +228,7 @@ class Datapath:
             elif kind is PushMpls:
                 packet.push(MplsHeader(action.label))
             elif kind is PopMpls:
-                header = packet.pop()
-                if isinstance(header, MplsHeader):
-                    packet.popped_labels.append(header.label)
-            elif kind is SetGreKey:
-                packet.push(GreHeader(action.key))
-            elif kind is PopGre:
-                header = packet.pop()
-                if isinstance(header, GreHeader):
-                    packet.popped_labels.append(header.key)
+                packet.popped_labels.append(packet.pop().label)
             elif kind is GotoTable:
                 return action.table_id
             elif kind is Drop:

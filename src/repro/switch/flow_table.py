@@ -1,4 +1,4 @@
-"""Flow tables: priority lookup, timeouts, and TCAM capacity.
+"""Flow tables: priority lookup, idle timeouts, and TCAM capacity.
 
 Lookup semantics follow the OpenFlow spec: the highest-priority matching
 entry wins; ties are broken by installation order (older first), which is
@@ -10,10 +10,9 @@ For speed the table keeps three structures:
   (possibly with extra constraints such as an MPLS label or in_port) are
   bucketed by five-tuple — these are the per-flow rules a reactive
   controller installs by the thousands, and each bucket stays tiny;
-* a **label index** over the rest: entries that pin an encapsulation
-  label (``mpls_label`` / ``gre_key``) — the overlay's tunnel transit
-  and terminal rules, of which a fabric switch carries one per tunnel —
-  are bucketed by that exact label value;
+* a **label index** over the rest: entries that pin ``mpls_label`` —
+  the overlay's tunnel transit and terminal rules, of which a fabric
+  switch carries one per tunnel — are bucketed by that exact label;
 * a small **general scan list** for everything else (per-port defaults,
   per-destination delivery rules, table-miss catch-alls), kept sorted
   by priority.
@@ -34,7 +33,6 @@ import itertools
 from bisect import insort
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.net.packet import MplsHeader
 from repro.switch.actions import Action
 from repro.switch.match import Match, residual_holds
 
@@ -46,7 +44,7 @@ class TableFullError(Exception):
 
 
 class FlowEntry:
-    """One rule: match + priority + action list + timeouts + counters."""
+    """One rule: match + priority + action list + idle timeout + counters."""
 
     __slots__ = (
         "entry_id",
@@ -54,7 +52,6 @@ class FlowEntry:
         "priority",
         "actions",
         "idle_timeout",
-        "hard_timeout",
         "installed_at",
         "last_hit_at",
         "packets",
@@ -69,7 +66,6 @@ class FlowEntry:
         priority: int,
         actions: List[Action],
         idle_timeout: float = 0.0,
-        hard_timeout: float = 0.0,
         installed_at: float = 0.0,
         cookie: Optional[object] = None,
         notify_removal: bool = False,
@@ -81,7 +77,6 @@ class FlowEntry:
         self.priority = priority
         self.actions = list(actions)
         self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
         self.installed_at = installed_at
         self.last_hit_at = installed_at
         self.packets = 0
@@ -92,11 +87,7 @@ class FlowEntry:
         self.notify_removal = notify_removal
 
     def expired(self, now: float) -> bool:
-        if self.hard_timeout > 0 and now - self.installed_at >= self.hard_timeout:
-            return True
-        if self.idle_timeout > 0 and now - self.last_hit_at >= self.idle_timeout:
-            return True
-        return False
+        return self.idle_timeout > 0 and now - self.last_hit_at >= self.idle_timeout
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlowEntry #{self.entry_id} p{self.priority} {self.match!r}>"
@@ -120,7 +111,7 @@ class FlowTable:
         self._wild: List[FlowEntry] = []
         #: Label-pinning subset of _wild, bucketed by exact label value;
         #: each bucket sorted by ``_wild_sort_key``.
-        self._wild_label: Dict[Tuple[str, object], List[FlowEntry]] = {}
+        self._wild_label: Dict[object, List[FlowEntry]] = {}
         #: The label-free subset of _wild, sorted by ``_wild_sort_key``.
         self._wild_general: List[FlowEntry] = []
         self.lookups = 0
@@ -215,17 +206,12 @@ class FlowTable:
         for entry in expired:
             self._remove_entry(entry)
             self.evictions += 1
-            self._notify_expired(entry, now)
+            self._notify_expired(entry)
         return expired
 
-    def _notify_expired(self, entry: FlowEntry, now: float) -> None:
+    def _notify_expired(self, entry: FlowEntry) -> None:
         if self.on_expired is not None:
-            reason = (
-                "hard_timeout"
-                if entry.hard_timeout > 0 and now - entry.installed_at >= entry.hard_timeout
-                else "idle_timeout"
-            )
-            self.on_expired(entry, reason)
+            self.on_expired(entry, "idle_timeout")
 
     def _find_same(self, match: Match, priority: int) -> Optional[FlowEntry]:
         if match.has_five_tuple:
@@ -295,14 +281,11 @@ class FlowTable:
         )
         if bucket:
             for entry in (bucket[0],) if len(bucket) == 1 else list(bucket):
-                hard = entry.hard_timeout
                 idle = entry.idle_timeout
-                if (hard > 0.0 and now - entry.installed_at >= hard) or (
-                    idle > 0.0 and now - entry.last_hit_at >= idle
-                ):
+                if idle > 0.0 and now - entry.last_hit_at >= idle:
                     self._remove_entry(entry)
                     self.evictions += 1
-                    self._notify_expired(entry, now)
+                    self._notify_expired(entry)
                     continue
                 residual = entry.match.residual
                 if residual and not residual_holds(residual, packet, in_port):
@@ -317,11 +300,7 @@ class FlowTable:
         if self._wild_label:
             encap = packet.encap
             if encap:
-                outer = encap[-1]
-                if type(outer) is MplsHeader:
-                    labelled = self._wild_label.get(("mpls_label", outer.label))
-                else:
-                    labelled = self._wild_label.get(("gre_key", outer.key))
+                labelled = self._wild_label.get(encap[-1].label)
         # Merge the two sorted lists in scan order (priority desc, then
         # installation order) — identical visiting order to the old
         # single-list scan, minus the impossible label candidates.
@@ -350,11 +329,8 @@ class FlowTable:
                     priority == best.priority and entry.entry_id > best.entry_id
                 ):
                     break
-            hard = entry.hard_timeout
             idle = entry.idle_timeout
-            if (hard > 0.0 and now - entry.installed_at >= hard) or (
-                idle > 0.0 and now - entry.last_hit_at >= idle
-            ):
+            if idle > 0.0 and now - entry.last_hit_at >= idle:
                 continue  # removed by the next expire() sweep
             residual = entry.match.residual
             if residual and not residual_holds(residual, packet, in_port):

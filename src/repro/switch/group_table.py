@@ -1,7 +1,7 @@
 """Group tables (OpenFlow 1.3 §5.1 of the paper).
 
 Scotch load-balances new flows over the switch->vSwitch tunnels with a
-``select``-type group: one action bucket per tunnel, bucket chosen by a
+``select`` group: one action bucket per tunnel, bucket chosen by a
 hash of the flow id (the spec leaves selection to the vendor; the paper
 argues ECMP-style flow hashing is the likely choice, and per-flow
 stickiness is what keeps all packets of a flow on one tunnel/vSwitch).
@@ -21,50 +21,38 @@ from repro.net.packet import Packet
 from repro.switch.actions import Action
 
 
+def flow_bucket(flow_key, n_buckets: int) -> int:
+    """Index of the bucket a flow hashes to among ``n_buckets``: the
+    switch's ECMP-style flow hash.  The controller calls it too, to
+    predict which vSwitch a select group sends a flow to."""
+    return zlib.crc32(f"0|{flow_key}".encode("utf-8")) % n_buckets
+
+
 @dataclass
 class Bucket:
-    """One action bucket: the actions plus an optional ECMP weight."""
+    """One action bucket."""
 
     actions: List[Action]
-    weight: int = 1
     label: str = ""
     packets: int = 0
     bytes: int = 0
 
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("bucket weight must be positive")
-
 
 class GroupEntry:
-    """A group: ``select`` picks one bucket per flow, ``all`` replicates."""
+    """A ``select`` group: one bucket per flow, chosen by flow hash."""
 
-    def __init__(self, group_id: int, group_type: str = "select", buckets: Optional[List[Bucket]] = None, hash_seed: int = 0):
-        if group_type not in ("select", "all", "indirect"):
-            raise ValueError(f"unsupported group type {group_type!r}")
+    def __init__(self, group_id: int, buckets: Optional[List[Bucket]] = None):
         self.group_id = group_id
-        self.group_type = group_type
         self.buckets: List[Bucket] = list(buckets or [])
-        self.hash_seed = hash_seed
-
-    def _flow_hash(self, packet: Packet) -> int:
-        token = f"{self.hash_seed}|{packet.flow_key}"
-        return zlib.crc32(token.encode("utf-8"))
 
     def select_bucket(self, packet: Packet) -> Optional[Bucket]:
-        """The bucket this packet's flow hashes to (weighted), or None if
-        the group has no buckets."""
-        if not self.buckets:
-            return None
-        if self.group_type == "indirect" or len(self.buckets) == 1:
-            return self.buckets[0]
-        total_weight = sum(b.weight for b in self.buckets)
-        point = self._flow_hash(packet) % total_weight
-        for bucket in self.buckets:
-            point -= bucket.weight
-            if point < 0:
-                return bucket
-        return self.buckets[-1]  # unreachable; guards float/weight edge cases
+        """The bucket this packet's flow hashes to, or None if the group
+        has no buckets."""
+        buckets = self.buckets
+        n_buckets = len(buckets)
+        if n_buckets <= 1:
+            return buckets[0] if buckets else None
+        return buckets[flow_bucket(packet.flow_key, n_buckets)]
 
 
 class GroupTable:

@@ -3,18 +3,18 @@
 A :class:`Match` is a set of exact field constraints; any field not
 mentioned is a wildcard.  Field values are extracted from the packet's
 *current* outermost view, OpenFlow-style: ``mpls_label`` matches the
-outermost MPLS shim, ``gre_key`` the outermost GRE key, and the IP/L4
-fields match the inner packet (our encapsulations do not hide the inner
-tuple from the model — a simplification that matches how the paper's
-switches match after decapsulation, and the pipelines built here always
-pop encapsulation before matching on the five-tuple).
+outermost MPLS shim, and the IP/L4 fields match the inner packet (our
+encapsulation does not hide the inner tuple from the model — a
+simplification that matches how the paper's switches match after
+decapsulation, and the pipelines built here always pop encapsulation
+before matching on the five-tuple).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.net.packet import MplsHeader, Packet
+from repro.net.packet import Packet
 
 #: The fields a Match may constrain, in canonical order.
 MATCH_FIELDS: Tuple[str, ...] = (
@@ -25,7 +25,6 @@ MATCH_FIELDS: Tuple[str, ...] = (
     "src_port",
     "dst_port",
     "mpls_label",
-    "gre_key",
 )
 
 #: Fields forming the exact five-tuple (used for the fast-path index).
@@ -38,13 +37,6 @@ _FIVE_SET = frozenset(FIVE_TUPLE)
 def extract_fields(packet: Packet, in_port: int) -> Dict[str, object]:
     """The header-field view the pipeline matches against."""
     encap = packet.encap
-    mpls = gre = None
-    if encap:
-        outer = encap[-1]
-        if type(outer) is MplsHeader:
-            mpls = outer.label
-        else:
-            gre = outer.key
     return {
         "in_port": in_port,
         "src_ip": packet.src_ip,
@@ -52,8 +44,7 @@ def extract_fields(packet: Packet, in_port: int) -> Dict[str, object]:
         "proto": packet.proto,
         "src_port": packet.src_port,
         "dst_port": packet.dst_port,
-        "mpls_label": mpls,
-        "gre_key": gre,
+        "mpls_label": encap[-1].label if encap else None,
     }
 
 
@@ -73,15 +64,9 @@ def residual_holds(residual: Tuple[Tuple[str, object], ...], packet: Packet,
         if name == "in_port":
             if in_port != wanted:
                 return False
-        elif name == "mpls_label" or name == "gre_key":
+        elif name == "mpls_label":
             encap = packet.encap
-            if not encap:
-                return False
-            outer = encap[-1]
-            if type(outer) is MplsHeader:
-                if name == "gre_key" or outer.label != wanted:
-                    return False
-            elif name == "mpls_label" or outer.key != wanted:
+            if not encap or encap[-1].label != wanted:
                 return False
         elif getattr(packet, name) != wanted:
             return False
@@ -100,9 +85,8 @@ class Match:
       pinned, and its hash key for the :class:`~repro.switch.flow_table.
       FlowTable` per-flow index;
     * ``label_bucket`` — for a match without the full five-tuple that
-      pins an encapsulation label, the ``("mpls_label", label)`` (else
-      ``("gre_key", key)``) key of the table's label index; None for
-      every other match;
+      pins ``mpls_label``, that label: the key of the table's label
+      index; None for every other match;
     * ``residual`` — the constraints the entry's own index has not
       already matched: everything beyond the five-tuple for a
       five-tuple match, everything beyond the bucket's label for a
@@ -124,13 +108,11 @@ class Match:
         self._five_key = (
             tuple(self.fields[f] for f in FIVE_TUPLE) if self.has_five_tuple else None
         )
-        self.label_bucket: Optional[Tuple[str, object]] = None
+        self.label_bucket: Optional[object] = None
         matched = _FIVE_SET
         if not self.has_five_tuple:
-            label = next((f for f in ("mpls_label", "gre_key") if f in self.fields), None)
-            if label is not None:
-                self.label_bucket = (label, self.fields[label])
-            matched = {label}
+            self.label_bucket = self.fields.get("mpls_label")
+            matched = {"mpls_label"}
         self.residual = tuple((k, v) for k, v in self._items if k not in matched)
 
     @classmethod
@@ -139,10 +121,8 @@ class Match:
         return cls.exact(key.src_ip, key.dst_ip, key.proto, key.src_port, key.dst_port)
 
     @classmethod
-    def exact(
-        cls, src_ip, dst_ip, proto, src_port, dst_port, in_port=None
-    ) -> "Match":
-        """Exact five-tuple match (optionally pinning ``in_port``).
+    def exact(cls, src_ip, dst_ip, proto, src_port, dst_port) -> "Match":
+        """Exact five-tuple match.
 
         The reactive control path builds one of these per admitted flow
         per hop, so the generic ``__init__`` validation/derivation work
@@ -152,10 +132,7 @@ class Match:
         """
         five = (src_ip, dst_ip, proto, src_port, dst_port)
         if None in five:  # a wildcarded field: take the generic path
-            fields = dict(zip(FIVE_TUPLE, five))
-            if in_port is not None:
-                fields["in_port"] = in_port
-            return cls(**fields)
+            return cls(**dict(zip(FIVE_TUPLE, five)))
         self = cls.__new__(cls)
         fields = {
             "src_ip": src_ip,
@@ -164,11 +141,7 @@ class Match:
             "src_port": src_port,
             "dst_port": dst_port,
         }
-        if in_port is None:
-            self.residual = ()
-        else:
-            fields["in_port"] = in_port
-            self.residual = (("in_port", in_port),)
+        self.residual = ()
         self.fields = fields
         self._items = tuple(fields.items())
         self.has_five_tuple = True
@@ -201,10 +174,6 @@ class Match:
 
     def matches_packet(self, packet: Packet, in_port: int) -> bool:
         return self.matches(extract_fields(packet, in_port))
-
-    def covers(self, other: "Match") -> bool:
-        """True if every packet matching ``other`` also matches self."""
-        return all(other.fields.get(k) == v for k, v in self.fields.items())
 
     def key(self) -> Tuple:
         """A hashable identity (used for rule replacement/removal)."""

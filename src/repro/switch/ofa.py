@@ -268,7 +268,6 @@ class OpenFlowAgent:
             priority=message.priority,
             actions=message.actions,
             idle_timeout=message.idle_timeout,
-            hard_timeout=message.hard_timeout,
             cookie=message.cookie,
             notify_removal=message.notify_removal,
         )
@@ -303,12 +302,7 @@ class OpenFlowAgent:
         if message.command == DELETE:
             groups.remove(message.group_id)
             return
-        entry = GroupEntry(
-            group_id=message.group_id,
-            group_type=message.group_type,
-            buckets=message.buckets,
-            hash_seed=self.switch.hash_seed,
-        )
+        entry = GroupEntry(group_id=message.group_id, buckets=message.buckets)
         # ADD on an existing group is treated as replace (keeps
         # re-activation idempotent, matching OVS's permissive behaviour).
         if message.command == ADD and entry.group_id not in groups:
@@ -351,8 +345,6 @@ class OpenFlowAgent:
             if request.table_id is not None and table.table_id != request.table_id:
                 continue
             for rule in table.entries():
-                if request.match is not None and not request.match.covers(rule.match):
-                    continue
                 entries.append(
                     FlowStatsEntry(
                         match=rule.match,

@@ -39,7 +39,7 @@ class OpenFlowSwitch(Node):
     """A complete OpenFlow switch: data plane + OFA + control channel."""
 
     #: Period of the background expiry sweep that evicts timed-out rules
-    #: and emits FlowRemoved for flagged ones; 0 disables the sweep.
+    #: and emits FlowRemoved for flagged ones.
     EXPIRY_SWEEP_INTERVAL = 1.0
 
     def __init__(
@@ -48,13 +48,10 @@ class OpenFlowSwitch(Node):
         name: str,
         profile: SwitchProfile,
         control_latency: Optional[float] = None,
-        hash_seed: int = 0,
-        expiry_sweep_interval: Optional[float] = None,
     ):
         super().__init__(sim, name)
         self.profile = profile
         self.alive = True
-        self.hash_seed = hash_seed
         self.ofa: Optional[OpenFlowAgent] = None  # set after datapath exists
         self.datapath = Datapath(sim, self)
         #: Links deliver straight into the datapath, which admits
@@ -65,14 +62,8 @@ class OpenFlowSwitch(Node):
         self.ofa = OpenFlowAgent(sim, self, self.channel)
         for table in self.datapath.tables:
             table.on_expired = partial(self.ofa.notify_flow_removed, table_id=table.table_id)
-        interval = (
-            expiry_sweep_interval
-            if expiry_sweep_interval is not None
-            else self.EXPIRY_SWEEP_INTERVAL
-        )
-        if interval > 0:
-            self._sweep_timer = PeriodicTimer(sim, interval, self._sweep)
-            self._sweep_timer.start()
+        self._sweep_timer = PeriodicTimer(sim, self.EXPIRY_SWEEP_INTERVAL, self._sweep)
+        self._sweep_timer.start()
         # Table-0 (TCAM on hardware) occupancy — the §3.3 bottleneck.
         sim.obs.metrics.gauge(
             f"switch.{name}.table0_entries",
@@ -100,7 +91,6 @@ class OpenFlowSwitch(Node):
         actions: List[Action],
         table_id: int = 0,
         idle_timeout: float = 0.0,
-        hard_timeout: float = 0.0,
         cookie: Optional[object] = None,
     ) -> FlowEntry:
         entry = FlowEntry(
@@ -108,14 +98,12 @@ class OpenFlowSwitch(Node):
             priority=priority,
             actions=actions,
             idle_timeout=idle_timeout,
-            hard_timeout=hard_timeout,
             cookie=cookie,
         )
         self.datapath.table(table_id).insert(entry, now=self.sim.now)
         return entry
 
     def add_static_group(self, entry: GroupEntry) -> None:
-        entry.hash_seed = self.hash_seed
         self.datapath.groups.add(entry)
 
     # ------------------------------------------------------------------
@@ -146,7 +134,6 @@ class OpenFlowSwitch(Node):
             table.remove_where(
                 lambda e: e.notify_removal
                 or e.idle_timeout > 0
-                or e.hard_timeout > 0
                 or e.cookie is not None
             )
         self.ofa._stalled_until = 0.0

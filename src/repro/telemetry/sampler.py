@@ -15,7 +15,7 @@ a train of c packets advances the countdown by c and can contribute
 multiple samples.
 
 Accumulated per-flow sample counts are flushed to the controller every
-``export_interval`` as one :class:`~repro.openflow.messages.SampleReport`
+``SAMPLE_EXPORT_INTERVAL`` as one :class:`~repro.openflow.messages.SampleReport`
 through the normal control channel (so export pays latency, loss and
 byte accounting like any other control traffic).
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.core.config import SAMPLE_EXPORT_INTERVAL
 from repro.openflow.messages import SampleRecord, SampleReport
 from repro.sim.process import PeriodicTimer
 
@@ -43,16 +44,12 @@ class PacketSampler:
         sim: "Simulator",
         switch: "OpenFlowSwitch",
         period: int,
-        export_interval: float,
     ):
         if period < 1:
             raise ValueError("sampling period must be >= 1")
-        if export_interval <= 0:
-            raise ValueError("export interval must be positive")
         self.sim = sim
         self.switch = switch
         self.period = period
-        self.export_interval = export_interval
         # The random initial phase is drawn only here — creating a
         # sampler is the first (and only) RNG use, so disabled runs draw
         # nothing and stay bit-identical.
@@ -66,7 +63,7 @@ class PacketSampler:
         self.reports_sent = 0
         # Restart-safe export chain (sim.process.PeriodicTimer owns the
         # pending event, so stop()/start() can never double the chain).
-        self._timer = PeriodicTimer(sim, export_interval, self._tick)
+        self._timer = PeriodicTimer(sim, SAMPLE_EXPORT_INTERVAL, self._tick)
 
     # ------------------------------------------------------------------
     # Fast path

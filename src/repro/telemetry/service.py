@@ -15,7 +15,7 @@ configured ``stats_mode`` asks for:
   normal ``stats_reply`` hook, so the elephant migrator (and anything
   else consuming stats) works unmodified on estimates.
 * ``hybrid`` — sampling plus a slowed-down full poll
-  (``STATS_INTERVAL * hybrid_poll_multiplier``) to true-up estimates.
+  (``STATS_INTERVAL * HYBRID_POLL_MULTIPLIER``) to true-up estimates.
 * ``off``    — no measurement at all (the overhead-benchmark baseline).
 
 Synthetic replies carry the overlay cookie, the vSwitch flow table id
@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 from repro.controller.stats_service import StatsPoller
 from repro.core.config import (
     FLOW_IDLE_TIMEOUT,
+    HYBRID_POLL_MULTIPLIER,
+    SAMPLE_EXPORT_INTERVAL,
     STATS_INTERVAL,
     VSWITCH_FLOW_TABLE,
     ScotchConfig,
@@ -81,7 +83,7 @@ class SamplingStatsService:
             self.poller = StatsPoller(
                 controller,
                 targets,
-                interval=STATS_INTERVAL * self.config.hybrid_poll_multiplier,
+                interval=STATS_INTERVAL * HYBRID_POLL_MULTIPLIER,
                 table_id=VSWITCH_FLOW_TABLE,
             )
 
@@ -100,9 +102,7 @@ class SamplingStatsService:
         self._last_ingest: Dict[str, float] = {}
         # Restart-safe housekeeping tick (sample/hybrid only; the timer
         # owns the pending event so stop()/start() can't double chains).
-        self._timer = PeriodicTimer(
-            controller.sim, self.config.sample_export_interval, self._tick
-        )
+        self._timer = PeriodicTimer(controller.sim, SAMPLE_EXPORT_INTERVAL, self._tick)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -148,7 +148,6 @@ class SamplingStatsService:
                     self.controller.sim,
                     self.network[dpid],
                     period=self.config.sampling_period,
-                    export_interval=self.config.sample_export_interval,
                 )
                 sampler.start()
                 self._last_ingest.setdefault(dpid, now)

@@ -53,9 +53,8 @@ def flow_key_sequence(
 class NewFlowSource:
     """Generates new flows from a host at a configurable rate.
 
-    ``poisson=False`` gives the constant spacing the paper's profiling
-    experiments use; ``poisson=True`` gives memoryless arrivals for the
-    trace-style scenarios.  Flow sizes come from a size model
+    Arrivals are constant-spaced (with a small jitter), as in the
+    paper's profiling experiments.  Flow sizes come from a size model
     (default: single-packet flows, the paper's stress shape).
     """
 
@@ -67,7 +66,6 @@ class NewFlowSource:
         rate_fps: float,
         src_net: int = 20,
         sizes=None,
-        poisson: bool = False,
         rng_name: Optional[str] = None,
         jitter: float = 0.05,
         source_pool: Optional[int] = None,
@@ -84,7 +82,6 @@ class NewFlowSource:
         self.host = host
         self.rate_fps = rate_fps
         self.sizes = sizes or FixedSize()
-        self.poisson = poisson
         self._keys = flow_key_sequence(dst_ip, src_net=src_net, source_pool=source_pool)
         self._rng = sim.rng.stream(rng_name or f"client:{host.name}")
         self.flows_started = 0
@@ -103,8 +100,6 @@ class NewFlowSource:
         jitter — the OS scheduling noise real traffic tools exhibit —
         which prevents artificial phase locking between CBR sources and
         the OFA's deterministic service clock."""
-        if self.poisson:
-            return self._rng.expovariate(self.rate_fps)
         gap = 1.0 / self.rate_fps
         if self.jitter:
             gap *= self._rng.uniform(1 - self.jitter, 1 + self.jitter)

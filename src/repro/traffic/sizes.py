@@ -42,6 +42,8 @@ MICE_MEAN_PKTS = 5.0
 PACKET_SIZE = 1500
 MICE_RATE_PPS = 100.0
 ELEPHANT_RATE_PPS = 2000.0
+#: Pareto shape of the elephant sizes (> 1 for a finite mean).
+PARETO_ALPHA = 1.5
 
 
 class HeavyTailedSizes:
@@ -58,22 +60,18 @@ class HeavyTailedSizes:
         self,
         elephant_fraction: float = 0.05,
         elephant_mean_pkts: float = 2000.0,
-        pareto_alpha: float = 1.5,
     ):
         if not 0 <= elephant_fraction <= 1:
             raise ValueError("elephant_fraction must be in [0, 1]")
-        if pareto_alpha <= 1:
-            raise ValueError("pareto_alpha must exceed 1 for a finite mean")
         self.elephant_fraction = elephant_fraction
         self.elephant_mean_pkts = elephant_mean_pkts
-        self.pareto_alpha = pareto_alpha
         # Pareto minimum chosen so the tail mean equals elephant_mean_pkts:
         # E[X] = alpha * xm / (alpha - 1).
-        self._pareto_xm = elephant_mean_pkts * (pareto_alpha - 1) / pareto_alpha
+        self._pareto_xm = elephant_mean_pkts * (PARETO_ALPHA - 1) / PARETO_ALPHA
 
     def sample(self, rng: random.Random) -> SizeSample:
         if rng.random() < self.elephant_fraction:
-            size = max(2, int(self._pareto_xm * rng.paretovariate(self.pareto_alpha)))
+            size = max(2, int(self._pareto_xm * rng.paretovariate(PARETO_ALPHA)))
             return SizeSample(size, PACKET_SIZE, ELEPHANT_RATE_PPS, is_elephant=True)
         size = max(1, int(rng.expovariate(1.0 / MICE_MEAN_PKTS)) + 1)
         return SizeSample(size, PACKET_SIZE, MICE_RATE_PPS, is_elephant=False)

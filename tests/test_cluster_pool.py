@@ -411,5 +411,3 @@ def test_pool_config_validation():
         ScotchConfig(pool_lease_timeout=0.2, pool_lease_interval=0.5)
     with pytest.raises(ValueError):
         ScotchConfig(pool_scale_down_pps=5000.0, pool_scale_up_pps=4000.0)
-    with pytest.raises(ValueError):
-        ScotchConfig(pool_imbalance_ratio=1.0)

@@ -61,15 +61,6 @@ class TestRouter:
         assert rules["s0"].actions[0].port_no == net.port_between("s0", "s1")
         assert rules["s2"].actions[0].port_no == net.port_between("s2", "server")
 
-    def test_first_hop_in_port_pins_rule(self):
-        _, net, router = build()
-        path = router.path_to("s0", "10.0.0.2")
-        rules = router.rules_for_path(path, KEY, first_hop_in_port=7)
-        first_hop = rules[-1]
-        assert first_hop.dpid == "s0"
-        assert first_hop.match.fields["in_port"] == 7
-        assert not first_hop.match.is_exact_five_tuple
-
     def test_refresh_hosts_picks_up_new_hosts(self):
         sim, net, router = build()
         net.add(Host(sim, "late", "10.0.0.3"))

@@ -96,11 +96,9 @@ def test_hash_entry_selection_matches_group_hash():
     dep = build_deployment(seed=31)
     app = dep.scotch
     overlay = app.overlay
-    switch = dep.edge
     from repro.switch.group_table import GroupEntry
 
-    group = GroupEntry(1, "select", overlay.group_buckets("edge"),
-                       hash_seed=switch.hash_seed)
+    group = GroupEntry(1, overlay.group_buckets("edge"))
     for sport in range(50):
         key = FlowKey("10.50.0.1", dep.servers[0].ip, 6, 2000 + sport, 80)
         predicted = app._hash_entry_vswitch("edge", key)
@@ -128,8 +126,6 @@ def test_activation_is_resent_and_idempotent():
 
 def test_scotch_config_validation():
     with pytest.raises(ValueError):
-        ScotchConfig(withdraw_fraction=0.9, activate_fraction=0.8)
-    with pytest.raises(ValueError):
         ScotchConfig(overlay_threshold=100, drop_threshold=50)
     with pytest.raises(ValueError):
         ScotchConfig(vswitches_per_switch=0)
@@ -143,16 +139,18 @@ def test_scotch_config_validation():
 
 def test_every_config_field_has_a_setter():
     """Every ScotchConfig field is set by keyword in some
-    ``ScotchConfig(...)`` or ``replace(...)`` call in the repository.  A
-    field nothing sets is a constant: state it next to ``PRIORITY_*`` in
-    core/config.py instead."""
+    ``ScotchConfig(...)`` or ``replace(...)`` call of a program: the
+    package, the examples or the benchmarks.  Tests are not callers: a
+    field only a test sets is a constant, stated next to
+    ``STATS_INTERVAL`` in core/config.py (a test that needs another
+    value patches the constant)."""
     import ast
     import dataclasses
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     set_by_keyword = set()
-    for folder in ("src", "tests", "examples", "benchmarks"):
+    for folder in ("src", "examples", "benchmarks"):
         for path in (root / folder).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if not isinstance(node, ast.Call):

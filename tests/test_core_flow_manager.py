@@ -58,6 +58,15 @@ def job(dpid="s0", on_sent=None):
 
 
 class TestScheduler:
+    def test_default_grouping_is_per_port(self):
+        """§5.2 fair sharing groups pending flows by ingress port: one
+        queue per port, whatever the flows' sources."""
+        sim, _, schedulers, _, _ = build(rate=1.0)
+        s = schedulers["s0"]
+        for index, port in ((1, 7), (2, 7), (3, 9)):
+            s.submit_new_flow(pending(index, port=port))
+        assert set(s.ingress.queues()) == {7, 9}
+
     def test_new_flows_served_at_rate_r(self):
         sim, _, schedulers, admitted, _ = build(rate=10.0)
         s = schedulers["s0"]
@@ -158,9 +167,10 @@ class TestScheduler:
 
 
 class TestPathInstaller:
-    def test_sequenced_install_last_hop_first(self):
+    def test_sequenced_install_last_hop_first(self, monkeypatch):
+        monkeypatch.setattr(PathInstaller, "SETTLE_DELAY", 0.001)
         sim, controller, schedulers, _, _ = build(rate=1000.0, n_switches=3)
-        installer = PathInstaller(controller, schedulers, settle_delay=0.001)
+        installer = PathInstaller(controller, schedulers)
         sent_order = []
         jobs = [
             job(dpid="s2", on_sent=lambda: sent_order.append("s2")),
@@ -173,11 +183,12 @@ class TestPathInstaller:
         assert sent_order == ["s2", "s1", "s0"]
         assert done and done[0] > 0
 
-    def test_vswitch_jobs_bypass_schedulers(self):
+    def test_vswitch_jobs_bypass_schedulers(self, monkeypatch):
+        monkeypatch.setattr(PathInstaller, "SETTLE_DELAY", 0.001)
         sim, controller, schedulers, _, _ = build(rate=0.001)  # scheduler ~stuck
         vswitch = controller.network.add(VSwitch(sim, "v0", IDEAL_SWITCH))
         controller.register_switch(vswitch)
-        installer = PathInstaller(controller, schedulers, settle_delay=0.001)
+        installer = PathInstaller(controller, schedulers)
         done = []
         installer.install([job(dpid="v0")], on_complete=lambda: done.append(True))
         sim.run(until=0.5)

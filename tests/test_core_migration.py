@@ -4,6 +4,8 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
+import repro.core.app as app_module
+import repro.core.migration as migration_module
 from repro.core.config import ScotchConfig
 from repro.net.flow import FlowKey, FlowSpec
 from repro.testbed.deployment import build_deployment
@@ -70,10 +72,12 @@ def test_custom_elephant_threshold_respected():
     assert dep.scotch.flow_db.get(key).route == "overlay"
 
 
-def test_deferral_when_path_backlogged():
+def test_deferral_when_path_backlogged(monkeypatch):
     # A tiny backlog limit forces at least one deferral under the flood's
     # downstream install pressure; the retry eventually lands it.
-    config = ScotchConfig(overlay_threshold=2, migration_backlog_limit=0)
+    monkeypatch.setattr(migration_module, "MIGRATION_BACKLOG_LIMIT", 0)
+    monkeypatch.setattr(app_module, "MIGRATION_BACKLOG_LIMIT", 0)
+    config = ScotchConfig(overlay_threshold=2)
     dep = congested_deployment(config=config)
     key = start_elephant(dep, packets=6000, pps=500.0)
     dep.sim.run(until=16.0)

@@ -1,18 +1,26 @@
 """Tests for congestion detection and withdrawal conditions."""
 
-from repro.core.config import ScotchConfig
+import pytest
+
+import repro.core.monitor as monitor_module
 from repro.core.monitor import CongestionMonitor
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.switch.profiles import PICA8_PRONTO_3780
 
 
-def build(config=None):
+@pytest.fixture(autouse=True)
+def fast_monitor(monkeypatch):
+    """A 0.1 s tick and a 1 s withdrawal hold keep every run short."""
+    monkeypatch.setattr(monitor_module, "MONITOR_INTERVAL", 0.1)
+    monkeypatch.setattr(monitor_module, "WITHDRAW_HOLD", 1.0)
+
+
+def build():
     sim = Simulator()
-    config = config or ScotchConfig(monitor_interval=0.1, withdraw_hold=1.0)
     congested, cleared = [], []
     monitor = CongestionMonitor(
-        sim, config,
+        sim,
         on_congested=lambda d: congested.append((sim.now, d)),
         on_cleared=lambda d: cleared.append((sim.now, d)),
     )
@@ -71,9 +79,9 @@ def test_no_withdrawal_while_rate_in_between():
     assert cleared == []
 
 
-def test_dip_resets_hold_timer():
-    config = ScotchConfig(monitor_interval=0.1, withdraw_hold=2.0)
-    sim, monitor, congested, cleared = build(config)
+def test_dip_resets_hold_timer(monkeypatch):
+    monkeypatch.setattr(monitor_module, "WITHDRAW_HOLD", 2.0)
+    sim, monitor, congested, cleared = build()
     drive(sim, monitor, rate=300.0, start=0.0, stop=2.0)
     drive(sim, monitor, rate=50.0, start=2.0, stop=3.0)   # dips below...
     drive(sim, monitor, rate=300.0, start=3.0, stop=4.0)  # ...but spikes again

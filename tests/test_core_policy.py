@@ -97,8 +97,8 @@ def test_policy_with_unattached_middlebox_rejected():
 
 def test_overlay_route_with_chain_rule_shape():
     sim, net, overlay, registry = build()
-    attachment = registry.attach_middlebox("fw", upstream="edge", downstream="spine",
-                                           aggregation_vswitch="mv0")
+    attachment = registry.attach_middlebox("fw", upstream="edge", downstream="spine")
+    assert attachment.aggregation_vswitch == "mv0"
     rules = registry.overlay_route(KEY, "mv1", "server", ["fw"])
     # Last-hop-first; forward order: mv1 (entry, into FW) then mv0
     # (post-FW, label-qualified, delivers).
@@ -117,8 +117,8 @@ def test_overlay_route_entry_equals_aggregation():
     arrivals hit the into-middlebox rule; post-middlebox (labelled)
     arrivals hit the higher-priority qualified rule."""
     sim, net, overlay, registry = build()
-    attachment = registry.attach_middlebox("fw", upstream="edge", downstream="spine",
-                                           aggregation_vswitch="mv0")
+    attachment = registry.attach_middlebox("fw", upstream="edge", downstream="spine")
+    assert attachment.aggregation_vswitch == "mv0"
     rules = registry.overlay_route(KEY, "mv0", "server", ["fw"])
     assert [r.dpid for r in rules] == ["mv0", "mv0"]
     priorities = sorted(r.priority for r in rules)

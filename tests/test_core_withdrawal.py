@@ -4,6 +4,7 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
+import repro.core.withdrawal as withdrawal_module
 from repro.core.config import (
     PRIORITY_OVERLAY_PIN,
     PRIORITY_SCOTCH_DEFAULT,
@@ -91,9 +92,9 @@ def test_active_overlay_flow_gets_pinned_and_survives():
     assert record.packets_received == 20_000
 
 
-def test_pin_rules_idle_out():
-    config = ScotchConfig(overlay_threshold=2, pin_idle_timeout=2.0,
-                          elephant_packet_threshold=10_000_000)
+def test_pin_rules_idle_out(monkeypatch):
+    monkeypatch.setattr(withdrawal_module, "PIN_IDLE_TIMEOUT", 2.0)
+    config = ScotchConfig(overlay_threshold=2, elephant_packet_threshold=10_000_000)
     dep = build_deployment(seed=22, config=config)
     run_attack_then_stop(dep, long_flow=True, client_rate=80.0, until=40.0)
     dep.edge.expire_rules()

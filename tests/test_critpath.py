@@ -143,7 +143,7 @@ def _fig3_trace_records():
         client.start(at=0.5, stop_at=2.5)
         attack.start(at=0.5, stop_at=2.5)
         bed.sim.run(until=3.5)
-    return obs.tracer.records(include_open=False)
+    return [r for r in obs.tracer.records() if r["t1"] is not None]
 
 
 @pytest.mark.slow

@@ -54,20 +54,10 @@ def test_flow_table_on_expired_receives_reason():
 
     key = FlowKey("1.1.1.1", "2.2.2.2", 6, 1, 2)
     table.insert(FlowEntry(Match.for_flow(key), 100, [Drop()], idle_timeout=1.0), now=0.0)
-    table.insert(FlowEntry(Match(dst_ip="3.3.3.3"), 100, [Drop()], hard_timeout=1.0), now=0.0)
+    table.insert(FlowEntry(Match(dst_ip="3.3.3.3"), 100, [Drop()]), now=0.0)  # permanent
     table.expire(now=5.0)
-    assert sorted(seen) == ["hard_timeout", "idle_timeout"]
-
-
-def test_expiry_sweep_can_be_disabled():
-    from repro.switch.profiles import IDEAL_SWITCH
-    from repro.switch.switch import PhysicalSwitch
-
-    sim = Simulator()
-    net = Network(sim)
-    sw = net.add(PhysicalSwitch(sim, "s", IDEAL_SWITCH, expiry_sweep_interval=0))
-    sim.run(until=5.0)
-    assert sim.pending == 0  # no recurring sweep events
+    assert seen == ["idle_timeout"]
+    assert len(table) == 1
 
 
 def test_expiry_sweep_runs_by_default():
@@ -106,13 +96,12 @@ def test_source_pool_validation():
 
 
 def test_monitor_force_congested_idempotent():
-    from repro.core.config import ScotchConfig
     from repro.core.monitor import CongestionMonitor
     from repro.switch.profiles import PICA8_PRONTO_3780
 
     sim = Simulator()
     fired = []
-    monitor = CongestionMonitor(sim, ScotchConfig(), fired.append, lambda d: None)
+    monitor = CongestionMonitor(sim, fired.append, lambda d: None)
     monitor.watch("sw", PICA8_PRONTO_3780)
     monitor.force_congested("sw")
     monitor.force_congested("sw")

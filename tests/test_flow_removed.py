@@ -47,13 +47,6 @@ def test_idle_timeout_emits_flow_removed():
     assert len(sw.datapath.table(0)) == 0
 
 
-def test_hard_timeout_reason():
-    sim, sw, controller, app = build()
-    controller.flow_mod("s0", Match.for_flow(KEY), 100, [Output(1)], hard_timeout=1.0)
-    sim.run(until=3.0)
-    assert app.removed[0][1].reason == "hard_timeout"
-
-
 def test_notify_flag_off_is_silent():
     sim, sw, controller, app = build()
     mod = FlowMod(match=Match.for_flow(KEY), priority=100, actions=[Output(1)],

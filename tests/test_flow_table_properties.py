@@ -1,7 +1,7 @@
 """Property tests: the indexed FlowTable lookup equals a naive scan.
 
 The table keeps three index structures (per-five-tuple buckets, the
-label index over ``mpls_label``/``gre_key`` rules, and the general scan
+label index over ``mpls_label`` rules, and the general scan
 list).  These tests pin the contract that none of that indexing is
 observable: for any rule set and any packet, ``lookup`` returns exactly
 the entry a naive full scan would pick — the highest-priority live
@@ -13,7 +13,7 @@ priority ties, label collisions and shadowed rules all occur often.
 
 from hypothesis import given, strategies as st
 
-from repro.net.packet import GreHeader, MplsHeader, Packet
+from repro.net.packet import MplsHeader, Packet
 from repro.switch.actions import Drop
 from repro.switch.flow_table import FlowEntry, FlowTable
 from repro.switch.match import MATCH_FIELDS, Match, extract_fields
@@ -32,23 +32,20 @@ _FIELD_VALUES = {
     "src_port": st.sampled_from(PORTS),
     "dst_port": st.sampled_from(PORTS),
     "mpls_label": st.sampled_from(LABELS),
-    "gre_key": st.sampled_from(LABELS),
 }
 
 
-#: The label fields decide which index holds a rule and what its
-#: residual view leaves to check, so every label signature (none, one,
-#: both) is drawn as often as the others.
-_LABEL_SIGNATURES = ((), ("mpls_label",), ("gre_key",), ("mpls_label", "gre_key"))
-_UNLABELLED_FIELDS = tuple(
-    name for name in MATCH_FIELDS if name not in ("mpls_label", "gre_key")
-)
+#: The label field decides which index holds a rule and what its
+#: residual view leaves to check, so a labelled rule is drawn as often
+#: as an unlabelled one.
+_UNLABELLED_FIELDS = tuple(name for name in MATCH_FIELDS if name != "mpls_label")
 
 
 @st.composite
 def matches(draw):
     chosen = draw(st.sets(st.sampled_from(_UNLABELLED_FIELDS)))
-    chosen.update(draw(st.sampled_from(_LABEL_SIGNATURES)))
+    if draw(st.booleans()):
+        chosen.add("mpls_label")
     return Match(**{name: draw(_FIELD_VALUES[name]) for name in sorted(chosen)})
 
 
@@ -58,7 +55,6 @@ def entry_specs(draw):
         draw(matches()),
         draw(st.integers(min_value=0, max_value=3)),  # narrow: force ties
         draw(st.sampled_from([0.0, 0.4, 2.0])),  # idle_timeout
-        draw(st.sampled_from([0.0, 0.7, 3.0])),  # hard_timeout
     )
 
 
@@ -71,10 +67,9 @@ def packets(draw):
         src_port=draw(st.sampled_from(PORTS)),
         dst_port=draw(st.sampled_from(PORTS)),
     )
-    encap = draw(st.sampled_from(["none", "mpls", "gre", "gre+mpls"]))
-    if "gre" in encap:
-        packet.push(GreHeader(key=draw(st.sampled_from(LABELS))))
-    if "mpls" in encap:
+    # None, one label, or the §5.2 two-label stack (only the outer
+    # label is matched).
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
         packet.push(MplsHeader(label=draw(st.sampled_from(LABELS))))
     return packet, draw(st.sampled_from(IN_PORTS))
 
@@ -100,10 +95,8 @@ def naive_winner(entries, fields, now):
 )
 def test_lookup_equals_naive_scan(specs, probes):
     table = FlowTable()
-    for match, priority, idle, hard in specs:
-        table.insert(
-            FlowEntry(match, priority, [Drop()], idle_timeout=idle, hard_timeout=hard)
-        )
+    for match, priority, idle in specs:
+        table.insert(FlowEntry(match, priority, [Drop()], idle_timeout=idle))
     # Probe in time order: lookup legitimately mutates the table (lazy
     # expiry, winner counters), so each reference snapshot is taken
     # immediately before the lookup it checks.
@@ -120,23 +113,19 @@ def test_lookup_equals_naive_scan(specs, probes):
 @given(specs=st.lists(entry_specs(), min_size=1, max_size=25))
 def test_insert_replaces_same_match_and_priority(specs):
     table = FlowTable()
-    for match, priority, idle, hard in specs:
-        table.insert(
-            FlowEntry(match, priority, [Drop()], idle_timeout=idle, hard_timeout=hard)
-        )
+    for match, priority, idle in specs:
+        table.insert(FlowEntry(match, priority, [Drop()], idle_timeout=idle))
     # OpenFlow overlap-replace: one live entry per (match, priority).
-    assert len(table) == len({(match.key(), priority) for match, priority, _, _ in specs})
+    assert len(table) == len({(match.key(), priority) for match, priority, _ in specs})
     assert len(table.entries()) == len(table)
 
 
 @given(specs=st.lists(entry_specs(), min_size=1, max_size=25), data=st.data())
 def test_remove_clears_every_index(specs, data):
     table = FlowTable()
-    for match, priority, idle, hard in specs:
-        table.insert(
-            FlowEntry(match, priority, [Drop()], idle_timeout=idle, hard_timeout=hard)
-        )
-    victim_match, _, _, _ = data.draw(st.sampled_from(specs))
+    for match, priority, idle in specs:
+        table.insert(FlowEntry(match, priority, [Drop()], idle_timeout=idle))
+    victim_match, _, _ = data.draw(st.sampled_from(specs))
     removed = table.remove(victim_match)
     assert removed >= 1
     assert all(entry.match != victim_match for entry in table.entries())

@@ -31,7 +31,7 @@ class TestAsciiPlot:
 
     def test_contains_all_points_as_stars(self):
         points = [(0, 0), (1, 1), (2, 4), (3, 9)]
-        chart = ascii_plot(points, width=20, height=8)
+        chart = ascii_plot(points)
         assert chart.count("*") >= 3  # distinct cells (some may collide)
 
     def test_axis_labels_present(self):
@@ -49,5 +49,5 @@ class TestAsciiPlot:
                   st.floats(min_value=0, max_value=1e3)),
         min_size=1, max_size=30))
     def test_never_crashes_and_has_grid(self, points):
-        chart = ascii_plot(points, width=30, height=6)
+        chart = ascii_plot(points)
         assert "|" in chart and "+" in chart

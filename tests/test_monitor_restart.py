@@ -10,6 +10,7 @@ from echoes it never sent.
 """
 
 from repro.core.config import ScotchConfig
+import repro.core.monitor as monitor_module
 from repro.core.monitor import CongestionMonitor
 from repro.sim.engine import Simulator
 from repro.switch.profiles import PICA8_PRONTO_3780
@@ -100,10 +101,10 @@ def test_heartbeat_restart_still_detects_real_failures():
 # ----------------------------------------------------------------------
 # CongestionMonitor
 # ----------------------------------------------------------------------
-def test_congestion_monitor_stop_start_does_not_double_ticks():
+def test_congestion_monitor_stop_start_does_not_double_ticks(monkeypatch):
+    monkeypatch.setattr(monitor_module, "MONITOR_INTERVAL", 0.1)
     sim = Simulator()
-    config = ScotchConfig(monitor_interval=0.1, withdraw_hold=1.0)
-    monitor = CongestionMonitor(sim, config, lambda d: None, lambda d: None)
+    monitor = CongestionMonitor(sim, lambda d: None, lambda d: None)
     monitor.watch("sw", PICA8_PRONTO_3780)
     ticks = []
     original = monitor._tick
@@ -124,10 +125,10 @@ def test_congestion_monitor_stop_start_does_not_double_ticks():
     assert second_window <= first_window * 1.5
 
 
-def test_congestion_monitor_stop_cancels_tick():
+def test_congestion_monitor_stop_cancels_tick(monkeypatch):
+    monkeypatch.setattr(monitor_module, "MONITOR_INTERVAL", 0.1)
     sim = Simulator()
-    config = ScotchConfig(monitor_interval=0.1, withdraw_hold=1.0)
-    monitor = CongestionMonitor(sim, config, lambda d: None, lambda d: None)
+    monitor = CongestionMonitor(sim, lambda d: None, lambda d: None)
     monitor.watch("sw", PICA8_PRONTO_3780)
     monitor.start()
     sim.run(until=0.5)

@@ -6,7 +6,6 @@ from repro.sim.engine import SimulationError, Simulator
 
 
 def test_withdraw_unknown_switch_rejected():
-    from repro.core.config import ScotchConfig
     from repro.core.overlay import ScotchOverlay
     from repro.core.withdrawal import WithdrawalManager
     from repro.controller.flow_info_db import FlowInfoDatabase
@@ -14,8 +13,7 @@ def test_withdraw_unknown_switch_rejected():
 
     sim = Simulator()
     net = Network(sim)
-    manager = WithdrawalManager(sim, ScotchOverlay(net), FlowInfoDatabase(), {},
-                                ScotchConfig())
+    manager = WithdrawalManager(sim, ScotchOverlay(net), FlowInfoDatabase(), {})
     with pytest.raises(KeyError):
         manager.withdraw("ghost")
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.net.links as links_module
 from repro.net.links import DirectedLink, connect
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -51,10 +52,11 @@ def test_queueing_serializes_back_to_back_packets():
     assert times == pytest.approx([1.0, 2.0])
 
 
-def test_drop_tail_when_queue_full():
+def test_drop_tail_when_queue_full(monkeypatch):
+    monkeypatch.setattr(links_module, "QUEUE_PACKETS", 2)
     sim = Simulator()
     a, b = Sink(sim, "a"), Sink(sim, "b")
-    port_a, _ = connect(sim, a, b, rate_bps=8.0, delay=0.0, queue_packets=2)
+    port_a, _ = connect(sim, a, b, rate_bps=8.0, delay=0.0)
     for _ in range(5):
         port_a.send(make_packet(size=1))
     sim.run(until=0.1)

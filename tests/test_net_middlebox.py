@@ -1,5 +1,6 @@
 """Tests for stateful middleboxes."""
 
+import repro.net.middlebox as middlebox_module
 from repro.net.flow import FlowKey
 from repro.net.middlebox import Firewall, Middlebox
 from repro.net.node import Node
@@ -109,10 +110,11 @@ def test_firewall_knows():
     assert fw.knows(key.reversed())
 
 
-def test_processing_latency_applied():
+def test_processing_latency_applied(monkeypatch):
+    monkeypatch.setattr(middlebox_module, "LATENCY", 0.25)
     sim = Simulator()
     net = Network(sim)
-    box = net.add(Middlebox(sim, "mb", latency=0.25))
+    box = net.add(Middlebox(sim, "mb"))
     left, right = wire(sim, net, box)
     times = []
     right.receive = lambda p, i: times.append(sim.now)

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.flow import FlowKey
-from repro.net.packet import (
-    GRE_OVERHEAD,
-    MPLS_OVERHEAD,
-    GreHeader,
-    MplsHeader,
-    Packet,
-)
+from repro.net.packet import MPLS_OVERHEAD, MplsHeader, Packet
 
 
 def make_packet(**kwargs):
@@ -38,20 +32,15 @@ def test_pop_empty_raises():
         make_packet().pop()
 
 
-def test_outer_accessors_for_gre():
-    packet = make_packet()
-    packet.push(GreHeader(key=1234))
-    assert packet.outer == GreHeader(key=1234)
-    assert packet.outer_mpls_label is None
-
-
 def test_wire_size_includes_encap_overhead():
     packet = make_packet(size=1000)
     assert packet.wire_size == 1000
     packet.push(MplsHeader(1))
     assert packet.wire_size == 1000 + MPLS_OVERHEAD
-    packet.push(GreHeader(2))
-    assert packet.wire_size == 1000 + MPLS_OVERHEAD + GRE_OVERHEAD
+    packet.push(MplsHeader(2))
+    assert packet.wire_size == 1000 + 2 * MPLS_OVERHEAD
+    packet.pop()
+    assert packet.wire_size == 1000 + MPLS_OVERHEAD
 
 
 def test_wire_bits_scales_with_count():
@@ -78,11 +67,6 @@ def test_mpls_label_range():
         MplsHeader(1 << 20)
     with pytest.raises(ValueError):
         MplsHeader(-1)
-
-
-def test_gre_key_range():
-    with pytest.raises(ValueError):
-        GreHeader(1 << 32)
 
 
 def test_packet_ids_unique():

@@ -225,7 +225,7 @@ def test_untraced_run_keeps_provenance_off(metrics):
 
 def test_flight_without_causality_turns_provenance_on():
     sim = Simulator(seed=1, obs=Observability(trace=False, metrics=False))
-    flight = FlightRecorder(events=4)
+    flight = FlightRecorder()
     flight.bind(sim)
     assert sim.provenance_enabled
     sim.schedule(1.0, list)

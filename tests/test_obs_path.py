@@ -27,7 +27,7 @@ def traced_single_switch_run(tmp_path):
 
 def test_stage_spans_cover_the_control_path(tmp_path):
     obs, bed, _ = traced_single_switch_run(tmp_path)
-    records = obs.tracer.records(include_open=False)
+    records = [r for r in obs.tracer.records() if r["t1"] is not None]
     names = {r["name"] for r in records}
     assert {obs_path.SPAN_PACKET_IN, obs_path.SPAN_OFA_QUEUE,
             obs_path.SPAN_CHANNEL, obs_path.SPAN_HANDLE,
@@ -91,7 +91,7 @@ def test_overlay_relay_recorded_at_deployment_scale(tmp_path):
         SpoofedFlood(dep.sim, dep.attacker, server_ip, rate_fps=1500.0).start(
             at=1.0, stop_at=5.0)
         dep.sim.run(until=7.0)
-    records = obs.tracer.records(include_open=False)
+    records = [r for r in obs.tracer.records() if r["t1"] is not None]
     relayed = [r for r in records
                if r["name"] == obs_path.SPAN_PACKET_IN and "relay" in r["args"]]
     assert relayed, "flood should push Packet-Ins through the overlay relay"

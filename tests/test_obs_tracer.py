@@ -53,7 +53,6 @@ def test_open_spans_appear_after_completed():
     tracer.end(done)
     names = [r["name"] for r in tracer.records()]
     assert names == ["done", "open"]
-    assert [r["name"] for r in tracer.records(include_open=False)] == ["done"]
     assert tracer.records()[1]["t1"] is None
     assert open_span >= 0
 

@@ -162,7 +162,7 @@ def test_sampling_service_restart_does_not_double_exports():
     from repro.core.config import ScotchConfig
     from repro.testbed.deployment import build_deployment
 
-    config = ScotchConfig(stats_mode="sample", sample_export_interval=0.25)
+    config = ScotchConfig(stats_mode="sample")
     dep = build_deployment(seed=4, racks=2, mesh_per_rack=1, backups=1,
                            config=config)
     service = dep.scotch.stats_service

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+import repro.faults.scenario as scenario_module
 from repro.faults import FaultPlan, run
 from repro.faults.invariants import Violation
+from repro.obs import Observability, observed
+from repro.obs import postmortem as postmortem_module
 from repro.obs.flight import FlightRecorder
 from repro.obs.postmortem import (
     PostmortemCollector,
@@ -56,7 +59,7 @@ def _alert(name, state, t, **extra):
 def test_collector_bundles_on_firing_and_tracks_context():
     sim = Simulator()
     sim.enable_provenance()
-    flight = FlightRecorder(events=8)
+    flight = FlightRecorder()
     flight.bind(sim)
     collector = PostmortemCollector(sim, flight=flight,
                                     context={"seed": 9, "scenario": "unit"})
@@ -98,9 +101,10 @@ def test_collector_bundles_on_firing_and_tracks_context():
     assert [e["t"] for e in first["flight"]["events"]] == [1.0]
 
 
-def test_collector_caps_bundles_and_counts_drops():
+def test_collector_caps_bundles_and_counts_drops(monkeypatch):
+    monkeypatch.setattr(postmortem_module, "MAX_BUNDLES", 2)
     sim = Simulator()
-    collector = PostmortemCollector(sim, max_bundles=2)
+    collector = PostmortemCollector(sim)
     for index in range(5):
         collector.on_violation(Violation(float(index), "inv", "d"))
     assert len(collector.bundles) == 2
@@ -124,7 +128,7 @@ def test_collector_without_flight_or_provenance_degrades_cleanly():
 def _sample_bundle():
     sim = Simulator()
     sim.enable_provenance()
-    flight = FlightRecorder(events=8)
+    flight = FlightRecorder()
     flight.bind(sim)
     collector = PostmortemCollector(
         sim, flight=flight, context={"seed": 1},
@@ -154,6 +158,34 @@ def test_bundle_filename_is_sanitized():
     bundle = _sample_bundle()
     name = bundle_filename(bundle)
     assert name == "postmortem-000-invariant-black_hole_.jsonl"
+
+
+def test_postmortem_run_hands_the_tracer_back(monkeypatch):
+    """A postmortem run feeds its own flight recorder from an enabled
+    outer tracer only while it runs: afterwards the tracer's ``flight``
+    is what it was, and a later run under the same tracer leaves the
+    finished run's span ring alone."""
+    recorders = []
+
+    class Recorder(FlightRecorder):
+        def __init__(self):
+            super().__init__()
+            recorders.append(self)
+
+    monkeypatch.setattr(scenario_module, "FlightRecorder", Recorder)
+    small_scale = dict(seed=3, duration=1.0, host_vswitches=6, mesh=2,
+                       tors=2, targets=2)
+    obs = Observability(trace=True)
+    with observed(obs):
+        prior = obs.tracer.flight
+        run("scale", postmortem=True, **small_scale)
+        (first,) = recorders
+        assert first.spans, "the traced run must feed its recorder"
+        assert obs.tracer.flight is prior
+        ring = list(first.spans)
+        run("scale", **small_scale)
+        assert list(first.spans) == ring
+        assert obs.tracer.flight is prior
 
 
 # ----------------------------------------------------------------------

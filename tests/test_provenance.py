@@ -17,6 +17,7 @@ import json
 from functools import partial
 
 from repro.obs import Observability, observed
+from repro.obs import flight as flight_module
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator, callback_name
@@ -147,9 +148,10 @@ def test_provenance_does_not_change_model_results():
 # ----------------------------------------------------------------------
 # Flight recorder
 # ----------------------------------------------------------------------
-def test_flight_ring_is_bounded_and_keeps_the_newest():
+def test_flight_ring_is_bounded_and_keeps_the_newest(monkeypatch):
+    monkeypatch.setattr(flight_module, "EVENTS", 4)
     sim = Simulator()
-    flight = FlightRecorder(events=4)
+    flight = FlightRecorder()
     flight.bind(sim, run=2)
     for index in range(10):
         sim.schedule(float(index + 1), lambda: None)
@@ -172,15 +174,12 @@ def test_flight_counter_deltas_advance_with_mark():
     assert first["metric_deltas"] == {"errors": 3}
     errors.inc(2)
     assert flight.window()["metric_deltas"] == {"errors": 2}
-    # remark=False leaves the baseline, so the next window re-reports.
-    errors.inc(1)
-    assert flight.window(remark=False)["metric_deltas"] == {"errors": 1}
-    assert flight.window()["metric_deltas"] == {"errors": 1}
+    assert flight.window()["metric_deltas"] == {}
 
 
 def test_flight_window_is_json_serializable_and_plain():
     sim = Simulator()
-    flight = FlightRecorder(events=8, spans=8)
+    flight = FlightRecorder()
     flight.bind(sim)
     flight.record_span({"type": "span", "name": "stage", "t0": 0.0, "t1": 1.0})
     sim.schedule(1.0, lambda: None)
@@ -198,7 +197,7 @@ def test_observability_wires_causality_and_flight():
     with observed(obs):
         sim = Simulator()
         assert sim.provenance_enabled
-        flight = FlightRecorder(events=32)
+        flight = FlightRecorder()
         flight.bind(sim)
         flight.attach_metrics(obs.metrics)
         obs.tracer.flight = flight
@@ -208,7 +207,7 @@ def test_observability_wires_causality_and_flight():
 
         sim.schedule(0.5, work)
         sim.run()
-    assert flight.events.maxlen == 32
+    assert flight.events.maxlen == flight_module.EVENTS
     assert len(flight.events) == 1
     # The completed span reached the flight ring and carries its id +
     # the (run, seq) id of the event whose callback opened it.

@@ -142,7 +142,7 @@ def test_no_duplicate_delivery_after_supersession():
     switch.channel.switch_sink = spy
 
     def group(label):
-        return GroupMod(group_id=1, group_type="select",
+        return GroupMod(group_id=1,
                         buckets=[Bucket(actions=[Output(1)], label=label)],
                         command=ADD)
 
@@ -255,7 +255,7 @@ def test_keyed_supersession_applies_across_stop_start():
     switch.channel.switch_sink = spy
 
     def group(label):
-        return GroupMod(group_id=1, group_type="select",
+        return GroupMod(group_id=1,
                         buckets=[Bucket(actions=[Output(1)], label=label)],
                         command=ADD)
 

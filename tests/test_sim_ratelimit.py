@@ -26,18 +26,6 @@ class TestRateLimitedServer:
         assert results == [True, True, True, False, False]
         assert server.dropped == 2
 
-    def test_drop_handler_invoked(self):
-        sim = Simulator()
-        dropped = []
-        server = RateLimitedServer(
-            sim, rate=1.0, queue_capacity=1, handler=lambda i: None,
-            drop_handler=dropped.append,
-        )
-        server.submit("a")
-        server.submit("b")
-        server.submit("c")
-        assert dropped == ["c"]
-
     def test_served_counter(self):
         sim = Simulator()
         server = RateLimitedServer(sim, rate=100.0, queue_capacity=None, handler=lambda i: None)

@@ -17,9 +17,8 @@ from repro.switch.actions import (
     Output,
     PopMpls,
     PushMpls,
-    SetGreKey,
 )
-from repro.switch.datapath import INGRESS_BUFFER, MISS_DROP
+from repro.switch.datapath import INGRESS_BUFFER
 from repro.switch.group_table import Bucket, GroupEntry
 from repro.switch.match import Match
 from repro.switch.profiles import IDEAL_SWITCH, PICA8_PRONTO_3780
@@ -48,15 +47,6 @@ def test_miss_punts_to_controller_by_default():
     sw.receive(packet_for(), in_port=1)
     sim.run()
     assert sw.datapath.punted == 1
-
-
-def test_miss_drop_policy():
-    sim, net, sw, host = build()
-    sw.datapath.miss_policy = MISS_DROP
-    sw.receive(packet_for(), in_port=1)
-    sim.run()
-    assert sw.datapath.punted == 0
-    assert sw.datapath.dropped_policy == 1
 
 
 def test_output_action_forwards():
@@ -109,16 +99,6 @@ def test_pop_mpls_records_label():
     assert sw.datapath.punted == 1  # continued to table 1, missed
 
 
-def test_gre_push_pop():
-    sim, net, sw, host = build()
-    out = net.port_between("sw", "h")
-    sw.install_static(Match.for_flow(KEY), 100, [SetGreKey(7), Output(out)])
-    packet = packet_for()
-    sw.receive(packet, in_port=1)
-    sim.run()
-    assert host.recv_tap.total_packets == 1
-
-
 def test_drop_action():
     sim, net, sw, host = build()
     sw.install_static(Match.any(), 1, [Drop()])
@@ -138,7 +118,7 @@ def test_controller_action_punts():
 def test_group_action_executes_bucket():
     sim, net, sw, host = build()
     out = net.port_between("sw", "h")
-    sw.add_static_group(GroupEntry(1, "select", [Bucket([PushMpls(5), Output(out)])]))
+    sw.add_static_group(GroupEntry(1, [Bucket([PushMpls(5), Output(out)])]))
     sw.install_static(Match.any(), 1, [Group(1)])
     sw.receive(packet_for(), in_port=1)
     sim.run()
@@ -214,15 +194,16 @@ def test_direct_submit_on_a_dead_switch_drops():
 # ----------------------------------------------------------------------
 # One event per packet-hop (see the module docstring of switch/datapath.py)
 # ----------------------------------------------------------------------
-def build_chain(n, profile=PICA8_PRONTO_3780):
+def build_chain(monkeypatch, n, profile=PICA8_PRONTO_3780):
     """a -> s1 -> ... -> sN -> b with a static rule for KEY at every hop."""
+    # No expiry sweep within the run: the budget below counts packet
+    # events only.
+    monkeypatch.setattr(PhysicalSwitch, "EXPIRY_SWEEP_INTERVAL", 1e9)
     sim = Simulator()
     net = Network(sim)
     a = net.add(Host(sim, "a", "1.1.1.1"))
     names = [f"s{i}" for i in range(1, n + 1)]
-    # sweep off: the budget below counts packet events only
-    switches = [net.add(PhysicalSwitch(sim, name, profile, expiry_sweep_interval=0))
-                for name in names]
+    switches = [net.add(PhysicalSwitch(sim, name, profile)) for name in names]
     b = net.add(Host(sim, "b", "2.2.2.2"))
     path = ["a"] + names + ["b"]
     for left, right in zip(path, path[1:]):
@@ -234,9 +215,9 @@ def build_chain(n, profile=PICA8_PRONTO_3780):
 
 
 @pytest.mark.parametrize("hops", [1, 3, 6])
-def test_idle_chain_fires_one_event_per_switch_hop(hops):
+def test_idle_chain_fires_one_event_per_switch_hop(monkeypatch, hops):
     """N datapath steps + the host's delivery: N + 1 events a packet."""
-    sim, a, switches, b = build_chain(hops)
+    sim, a, switches, b = build_chain(monkeypatch, hops)
     packets = 5
     for i in range(packets):
         sim.schedule_at(0.1 * (i + 1), lambda: a.send(packet_for()))
@@ -246,11 +227,11 @@ def test_idle_chain_fires_one_event_per_switch_hop(hops):
     assert sim.events_fired == packets + packets * (hops + 1)  # + the sends
 
 
-def test_degraded_hop_costs_exactly_one_more_event():
+def test_degraded_hop_costs_exactly_one_more_event(monkeypatch):
     """A hop whose OFA is past the knee completes later than booked: one
     second event there, none anywhere else."""
     def run(past_knee):
-        sim, a, switches, b = build_chain(3)
+        sim, a, switches, b = build_chain(monkeypatch, 3)
         middle = switches[1]
         if past_knee:
             # 40 ADDs in 10 ms: ~4000 rules/s attempted, knee is 1300/s

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.flow import FlowKey
-from repro.net.packet import GreHeader, MplsHeader, Packet
+from repro.net.packet import MplsHeader, Packet
 from repro.switch.actions import Drop, Output
 from repro.switch.flow_table import FlowEntry, FlowTable, TableFullError
 from repro.switch.match import Match, extract_fields
@@ -94,29 +94,6 @@ def test_label_bucketed_entry_checks_in_port():
     assert table.lookup(packet_for(KEY, label=8), 2, 0.0) is None
 
 
-def test_label_bucketed_entry_pinning_both_labels():
-    """``mpls_label`` and ``gre_key`` both read the outer header, so a
-    rule pinning both matches neither MPLS-over-GRE nor bare MPLS: the
-    MPLS bucket holds it, and its residual ``gre_key`` fails."""
-    table = FlowTable()
-    both = entry(Match(mpls_label=7, gre_key=9), priority=3000)
-    label_only = entry(Match(mpls_label=7), priority=10)
-    table.insert(both)
-    table.insert(label_only)
-    assert both.match.residual == (("gre_key", 9),)
-    mpls_over_gre = packet_for(KEY, label=7)
-    mpls_over_gre.push(GreHeader(key=9))
-    gre_under_mpls = packet_for(KEY)
-    gre_under_mpls.push(GreHeader(key=9))
-    gre_under_mpls.push(MplsHeader(7))
-    bare_mpls = packet_for(KEY, label=7)
-    assert table.lookup(mpls_over_gre, 1, 0.0) is None
-    assert table.lookup(gre_under_mpls, 1, 0.0) is label_only
-    assert table.lookup(bare_mpls, 1, 0.0) is label_only
-    for packet in (mpls_over_gre, gre_under_mpls, bare_mpls):
-        assert not both.match.matches_packet(packet, 1)
-
-
 def test_same_match_and_priority_replaces():
     table = FlowTable()
     table.insert(entry(Match.for_flow(KEY)))
@@ -148,13 +125,6 @@ def test_idle_timeout_expiry():
     assert table.lookup(packet_for(KEY), 1, now=8.0) is not None  # 4s idle
     assert table.lookup(packet_for(KEY), 1, now=20.0) is None
     assert len(table) == 0
-
-
-def test_hard_timeout_expiry_despite_hits():
-    table = FlowTable()
-    table.insert(entry(Match.for_flow(KEY), hard_timeout=5.0), now=0.0)
-    assert table.lookup(packet_for(KEY), 1, now=4.0) is not None
-    assert table.lookup(packet_for(KEY), 1, now=5.0) is None
 
 
 def test_expire_sweep():

@@ -1,22 +1,22 @@
-"""Tests for group tables (select-type load balancing)."""
+"""Tests for group tables (select-group load balancing)."""
+
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.packet import Packet
 from repro.switch.actions import Output
-from repro.switch.group_table import Bucket, GroupEntry, GroupTable
+from repro.switch.group_table import Bucket, GroupEntry, GroupTable, flow_bucket
 
 
 def make_packet(sport):
     return Packet("1.1.1.1", "2.2.2.2", src_port=sport, dst_port=80)
 
 
-def make_group(n_buckets=3, group_type="select", weights=None):
-    weights = weights or [1] * n_buckets
-    buckets = [Bucket(actions=[Output(i + 1)], weight=weights[i], label=f"b{i}")
-               for i in range(n_buckets)]
-    return GroupEntry(1, group_type, buckets)
+def make_group(n_buckets=3):
+    buckets = [Bucket(actions=[Output(i + 1)], label=f"b{i}") for i in range(n_buckets)]
+    return GroupEntry(1, buckets)
 
 
 def test_select_is_sticky_per_flow():
@@ -41,43 +41,20 @@ def test_select_roughly_balanced():
     assert 350 < counts["b0"] < 650
 
 
-def test_weighted_selection_respects_weights():
-    group = make_group(2, weights=[3, 1])
-    counts = {"b0": 0, "b1": 0}
-    for p in range(2000):
-        counts[group.select_bucket(make_packet(p)).label] += 1
-    assert counts["b0"] > counts["b1"] * 2
-
-
-def test_indirect_group_uses_first_bucket():
-    group = make_group(1, group_type="indirect")
-    assert group.select_bucket(make_packet(1)).label == "b0"
-
-
 def test_empty_group_returns_none():
-    group = GroupEntry(1, "select", [])
+    group = GroupEntry(1, [])
     assert group.select_bucket(make_packet(1)) is None
 
 
-def test_invalid_group_type_rejected():
-    with pytest.raises(ValueError):
-        GroupEntry(1, "bogus")
-
-
-def test_bucket_weight_validation():
-    with pytest.raises(ValueError):
-        Bucket(actions=[], weight=0)
-
-
-def test_hash_seed_changes_mapping():
-    a = GroupEntry(1, "select", [Bucket([Output(i)]) for i in range(4)], hash_seed=0)
-    b = GroupEntry(1, "select", [Bucket([Output(i)]) for i in range(4)], hash_seed=1)
-    differs = any(
-        a.select_bucket(make_packet(p)) is not a.buckets[
-            b.buckets.index(b.select_bucket(make_packet(p)))]
-        for p in range(50)
-    )
-    assert differs
+def test_select_uses_the_flow_hash():
+    """The bucket is crc32("0|<flow key>") mod the bucket count: the
+    hash ``ScotchApp`` also uses to predict a flow's entry vSwitch."""
+    group = make_group(4)
+    for sport in range(50):
+        packet = make_packet(sport)
+        token = zlib.crc32(f"0|{packet.flow_key}".encode("utf-8"))
+        assert flow_bucket(packet.flow_key, 4) == token % 4
+        assert group.select_bucket(packet) is group.buckets[token % 4]
 
 
 def test_swapping_a_bucket_keeps_other_positions():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.flow import FlowKey
-from repro.net.packet import GreHeader, MplsHeader, Packet
+from repro.net.packet import MplsHeader, Packet
 from repro.switch.match import Match, extract_fields
 
 
@@ -39,12 +39,6 @@ def test_mpls_label_matches_outermost_only():
     assert not Match(mpls_label=5).matches_packet(packet, 1)
 
 
-def test_gre_key_match():
-    packet = make_packet()
-    packet.push(GreHeader(99))
-    assert Match(gre_key=99).matches_packet(packet, 1)
-
-
 def test_unlabelled_packet_fails_label_match():
     assert not Match(mpls_label=1).matches_packet(make_packet(), 1)
 
@@ -72,14 +66,6 @@ def test_unknown_field_rejected():
 def test_none_valued_fields_ignored():
     match = Match(src_ip=None, dst_port=80)
     assert "src_ip" not in match.fields
-
-
-def test_covers():
-    broad = Match(dst_ip="2.2.2.2")
-    narrow = Match(dst_ip="2.2.2.2", dst_port=80)
-    assert broad.covers(narrow)
-    assert not narrow.covers(broad)
-    assert Match.any().covers(narrow)
 
 
 def test_equality_and_hash():
@@ -130,15 +116,3 @@ def test_for_flow_equals_the_keyword_built_match(tuple_a):
     assert list(fast.fields.items()) == list(keyword.fields.items())
     for slot in Match.__slots__:
         assert getattr(fast, slot) == getattr(keyword, slot), slot
-
-
-@given(five_tuples)
-def test_covers_implies_matches(tuple_a):
-    """If m1 covers m2, every packet matching m2 matches m1."""
-    key = FlowKey(*tuple_a)
-    narrow = Match.for_flow(key)
-    broad = Match(dst_ip=key.dst_ip)
-    packet = Packet(key.src_ip, key.dst_ip, proto=key.proto,
-                    src_port=key.src_port, dst_port=key.dst_port)
-    if broad.covers(narrow):
-        assert narrow.matches_packet(packet, 1) <= broad.matches_packet(packet, 1)

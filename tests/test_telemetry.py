@@ -8,7 +8,12 @@ import pytest
 
 from repro.controller.base_app import BaseApp
 from repro.controller.controller import OpenFlowController
-from repro.core.config import STATS_INTERVAL, VSWITCH_FLOW_TABLE, ScotchConfig
+from repro.core.config import (
+    HYBRID_POLL_MULTIPLIER,
+    STATS_INTERVAL,
+    VSWITCH_FLOW_TABLE,
+    ScotchConfig,
+)
 from repro.core.migration import OVERLAY_COOKIE
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
@@ -54,14 +59,12 @@ def packet(port=1000, size=500, count=1):
 def test_sampler_validates_parameters():
     sim, net, controller, sw, app = build()
     with pytest.raises(ValueError):
-        PacketSampler(sim, sw, period=0, export_interval=0.25)
-    with pytest.raises(ValueError):
-        PacketSampler(sim, sw, period=10, export_interval=0.0)
+        PacketSampler(sim, sw, period=0)
 
 
 def test_sampler_rate_is_exactly_one_in_n():
     sim, net, controller, sw, app = build()
-    sampler = PacketSampler(sim, sw, period=10, export_interval=0.25)
+    sampler = PacketSampler(sim, sw, period=10)
     for _ in range(1000):
         sampler.observe(packet())
     assert sampler.packets_seen == 1000
@@ -72,7 +75,7 @@ def test_sampler_rate_is_exactly_one_in_n():
 
 def test_sampler_period_one_samples_everything():
     sim, net, controller, sw, app = build()
-    sampler = PacketSampler(sim, sw, period=1, export_interval=0.25)
+    sampler = PacketSampler(sim, sw, period=1)
     for _ in range(25):
         sampler.observe(packet(count=1))
     sampler.observe(packet(count=5))
@@ -86,7 +89,7 @@ def test_sampler_trains_equivalent_to_singles():
     results = []
     for trains in (False, True):
         sim, net, controller, sw, app = build(seed=7)
-        sampler = PacketSampler(sim, sw, period=10, export_interval=0.25)
+        sampler = PacketSampler(sim, sw, period=10)
         if trains:
             for _ in range(40):
                 sampler.observe(packet(count=25))
@@ -102,7 +105,7 @@ def test_sampler_deterministic_per_seed():
     counts = []
     for _ in range(2):
         sim, net, controller, sw, app = build(seed=11)
-        sampler = PacketSampler(sim, sw, period=10, export_interval=0.25)
+        sampler = PacketSampler(sim, sw, period=10)
         for index in range(500):
             sampler.observe(packet(port=1000 + index % 7))
         counts.append((sampler.samples_taken, sampler.flush().records))
@@ -114,7 +117,7 @@ def test_sampler_deterministic_per_seed():
 
 def test_sampler_flush_exports_empty_liveness_report():
     sim, net, controller, sw, app = build()
-    sampler = PacketSampler(sim, sw, period=10, export_interval=0.25)
+    sampler = PacketSampler(sim, sw, period=10)
     sampler.start()
     sim.run(until=0.6)
     # Two ticks, no traffic: two empty reports still reached the
@@ -130,7 +133,7 @@ def test_sampler_flush_exports_empty_liveness_report():
 
 def test_sampler_stop_cancels_export_tick():
     sim, net, controller, sw, app = build()
-    sampler = PacketSampler(sim, sw, period=10, export_interval=0.25)
+    sampler = PacketSampler(sim, sw, period=10)
     sampler.start()
     sim.run(until=0.3)
     sampler.stop()
@@ -140,7 +143,7 @@ def test_sampler_stop_cancels_export_tick():
 
 def test_sampler_aggregates_per_flow_bytes():
     sim, net, controller, sw, app = build()
-    sampler = PacketSampler(sim, sw, period=1, export_interval=0.25)
+    sampler = PacketSampler(sim, sw, period=1)
     for _ in range(3):
         sampler.observe(packet(port=1000, size=200))
     sampler.observe(packet(port=2000, size=700))
@@ -205,10 +208,6 @@ def test_config_validates_telemetry_knobs():
         ScotchConfig(stats_mode="bogus")
     with pytest.raises(ValueError):
         ScotchConfig(sampling_period=0)
-    with pytest.raises(ValueError):
-        ScotchConfig(sample_export_interval=0.0)
-    with pytest.raises(ValueError):
-        ScotchConfig(hybrid_poll_multiplier=0.5)
 
 
 def test_poll_mode_is_a_plain_stats_poller():
@@ -242,11 +241,11 @@ def test_off_mode_measures_nothing():
 
 def test_hybrid_mode_slows_the_safety_net_poll():
     sim, net, controller, sw, app = build()
-    config = ScotchConfig(stats_mode="hybrid", hybrid_poll_multiplier=5.0)
+    config = ScotchConfig(stats_mode="hybrid")
     service = SamplingStatsService(
         controller, net, targets=lambda: ["s0"], config=config)
     assert service.sampling
-    assert service.poller.interval == STATS_INTERVAL * 5.0
+    assert service.poller.interval == STATS_INTERVAL * HYBRID_POLL_MULTIPLIER
     service.start()
     assert sw.datapath.sampler is service.samplers["s0"]
 
@@ -282,8 +281,7 @@ def test_sample_mode_synthesizes_migrator_shaped_replies():
 
 def test_sample_mode_end_to_end_through_the_channel():
     sim, net, controller, sw, app = build()
-    config = ScotchConfig(stats_mode="sample", sampling_period=1,
-                          sample_export_interval=0.25)
+    config = ScotchConfig(stats_mode="sample", sampling_period=1)
     service = SamplingStatsService(
         controller, net, targets=lambda: ["s0"], config=config)
 
@@ -310,7 +308,7 @@ def test_sample_mode_end_to_end_through_the_channel():
 def test_dynamic_targets_detach_and_reattach_samplers():
     sim, net, controller, sw, app = build()
     targets = ["s0"]
-    config = ScotchConfig(stats_mode="sample", sample_export_interval=0.25)
+    config = ScotchConfig(stats_mode="sample")
     service = SamplingStatsService(
         controller, net, targets=lambda: list(targets), config=config)
     service.start()

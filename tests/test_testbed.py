@@ -14,31 +14,19 @@ class TestSingleSwitch:
         bed = build_single_switch()
         assert bed.switch.name == "sw1"
         assert bed.server.ip == SERVER_IP
-        assert len(bed.clients) == 1
-        assert bed.client is bed.clients[0]
+        assert bed.client.name == "client0"
         # attacker, client, server all on data ports.
         assert len(bed.switch.ports) == 3
-
-    def test_multiple_clients_get_distinct_ports(self):
-        bed = build_single_switch(n_clients=3)
-        ports = set()
-        for client in bed.clients:
-            port = bed.network.port_between("sw1", client.name)
-            ports.add(port)
-        assert len(ports) == 3
 
     def test_profile_applied(self):
         bed = build_single_switch(profile=HP_PROCURVE_6600)
         assert bed.switch.profile is HP_PROCURVE_6600
 
-    def test_custom_app_factory(self):
-        from repro.controller.base_app import BaseApp
+    def test_runs_reactive_forwarding(self):
+        from repro.core.baselines import ReactiveForwardingApp
 
-        class Probe(BaseApp):
-            pass
-
-        bed = build_single_switch(app_factory=Probe)
-        assert any(isinstance(a, Probe) for a in bed.controller.apps)
+        bed = build_single_switch()
+        assert [type(a) for a in bed.controller.apps] == [ReactiveForwardingApp]
 
 
 class TestDeployment:
