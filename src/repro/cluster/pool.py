@@ -43,7 +43,8 @@ module's code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 import json
 
@@ -63,7 +64,7 @@ from repro.switch.match import Match
 _WINDOW_BUCKETS = LATENCY_BUCKETS_S
 
 #: Per-dpid Packet-Ins buffered while a switch has no live acked
-#: master; beyond this the oldest are dropped (and counted).
+#: master; beyond this that switch's oldest are dropped (and counted).
 ORPHAN_BUFFER_LIMIT = 4096
 
 
@@ -100,7 +101,6 @@ class PoolMember:
         self.assignment_view: Dict[str, Tuple[str, int]] = {}
         # -- work ------------------------------------------------------
         self.packet_ins_handled = 0
-        self.flows_claimed = 0
         self.reliable = ReliableSender(self.sim, pool.controller, pool.config)
         self._timer = PeriodicTimer(self.sim, self.config.pool_lease_interval,
                                     self._tick)
@@ -400,7 +400,6 @@ class PoolMember:
                 return
             self.pool.flow_reclaims += 1
         self.pool.flow_owner[key] = self.id
-        self.flows_claimed += 1
         self._install_flow(dpid, packet.flow_key)
 
     def _install_flow(self, dpid: str, flow_key) -> None:
@@ -454,9 +453,6 @@ class ControllerPool(BaseApp):
         # -- authoritative role state ----------------------------------
         #: dpid -> member id whose RoleMod the switch has barrier-acked.
         self.acked_master: Dict[str, str] = {}
-        #: dpid -> (master, generation) as reported by RoleStatus — the
-        #: switch-side ground truth the invariant checker cross-checks.
-        self.switch_truth: Dict[str, Tuple[str, int]] = {}
         #: dpid -> highest generation ever issued (fencing allocator).
         self.generation: Dict[str, int] = {}
         #: dpid -> (target member, generation, decided_at, reason).
@@ -464,7 +460,8 @@ class ControllerPool(BaseApp):
         # -- orphan accounting -----------------------------------------
         self.orphan_since: Dict[str, float] = {}
         self.crash_time: Dict[str, float] = {}
-        self._orphan_buffer: List[Tuple[str, object]] = []
+        #: dpid -> the Packet-Ins it punted while orphaned, oldest first.
+        self._orphan_buffer: Dict[str, Deque[object]] = {}
         self.orphaned = 0
         self.orphan_dropped = 0
         self.drained = 0
@@ -510,8 +507,8 @@ class ControllerPool(BaseApp):
         metrics.counter("pool.drained", self, "drained")
         metrics.counter("pool.handoffs", self, "handoffs")
         self._g_live = metrics.gauge("pool.members_live")
-        self._g_orphans = metrics.gauge(
-            "pool.orphan_buffer", lambda: float(len(self._orphan_buffer)))
+        metrics.gauge("pool.orphan_buffer", lambda: float(
+            sum(map(len, self._orphan_buffer.values()))))
         self._h_failover = metrics.histogram("pool.failover_window_s",
                                              _WINDOW_BUCKETS)
         self._h_migration = metrics.histogram("pool.migration_latency_s",
@@ -557,21 +554,15 @@ class ControllerPool(BaseApp):
             return
         self.orphan_since.setdefault(dpid, self.sim.now)
         self.orphaned += 1
-        if len(self._orphan_buffer) >= ORPHAN_BUFFER_LIMIT:
-            self._orphan_buffer.pop(0)
+        buffered = self._orphan_buffer.setdefault(dpid, deque())
+        if len(buffered) >= ORPHAN_BUFFER_LIMIT:
+            buffered.popleft()
             self.orphan_dropped += 1
-        self._orphan_buffer.append((dpid, message))
+        buffered.append(message)
 
     def barrier_reply(self, dpid: str, message) -> None:
         for member_id in sorted(self.members):
             self.members[member_id].reliable.barrier_reply(dpid, message)
-
-    def role_status(self, dpid: str, message) -> None:
-        current = self.switch_truth.get(dpid)
-        if current is None or message.generation > current[1]:
-            self.switch_truth[dpid] = (message.master_id, message.generation)
-        if message.generation > self.generation.get(dpid, 0):
-            self.generation[dpid] = message.generation
 
     def error(self, dpid: str, message) -> None:
         if getattr(message, "code", "") == "role_stale":
@@ -640,19 +631,13 @@ class ControllerPool(BaseApp):
                        generation=generation)
 
     def _drain_orphans(self, dpid: str, member: PoolMember) -> None:
-        kept: List[Tuple[str, object]] = []
-        drained = 0
-        for entry in self._orphan_buffer:
-            if entry[0] == dpid:
-                member.handle_packet_in(dpid, entry[1])
-                drained += 1
-            else:
-                kept.append(entry)
-        self._orphan_buffer = kept
-        if drained:
-            self.drained += drained
+        buffered = self._orphan_buffer.pop(dpid, ())
+        for message in buffered:
+            member.handle_packet_in(dpid, message)
+        if buffered:
+            self.drained += len(buffered)
             self.log_event("orphan-drain", dpid=dpid, member=member.id,
-                           count=drained)
+                           count=len(buffered))
 
     # ------------------------------------------------------------------
     # Elasticity (chaos + autoscale entry points)

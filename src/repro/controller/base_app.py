@@ -53,6 +53,3 @@ class BaseApp:
 
     def barrier_reply(self, dpid: str, message: "BarrierReply") -> None:
         """A barrier completed."""
-
-    def role_status(self, dpid: str, message) -> None:
-        """The switch accepted a controller-pool role change."""

@@ -56,7 +56,6 @@ class OpenFlowController:
         self.packet_ins_received = 0
         self.stats_replies_received = 0
         self.sample_reports_received = 0
-        self.flow_removed_received = 0
         self.errors_received = 0
         # Monitoring cost (docs/observability.md, "Sampled telemetry"):
         # how much control-channel attention flow measurement itself
@@ -136,7 +135,6 @@ class OpenFlowController:
             for app in self.apps:
                 app.sample_report(dpid, message)
         elif isinstance(message, FlowRemoved):
-            self.flow_removed_received += 1
             for app in self.apps:
                 app.flow_removed(dpid, message)
         elif isinstance(message, ErrorMessage):
@@ -150,8 +148,7 @@ class OpenFlowController:
             for app in self.apps:
                 app.barrier_reply(dpid, message)
         elif isinstance(message, RoleStatus):
-            for app in self.apps:
-                app.role_status(dpid, message)
+            pass  # no app reads it: the pool acts on the RoleMod's Barrier
         else:
             raise TypeError(f"controller cannot handle {type(message).__name__}")
 

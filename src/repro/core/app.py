@@ -80,9 +80,7 @@ class ScotchApp(RateLimitedReactiveApp):
         self.unattributed_packet_ins = 0
         self.activations = 0
         self.flows_retired = 0
-        self.tcam_diversions = 0
         self.resyncs = 0
-        self.degraded_activations = 0
         #: Per-switch deque of predicted rule-expiry times — the
         #: controller's own install history, used to estimate flow-table
         #: occupancy (§3.3 TCAM mitigation) without probing by failure.
@@ -282,7 +280,6 @@ class ScotchApp(RateLimitedReactiveApp):
             for node in path
         )
         if saturated:
-            self.tcam_diversions += 1
             self.monitor.force_congested(pending.first_hop)
             self._route_overlay(pending)
             return
@@ -433,7 +430,6 @@ class ScotchApp(RateLimitedReactiveApp):
             # racing the first post-outage echo round.  Degrade: keep the
             # switch's existing rules; the recovery-driven group refresh
             # re-establishes state once echoes resume.
-            self.degraded_activations += 1
             return
         # Barrier-acked, keyed: a re-send (or a failover-era refresh)
         # supersedes a still-retrying older batch, so the switch

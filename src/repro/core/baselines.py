@@ -55,7 +55,6 @@ class ReactiveForwardingApp(BaseApp):
     def __init__(self):
         super().__init__()
         self.router: Optional[Router] = None
-        self.flows_handled = 0
         self.unroutable = 0
 
     def start(self) -> None:
@@ -69,7 +68,6 @@ class ReactiveForwardingApp(BaseApp):
         if path is None:
             self.unroutable += 1
             return
-        self.flows_handled += 1
         for rule in self.router.rules_for_path(path, packet.flow_key):
             self.controller.flow_mod(
                 rule.dpid,

@@ -176,12 +176,6 @@ class InstallScheduler:
         migrator's §5.3 overload check)."""
         return len(self.admitted) + len(self.migration)
 
-    def port_backlog(self, key: object) -> int:
-        """Backlog of one fair-sharing queue (keyed by ingress port under
-        the default grouping)."""
-        queue = self.ingress.get_queue(key)
-        return len(queue) if queue is not None else 0
-
     # ------------------------------------------------------------------
     # Rate-R priority server
     # ------------------------------------------------------------------

@@ -243,10 +243,6 @@ class RunReport:
             return measures[name]
         raise AttributeError(f"report has no field or measure {name!r}")
 
-    @property
-    def health_enabled(self) -> bool:
-        return self.scorecard is not None
-
     page_label = "health report"
 
     def page(self) -> Tuple[str, List[Section]]:

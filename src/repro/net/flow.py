@@ -73,17 +73,3 @@ class FlowRecord:
     def succeeded(self) -> bool:
         """A flow succeeded if at least one packet reached the sink (§3.2)."""
         return self.packets_received > 0
-
-    @property
-    def setup_latency(self) -> Optional[float]:
-        """First-packet latency: send of first packet to its delivery."""
-        if self.first_sent_at is None or self.first_received_at is None:
-            return None
-        return self.first_received_at - self.first_sent_at
-
-    @property
-    def completion_time(self) -> Optional[float]:
-        """Time from first send to last delivered packet (FCT)."""
-        if self.first_sent_at is None or self.last_received_at is None:
-            return None
-        return self.last_received_at - self.first_sent_at

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.net.flow import FlowKey
 
@@ -113,21 +113,6 @@ class Packet:
         header = self.encap.pop()
         self._overhead -= MPLS_OVERHEAD
         return header
-
-    @property
-    def outer(self) -> Optional[MplsHeader]:
-        """Outermost encapsulation header, or None if bare."""
-        return self.encap[-1] if self.encap else None
-
-    @property
-    def outer_mpls_label(self) -> Optional[int]:
-        outer = self.outer
-        return outer.label if outer is not None else None
-
-    @property
-    def wire_size(self) -> int:
-        """Per-packet size on the wire including encapsulation overhead."""
-        return self.size + self._overhead
 
     @property
     def wire_bits(self) -> int:

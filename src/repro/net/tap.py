@@ -26,7 +26,6 @@ class PacketRecorder:
         self.name = name
         self.records: Dict[FlowKey, FlowRecord] = {}
         self.total_packets = 0
-        self.total_bytes = 0
 
     def _record(self, key: FlowKey) -> FlowRecord:
         record = self.records.get(key)
@@ -49,16 +48,12 @@ class PacketRecorder:
         record.packets_received += packet.count
         record.bytes_received += packet.size * packet.count
         self.total_packets += packet.count
-        self.total_bytes += packet.size * packet.count
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def flow(self, key: FlowKey) -> Optional[FlowRecord]:
         return self.records.get(key)
-
-    def sent_flow_keys(self) -> Set[FlowKey]:
-        return {k for k, r in self.records.items() if r.packets_sent > 0}
 
     def received_flow_keys(self) -> Set[FlowKey]:
         return {k for k, r in self.records.items() if r.packets_received > 0}

@@ -103,9 +103,3 @@ class Network:
         path = nx.shortest_path(view, src, dst, weight="delay")
         self._path_cache[cache_key] = list(path)
         return path
-
-    def path_delay(self, path: List[str]) -> float:
-        """Sum of propagation delays along a node path."""
-        return sum(
-            self.graph.edges[path[i], path[i + 1]]["delay"] for i in range(len(path) - 1)
-        )

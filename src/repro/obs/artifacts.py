@@ -133,11 +133,6 @@ def sniff_kind(path: str) -> str:
     return TRACE
 
 
-def inspect_sections(path: str) -> List[Section]:
-    """What ``scotch-repro inspect`` shows for the file at ``path``."""
-    return ARTIFACTS[sniff_kind(path)].sections(path)
-
-
 def _span_text(times: List[float]) -> str:
     """The extent of a list of timestamps."""
     return f"{min(times):.2f}s .. {max(times):.2f}s" if times else "-"

@@ -363,11 +363,6 @@ class HealthEngine:
         return total
 
     # -- results --------------------------------------------------------
-    def latest(self) -> Dict[str, float]:
-        """The most recent value of every SLI (0.0 before any tick)."""
-        return {name: points[-1][1] if points else 0.0
-                for name, points in self.series.items()}
-
     def timeline_jsonl(self) -> str:
         """The alert timeline as JSON lines — byte-identical for equal
         seeds (same contract as the fault log)."""

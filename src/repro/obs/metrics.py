@@ -179,14 +179,6 @@ def mean(values: Iterable[float]) -> float:
     return sum(data) / len(data)
 
 
-def stddev(values: Iterable[float]) -> float:
-    data = list(values)
-    if len(data) < 2:
-        return 0.0
-    mu = mean(data)
-    return math.sqrt(sum((x - mu) ** 2 for x in data) / (len(data) - 1))
-
-
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile, pct in [0, 100]."""
     if not values:

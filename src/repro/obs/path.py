@@ -41,13 +41,14 @@ SPAN_HANDLE = "controller.handle"
 SPAN_INSTALL = "ofa.install"
 
 
-def punt_begin(obs: Any, packet: Any, switch: str, in_port: int, reason: str) -> None:
-    """The data plane handed a packet to the OFA: open the journey span
-    and the OFA-queue stage."""
+def punt_begin(obs: Any, packet: Any, switch: str, in_port: int) -> None:
+    """A table miss handed a packet to the OFA: open the journey span
+    and the OFA-queue stage.  A miss is the only cause of a Packet-In,
+    so the span's ``reason`` is always ``no_match``."""
     tracer = obs.tracer
     track = f"switch:{switch}"
     pktin = tracer.begin(
-        SPAN_PACKET_IN, track=track, switch=switch, in_port=in_port, reason=reason)
+        SPAN_PACKET_IN, track=track, switch=switch, in_port=in_port, reason="no_match")
     packet.metadata[KEY_PKTIN] = pktin
     # Stage spans link back to their journey so the critical-path
     # analyzer can walk the DAG under each packet_in (obs/critpath).

@@ -72,19 +72,6 @@ class AlertRule:
         level = self.clear_level
         return value <= level if self.op == ">" else value >= level
 
-    def to_line(self) -> str:
-        """Render back to DSL form (parse/render round-trips)."""
-        parts = [f"{self.name}: {self.sli} {self.op} {self.threshold:g}"]
-        if self.for_s:
-            parts.append(f"for {self.for_s:g}")
-        if self.clear is not None:
-            parts.append(f"clear {self.clear:g}")
-        if self.detects:
-            parts.append("detects " + ",".join(self.detects))
-        if self.severity != "warning":
-            parts.append(f"severity {self.severity}")
-        return " ".join(parts)
-
 
 def _number(token: str, rule: str, key: str) -> float:
     try:

@@ -45,12 +45,12 @@ class Message:
 
 @dataclass
 class PacketIn(Message):
-    """Switch -> controller: a packet missed the tables (or was punted)."""
+    """Switch -> controller: a packet missed the tables (the only cause
+    of a Packet-In: the vSwitch raises one for each new flow, §5.2)."""
 
     datapath_id: str = ""
     packet: Optional[Packet] = None
     in_port: int = 0
-    reason: str = "no_match"
     #: Extra context: ``tunnel_id`` and ``inner_label`` when the packet
     #: arrived at a vSwitch over a Scotch tunnel (paper §5.2).
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -100,14 +100,12 @@ class FlowStatsRequest(Message):
 
 @dataclass
 class FlowStatsEntry:
-    """One rule's counters in a stats reply."""
+    """One rule's packet count in a stats reply: what the §5.3 migrator
+    reads to find elephants."""
 
     match: Match
-    priority: int
     table_id: int
     packets: int
-    bytes: int
-    duration: float
     cookie: Optional[object] = None
 
 
@@ -144,7 +142,6 @@ class SampleReport(Message):
     period: int = 1
     records: List[SampleRecord] = field(default_factory=list)
     window_start: float = 0.0
-    window_end: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -179,19 +176,12 @@ def wire_bytes(message: Message) -> int:
 
 @dataclass
 class FlowRemoved(Message):
-    """Switch -> controller: a rule expired (idle timeout) or was
-    deleted.  Lets the controller retire per-flow state (Flow Info
-    Database entries) when the flow itself is gone."""
+    """Switch -> controller: a rule idled out.  Carries the match the
+    controller retires its per-flow state (Flow Info Database entries)
+    by."""
 
     datapath_id: str = ""
     match: Optional["Match"] = None
-    priority: int = 0
-    table_id: int = 0
-    reason: str = "idle_timeout"
-    packets: int = 0
-    bytes: int = 0
-    duration: float = 0.0
-    cookie: Optional[object] = None
 
 
 @dataclass
@@ -200,9 +190,7 @@ class ErrorMessage(Message):
     with OFPFMFC_TABLE_FULL when the TCAM is exhausted, §3.3)."""
 
     datapath_id: str = ""
-    error_type: str = "flow_mod_failed"
     code: str = "table_full"
-    failed_xid: int = 0
 
 
 @dataclass
@@ -246,9 +234,9 @@ class RoleMod(Message):
 class RoleStatus(Message):
     """Switch -> controller: the switch's accepted (master, generation).
 
-    Sent in response to an applied RoleMod — the OFPT_ROLE_REPLY — and
-    the pool's switch-side ground truth for the single-master
-    invariant."""
+    Sent in response to an applied RoleMod — the OFPT_ROLE_REPLY.  The
+    pool does not read it: a handoff completes when the Barrier that
+    follows the RoleMod is acknowledged."""
 
     request_xid: int = 0
     datapath_id: str = ""

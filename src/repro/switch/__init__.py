@@ -11,7 +11,6 @@ in :mod:`repro.switch.profiles`.
 """
 
 from repro.switch.actions import (
-    Controller,
     Drop,
     GotoTable,
     Group,
@@ -35,7 +34,6 @@ from repro.switch.switch import OpenFlowSwitch, PhysicalSwitch, VSwitch
 
 __all__ = [
     "Bucket",
-    "Controller",
     "Drop",
     "FlowEntry",
     "FlowTable",

@@ -2,8 +2,8 @@
 
 Actions are plain data; :mod:`repro.switch.datapath` interprets them.
 The subset implemented is exactly what Scotch's pipelines need: output,
-punt-to-controller, group indirection, MPLS push/pop (tunnel + ingress
-labels), goto-table, and drop.
+group indirection, MPLS push/pop (tunnel + ingress labels), goto-table,
+and drop.  There is no punt action: every Packet-In is a table miss.
 """
 
 from __future__ import annotations
@@ -22,17 +22,6 @@ class Output(Action):
     """Forward out a specific port."""
 
     port_no: int
-
-
-@dataclass(frozen=True)
-class Controller(Action):
-    """Punt to the OFA for a Packet-In toward the controller.
-
-    ``reason`` is carried into the Packet-In (``"no_match"`` for table
-    misses, ``"action"`` for explicit punts).
-    """
-
-    reason: str = "action"
 
 
 @dataclass(frozen=True)

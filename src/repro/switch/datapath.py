@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 from repro.net.packet import MplsHeader, Packet
 from repro.switch.actions import (
     Action,
-    Controller,
     Drop,
     GotoTable,
     Group,
@@ -181,7 +180,7 @@ class Datapath:
             entry = tables[table_id].lookup(packet, in_port, now)
             if entry is None:
                 self.punted += 1
-                self.switch.ofa.punt(packet, in_port, reason="no_match")
+                self.switch.ofa.punt(packet, in_port)
                 return
             next_table = self.execute_actions(packet, entry.actions, in_port)
             if next_table is None:
@@ -210,9 +209,6 @@ class Datapath:
                 link = port.link  # Port.send, inlined
                 if link is not None:
                     link.transmit(packet)
-            elif kind is Controller:
-                self.punted += 1
-                self.switch.ofa.punt(packet, in_port, reason=action.reason)
             elif kind is Group:
                 group = self.groups.get(action.group_id)
                 if group is None:
@@ -222,8 +218,6 @@ class Datapath:
                 if bucket is None:
                     self.dropped_no_route += packet.count
                     return None
-                bucket.packets += packet.count
-                bucket.bytes += packet.size * packet.count
                 return self.execute_actions(packet, bucket.actions, in_port)
             elif kind is PushMpls:
                 packet.push(MplsHeader(action.label))

@@ -44,7 +44,8 @@ class TableFullError(Exception):
 
 
 class FlowEntry:
-    """One rule: match + priority + action list + idle timeout + counters."""
+    """One rule: match + priority + action list + idle timeout + packet
+    count."""
 
     __slots__ = (
         "entry_id",
@@ -52,10 +53,8 @@ class FlowEntry:
         "priority",
         "actions",
         "idle_timeout",
-        "installed_at",
         "last_hit_at",
         "packets",
-        "bytes",
         "cookie",
         "notify_removal",
     )
@@ -66,7 +65,6 @@ class FlowEntry:
         priority: int,
         actions: List[Action],
         idle_timeout: float = 0.0,
-        installed_at: float = 0.0,
         cookie: Optional[object] = None,
         notify_removal: bool = False,
     ):
@@ -77,10 +75,9 @@ class FlowEntry:
         self.priority = priority
         self.actions = list(actions)
         self.idle_timeout = idle_timeout
-        self.installed_at = installed_at
-        self.last_hit_at = installed_at
+        #: Set to the install time by :meth:`FlowTable.insert`.
+        self.last_hit_at = 0.0
         self.packets = 0
-        self.bytes = 0
         self.cookie = cookie
         #: Emit a FlowRemoved toward the controller when this entry
         #: expires (the OpenFlow SEND_FLOW_REM flag).
@@ -116,11 +113,10 @@ class FlowTable:
         self._wild_general: List[FlowEntry] = []
         self.lookups = 0
         self.hits = 0
-        self.evictions = 0
-        #: Invoked with (entry, reason) whenever a timed-out entry is
-        #: evicted (lazily during lookup or by an expire() sweep); the
-        #: switch wires this to FlowRemoved generation.
-        self.on_expired: Optional[Callable[[FlowEntry, str], None]] = None
+        #: Invoked with the entry whenever a timed-out entry is evicted
+        #: (lazily during lookup or by an expire() sweep); the switch
+        #: wires this to FlowRemoved generation.
+        self.on_expired: Optional[Callable[[FlowEntry], None]] = None
 
     # ------------------------------------------------------------------
     # Size / contents
@@ -152,7 +148,6 @@ class FlowTable:
             self._remove_entry(existing)
         elif self.full:
             raise TableFullError(f"table {self.table_id} at capacity {self.capacity}")
-        entry.installed_at = now
         entry.last_hit_at = now
         if entry.match.has_five_tuple:
             self._indexed.setdefault(entry.match.five_tuple_key(), []).append(entry)
@@ -205,13 +200,12 @@ class FlowTable:
         expired = [e for e in self.entries() if e.expired(now)]
         for entry in expired:
             self._remove_entry(entry)
-            self.evictions += 1
             self._notify_expired(entry)
         return expired
 
     def _notify_expired(self, entry: FlowEntry) -> None:
         if self.on_expired is not None:
-            self.on_expired(entry, "idle_timeout")
+            self.on_expired(entry)
 
     def _find_same(self, match: Match, priority: int) -> Optional[FlowEntry]:
         if match.has_five_tuple:
@@ -284,7 +278,6 @@ class FlowTable:
                 idle = entry.idle_timeout
                 if idle > 0.0 and now - entry.last_hit_at >= idle:
                     self._remove_entry(entry)
-                    self.evictions += 1
                     self._notify_expired(entry)
                     continue
                 residual = entry.match.residual
@@ -340,8 +333,6 @@ class FlowTable:
 
         if best is not None:
             self.hits += 1
-            count = packet.count
             best.last_hit_at = now
-            best.packets += count
-            best.bytes += packet.size * count
+            best.packets += packet.count
         return best

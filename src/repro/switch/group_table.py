@@ -34,8 +34,6 @@ class Bucket:
 
     actions: List[Action]
     label: str = ""
-    packets: int = 0
-    bytes: int = 0
 
 
 class GroupEntry:

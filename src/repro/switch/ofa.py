@@ -104,7 +104,6 @@ class OpenFlowAgent:
 
         self.packet_ins_sent = 0
         self.packet_ins_dropped = 0
-        self.flow_removed_sent = 0
         self.installs_attempted = 0
         self.installs_succeeded = 0
         self.installs_failed = 0
@@ -140,14 +139,14 @@ class OpenFlowAgent:
     # ------------------------------------------------------------------
     # Data plane -> controller (Packet-In)
     # ------------------------------------------------------------------
-    def punt(self, packet: "Packet", in_port: int, reason: str) -> bool:
+    def punt(self, packet: "Packet", in_port: int) -> bool:
         """Queue a packet for Packet-In generation.  Returns False when
         the OFA queue overflowed (the packet, and with it the flow's
         setup chance, is lost)."""
         traced = self._obs.tracer.enabled
         if traced:
-            obs_path.punt_begin(self._obs, packet, self.switch.name, in_port, reason)
-        accepted = self.packet_in_server.submit((packet, in_port, reason))
+            obs_path.punt_begin(self._obs, packet, self.switch.name, in_port)
+        accepted = self.packet_in_server.submit((packet, in_port))
         if not accepted:
             self.packet_ins_dropped += 1
             if traced:
@@ -155,7 +154,7 @@ class OpenFlowAgent:
         return accepted
 
     def _emit_packet_in(self, item) -> None:
-        packet, in_port, reason = item
+        packet, in_port = item
         metadata = dict(packet.metadata)
         if packet.popped_labels:
             # Scotch two-label scheme (§5.2): outermost label was the
@@ -167,7 +166,6 @@ class OpenFlowAgent:
             datapath_id=self.switch.name,
             packet=packet,
             in_port=in_port,
-            reason=reason,
             metadata=metadata,
         )
         self.packet_ins_sent += 1
@@ -281,13 +279,7 @@ class OpenFlowAgent:
             # TCAM-bottleneck mitigation depends on the controller
             # seeing it.
             self.channel.send_to_controller(
-                ErrorMessage(
-                    datapath_id=self.switch.name,
-                    error_type="flow_mod_failed",
-                    code="table_full",
-                    failed_xid=message.xid,
-                )
-            )
+                ErrorMessage(datapath_id=self.switch.name, code="table_full"))
             return
         self.installs_succeeded += 1
         self._obs.tracer.end(span, outcome="committed")
@@ -316,12 +308,8 @@ class OpenFlowAgent:
         # leader cannot roll the mastership back.
         if message.generation <= self.role_generation and self.master_id is not None:
             self.stale_role_mods += 1
-            self.channel.send_to_controller(ErrorMessage(
-                datapath_id=self.switch.name,
-                error_type="role_request_failed",
-                code="role_stale",
-                failed_xid=message.xid,
-            ))
+            self.channel.send_to_controller(
+                ErrorMessage(datapath_id=self.switch.name, code="role_stale"))
             return
         self.role_generation = message.generation
         self.master_id = message.master_id
@@ -348,11 +336,8 @@ class OpenFlowAgent:
                 entries.append(
                     FlowStatsEntry(
                         match=rule.match,
-                        priority=rule.priority,
                         table_id=table.table_id,
                         packets=rule.packets,
-                        bytes=rule.bytes,
-                        duration=self.sim.now - rule.installed_at,
                         cookie=rule.cookie,
                     )
                 )
@@ -364,22 +349,11 @@ class OpenFlowAgent:
     # ------------------------------------------------------------------
     # Rule expiry notifications
     # ------------------------------------------------------------------
-    def notify_flow_removed(self, entry, reason: str, table_id: int) -> None:
-        """Called by the datapath's tables when a flagged rule expires."""
+    def notify_flow_removed(self, entry) -> None:
+        """Called by the datapath's tables when a flagged rule idles out."""
         if not entry.notify_removal or not self.switch.alive:
             return
-        message = FlowRemoved(
-            datapath_id=self.switch.name,
-            match=entry.match,
-            priority=entry.priority,
-            table_id=table_id,
-            reason=reason,
-            packets=entry.packets,
-            bytes=entry.bytes,
-            duration=self.sim.now - entry.installed_at,
-            cookie=entry.cookie,
-        )
-        self.flow_removed_sent += 1
+        message = FlowRemoved(datapath_id=self.switch.name, match=entry.match)
         self.sim.schedule(_CHEAP_MESSAGE_DELAY, self.channel.send_to_controller, message)
 
     # ------------------------------------------------------------------

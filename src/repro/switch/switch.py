@@ -16,7 +16,6 @@ reactive load.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.node import Node
@@ -61,7 +60,7 @@ class OpenFlowSwitch(Node):
         self.channel = ControlChannel(sim, name, latency)
         self.ofa = OpenFlowAgent(sim, self, self.channel)
         for table in self.datapath.tables:
-            table.on_expired = partial(self.ofa.notify_flow_removed, table_id=table.table_id)
+            table.on_expired = self.ofa.notify_flow_removed
         self._sweep_timer = PeriodicTimer(sim, self.EXPIRY_SWEEP_INTERVAL, self._sweep)
         self._sweep_timer.start()
         # Table-0 (TCAM on hardware) occupancy — the §3.3 bottleneck.

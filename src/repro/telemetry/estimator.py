@@ -3,18 +3,17 @@
 Standard 1-in-N inversion (Duffield et al., and the NetFlow literature
 cited in PAPERS.md): a flow observed ``s`` times under period-``N``
 sampling is estimated at ``s * N`` packets.  For random/systematic
-sampling the estimator variance is ``s * N * (N - 1)``, giving the
-95% confidence half-width ``1.96 * sqrt(s * N * (N - 1))`` reported on
-each estimate.  Relative error shrinks as the flow grows — exactly the
-property elephant detection needs: a 200-packet elephant at 1-in-10
-yields ~20 samples (±~13% CI), while mice mostly never get sampled and
-cost the controller nothing.
+sampling the estimator variance is ``s * N * (N - 1)``, so the 95%
+confidence half-width is ``1.96 * sqrt(s * N * (N - 1))``.  Relative
+error shrinks as the flow grows — exactly the property elephant
+detection needs: a 200-packet elephant at 1-in-10 yields ~20 samples
+(±~13% CI), while mice mostly never get sampled and cost the controller
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,30 +37,12 @@ class FlowEstimate:
     def est_packets(self) -> int:
         return self.samples * self.period
 
-    @property
-    def est_bytes(self) -> int:
-        return self.sampled_bytes * self.period
-
-    @property
-    def ci95_packets(self) -> float:
-        """95% confidence half-width on ``est_packets``."""
-        return 1.96 * sqrt(self.samples * self.period * (self.period - 1))
-
-    @property
-    def relative_error(self) -> float:
-        """CI half-width as a fraction of the estimate (1.0 when empty)."""
-        if self.samples == 0:
-            return 1.0
-        return self.ci95_packets / self.est_packets
-
 
 class FlowEstimator:
     """Accumulates sample reports into per-(vSwitch, flow) estimates."""
 
     def __init__(self) -> None:
         self._by_dpid: Dict[str, Dict["FlowKey", FlowEstimate]] = {}
-        self.reports_ingested = 0
-        self.records_ingested = 0
 
     def ingest(self, dpid: str, report: "SampleReport", now: float) -> List[FlowEstimate]:
         """Fold one report in; returns the estimates it updated."""
@@ -83,8 +64,6 @@ class FlowEstimator:
             estimate.sampled_bytes += record.sampled_bytes
             estimate.last_seen = now
             updated.append(estimate)
-        self.reports_ingested += 1
-        self.records_ingested += len(report.records)
         return updated
 
     def get(self, dpid: str, key: "FlowKey") -> FlowEstimate:

@@ -122,7 +122,6 @@ class PacketSampler:
             period=self.period,
             records=records,
             window_start=self._window_start,
-            window_end=self.sim.now,
         )
         self._window_start = self.sim.now
         self.switch.channel.send_to_controller(report)

@@ -49,11 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import OpenFlowController
     from repro.net.topology import Network
 
-#: Priority stamped on synthetic stats entries (informational only —
-#: the migrator keys on cookie/table/match, never priority).
-ESTIMATE_PRIORITY = 0
-
-
 class SamplingStatsService:
     """Flow measurement in the controller, in the configured mode."""
 
@@ -182,11 +177,8 @@ class SamplingStatsService:
         entries = [
             FlowStatsEntry(
                 match=Match.for_flow(estimate.key),
-                priority=ESTIMATE_PRIORITY,
                 table_id=VSWITCH_FLOW_TABLE,
                 packets=estimate.est_packets,
-                bytes=estimate.est_bytes,
-                duration=now - estimate.first_seen,
                 cookie=OVERLAY_COOKIE,
             )
             for estimate in updated

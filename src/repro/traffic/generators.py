@@ -19,10 +19,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
     from repro.sim.engine import Simulator
 
+#: Destination port of every generated client flow (web traffic).
+DST_PORT = 80
+
+#: Multiplicative jitter of a client's inter-flow gap: each gap is
+#: drawn uniformly from ``[1 - JITTER, 1 + JITTER]`` times the mean.
+JITTER = 0.05
+
 
 def flow_key_sequence(
     dst_ip: str,
-    dst_port: int = 80,
     src_net: int = 20,
     source_pool: Optional[int] = None,
 ) -> Iterator[FlowKey]:
@@ -46,7 +52,7 @@ def flow_key_sequence(
         else:
             src_ip = make_ip(src_net, index % 65536)
             src_port = 1024 + (index // 65536) % 60000
-        yield FlowKey(src_ip, dst_ip, PROTO_TCP, src_port, dst_port)
+        yield FlowKey(src_ip, dst_ip, PROTO_TCP, src_port, DST_PORT)
         index += 1
 
 
@@ -67,17 +73,12 @@ class NewFlowSource:
         src_net: int = 20,
         sizes=None,
         rng_name: Optional[str] = None,
-        jitter: float = 0.05,
         source_pool: Optional[int] = None,
     ):
         if rate_fps <= 0:
             raise ValueError("flow rate must be positive")
-        if not 0 <= jitter < 1:
-            raise ValueError("jitter must be in [0, 1)")
         if source_pool is not None and source_pool < 1:
             raise ValueError("source_pool must be positive")
-        self.jitter = jitter
-        self.source_pool = source_pool
         self.sim = sim
         self.host = host
         self.rate_fps = rate_fps
@@ -100,10 +101,7 @@ class NewFlowSource:
         jitter — the OS scheduling noise real traffic tools exhibit —
         which prevents artificial phase locking between CBR sources and
         the OFA's deterministic service clock."""
-        gap = 1.0 / self.rate_fps
-        if self.jitter:
-            gap *= self._rng.uniform(1 - self.jitter, 1 + self.jitter)
-        return gap
+        return 1.0 / self.rate_fps * self._rng.uniform(1 - JITTER, 1 + JITTER)
 
     def _run(self):
         while self._stop_at is None or self.sim.now < self._stop_at:

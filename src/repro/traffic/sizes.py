@@ -64,7 +64,6 @@ class HeavyTailedSizes:
         if not 0 <= elephant_fraction <= 1:
             raise ValueError("elephant_fraction must be in [0, 1]")
         self.elephant_fraction = elephant_fraction
-        self.elephant_mean_pkts = elephant_mean_pkts
         # Pareto minimum chosen so the tail mean equals elephant_mean_pkts:
         # E[X] = alpha * xm / (alpha - 1).
         self._pareto_xm = elephant_mean_pkts * (PARETO_ALPHA - 1) / PARETO_ALPHA

@@ -17,7 +17,6 @@ from repro.faults import HTML
 from repro.obs.artifacts import (
     ARTIFACTS,
     artifacts_markdown,
-    inspect_sections,
     read_jsonl,
     sniff_kind,
 )
@@ -76,7 +75,7 @@ def test_every_kind_is_written_and_read_back(written, kind, capsys):
         out = capsys.readouterr().out
         # At least one table: a title, a header row, a rule of dashes.
         assert re.search(r"^-+(  -+)+\s*$", out, re.M), out
-        sections = inspect_sections(str(path))
+        sections = ARTIFACTS[kind].sections(str(path))
         assert out == render_text(sections) + "\n"
         assert any(isinstance(section, Table) for section in sections)
 

@@ -95,7 +95,6 @@ dep.sim.run(until=10.0)
 print(dep.edge.ofa.packet_ins_sent,
       dep.scotch.heartbeat.failures_detected,
       dep.servers[0].recv_tap.total_packets,
-      dep.servers[0].recv_tap.total_bytes,
       len(dep.servers[0].recv_tap.records),
       dep.edge.channel.to_switch_count,
       dep.edge.channel.to_controller_count)

@@ -19,7 +19,8 @@ from repro.cluster.pool import pool_grace
 from repro.core.config import ScotchConfig
 from repro.faults import run
 from repro.faults.plan import KINDS, POOL_KINDS, FaultEvent, FaultPlan
-from repro.openflow.messages import RoleMod, RoleStatus
+from repro.net.packet import Packet
+from repro.openflow.messages import PacketIn, RoleMod, RoleStatus
 from repro.sim.engine import Simulator
 
 
@@ -208,6 +209,37 @@ def test_orphaned_packet_ins_buffer_and_drain_to_new_master():
         assert victim not in owners
 
 
+def test_orphan_buffer_caps_each_switch_separately(monkeypatch):
+    """A burst at one orphaned switch evicts only that switch's oldest
+    Packet-Ins: another orphaned switch's buffer drains whole."""
+    monkeypatch.setattr("repro.cluster.pool.ORPHAN_BUFFER_LIMIT", 8)
+    dep = build()
+    dep.sim.run(until=3.0)
+    pool = dep.pool
+    victim = "c1"
+    victim_switches = sorted(d for d, m in pool.acked_master.items() if m == victim)
+    assert len(victim_switches) >= 2
+    quiet, flooded = victim_switches[:2]
+    pool.crash_member(victim)
+
+    def punt(dpid, index):
+        packet = Packet("10.9.0.1", "10.0.0.1", src_port=1000 + index, dst_port=80)
+        pool.packet_in(dpid, PacketIn(datapath_id=dpid, packet=packet, in_port=1))
+
+    for index in range(4):
+        punt(quiet, index)
+    for index in range(20):
+        punt(flooded, index)
+    dep.sim.run(until=3.0 + pool_grace(dep.config))
+    drained = {e["dpid"]: e["count"] for e in pool.events
+               if e["event"] == "orphan-drain"}
+    assert drained.get(quiet) == 4
+    assert drained.get(flooded) == 8
+    assert pool.orphan_dropped == 12
+    for dpid in (quiet, flooded):
+        assert pool.members[pool.acked_master[dpid]].alive
+
+
 def test_no_flow_setup_lost_or_double_installed_across_crash():
     dep = build()
     traffic = PoolTraffic(dep.sim, dep.switches, flows_per_switch=32)
@@ -244,7 +276,7 @@ def test_handled_plus_buffered_accounts_for_every_packet_in():
     dep.sim.run(until=10.0)
     pool = dep.pool
     handled = sum(m.packet_ins_handled for m in pool.members.values())
-    buffered = len(pool._orphan_buffer)
+    buffered = sum(map(len, pool._orphan_buffer.values()))
     assert pool.packet_ins_total == handled - pool.drained + pool.orphaned
     assert pool.orphaned == pool.drained + buffered + pool.orphan_dropped
 
@@ -354,7 +386,6 @@ def test_split_brain_partition_converges_after_heal():
 
 def test_pool_chaos_with_health_produces_scorecard():
     report = run("pool_chaos", seed=1, health=True)
-    assert report.health_enabled
     assert report.scorecard is not None
     names = set(report.scorecard.rules)
     assert "pool_member_down" in names

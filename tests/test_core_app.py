@@ -162,3 +162,35 @@ def test_every_config_field_has_a_setter():
     unset = sorted(f.name for f in dataclasses.fields(ScotchConfig)
                    if f.name not in set_by_keyword)
     assert unset == []
+
+
+def test_every_attribute_set_on_self_has_a_reader():
+    """State nothing reads is not kept.  Every attribute assigned on
+    ``self`` under src/repro is read somewhere in the package, the
+    examples, the benchmarks or the tests: as an attribute load on any
+    object, or as a string constant equal to its name (registry sources
+    such as ``metrics.counter(name, obj, "attr")``, names read through
+    ``getattr``, ``__slots__``).  ``self.x += 1`` writes, never reads."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    assigned = {}
+    read = set()
+    for folder in ("src", "examples", "benchmarks", "tests"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+                    elif (folder == "src" and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == "self"):
+                        where = f"{path.relative_to(root)}:{node.lineno}"
+                        assigned.setdefault(node.attr, where)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    unread = sorted(f"{name} ({where})" for name, where in assigned.items()
+                    if name not in read)
+    assert unread == []

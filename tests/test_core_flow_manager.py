@@ -95,7 +95,7 @@ class TestScheduler:
         # Overlay drain pulls the queue down to the threshold quickly;
         # the rate-R server has served none yet (rate=1).
         assert len(overlaid) == 17
-        assert s.port_backlog(1) == 3
+        assert s.ingress.total_backlog() == 3
 
     def test_overlay_disabled_no_drain(self):
         config = ScotchConfig(overlay_threshold=3, drop_threshold=100)

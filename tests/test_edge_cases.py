@@ -46,17 +46,18 @@ def test_flow_table_remove_uses_index_for_qualified_matches():
     assert len(table) == 1
 
 
-def test_flow_table_on_expired_receives_reason():
+def test_flow_table_on_expired_receives_entry():
     table = FlowTable()
     seen = []
-    table.on_expired = lambda entry, reason: seen.append(reason)
+    table.on_expired = seen.append
     from repro.net.flow import FlowKey
 
     key = FlowKey("1.1.1.1", "2.2.2.2", 6, 1, 2)
-    table.insert(FlowEntry(Match.for_flow(key), 100, [Drop()], idle_timeout=1.0), now=0.0)
+    idle = FlowEntry(Match.for_flow(key), 100, [Drop()], idle_timeout=1.0)
+    table.insert(idle, now=0.0)
     table.insert(FlowEntry(Match(dst_ip="3.3.3.3"), 100, [Drop()]), now=0.0)  # permanent
     table.expire(now=5.0)
-    assert seen == ["idle_timeout"]
+    assert seen == [idle]
     assert len(table) == 1
 
 

@@ -170,7 +170,6 @@ def health_report(chaos_report):
 @pytest.mark.chaos
 def test_default_plan_full_recall_and_zero_false_positives(health_report):
     card = health_report.scorecard
-    assert health_report.health_enabled
     assert card.recall == 1.0 and card.all_detected
     assert card.precision == 1.0 and card.clean
     assert set(card.classes) == {
@@ -219,7 +218,6 @@ def test_same_seed_gives_byte_identical_alert_timeline(health_report):
 @pytest.mark.chaos
 def test_health_engine_does_not_perturb_the_model(health_report, chaos_report):
     plain = chaos_report(1, health=False)
-    assert not plain.health_enabled
     assert plain.scorecard is None
     assert plain.fault_log_jsonl == health_report.fault_log_jsonl
     assert plain.failure_during_faults == health_report.failure_during_faults

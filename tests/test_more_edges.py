@@ -66,7 +66,7 @@ def test_tunnel_zero_pops_keeps_label_for_table1():
     net["s0"].datapath.execute_actions(packet, tunnel.entry_actions(net), in_port=1)
     sim.run(until=0.5)
     # Label retained through decapless terminal (GotoTable only).
-    assert packet.outer_mpls_label == tunnel.tunnel_id
+    assert packet.encap[-1].label == tunnel.tunnel_id
 
 
 def test_security_app_before_any_traffic_is_quiet():

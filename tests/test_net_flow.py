@@ -33,11 +33,7 @@ def test_flow_spec_validation():
 def test_flow_record_success_and_latency():
     record = FlowRecord(FlowKey("a", "b", 6, 1, 2))
     assert record.succeeded is False
-    assert record.setup_latency is None
     record.first_sent_at = 1.0
     record.first_received_at = 1.25
-    record.last_received_at = 3.0
     record.packets_received = 5
     assert record.succeeded is True
-    assert record.setup_latency == pytest.approx(0.25)
-    assert record.completion_time == pytest.approx(2.0)

@@ -26,7 +26,7 @@ def test_send_records_in_sent_tap():
     a.send(Packet("10.0.0.1", "10.0.0.2", src_port=1, dst_port=2))
     sim.run()
     assert a.sent_tap.total_packets == 0  # sent tap records sends, not receives
-    assert len(a.sent_tap.sent_flow_keys()) == 1
+    assert len(a.sent_tap.records) == 1
     assert b.recv_tap.total_packets == 1
 
 

@@ -22,9 +22,9 @@ def test_push_pop_lifo():
     packet = make_packet()
     packet.push(MplsHeader(7))
     packet.push(MplsHeader(9))
-    assert packet.outer_mpls_label == 9
+    assert packet.encap[-1].label == 9
     assert packet.pop() == MplsHeader(9)
-    assert packet.outer_mpls_label == 7
+    assert packet.encap[-1].label == 7
 
 
 def test_pop_empty_raises():
@@ -34,13 +34,13 @@ def test_pop_empty_raises():
 
 def test_wire_size_includes_encap_overhead():
     packet = make_packet(size=1000)
-    assert packet.wire_size == 1000
+    assert packet.wire_bits == 1000 * 8
     packet.push(MplsHeader(1))
-    assert packet.wire_size == 1000 + MPLS_OVERHEAD
+    assert packet.wire_bits == (1000 + MPLS_OVERHEAD) * 8
     packet.push(MplsHeader(2))
-    assert packet.wire_size == 1000 + 2 * MPLS_OVERHEAD
+    assert packet.wire_bits == (1000 + 2 * MPLS_OVERHEAD) * 8
     packet.pop()
-    assert packet.wire_size == 1000 + MPLS_OVERHEAD
+    assert packet.wire_bits == (1000 + MPLS_OVERHEAD) * 8
 
 
 def test_wire_bits_scales_with_count():

@@ -86,7 +86,8 @@ def test_path_delay_sums_edges():
         net.add(PhysicalSwitch(sim, name))
     net.link("a", "b", delay=0.1)
     net.link("b", "c", delay=0.2)
-    assert net.path_delay(["a", "b", "c"]) == pytest.approx(0.3)
+    net.link("a", "c", delay=0.35)
+    assert net.shortest_path("a", "c") == ["a", "b", "c"]  # 0.3 < 0.35
 
 
 def test_neighbors():

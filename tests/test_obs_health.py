@@ -140,9 +140,8 @@ def test_saturation_sli_per_entity_capacity():
         sim.schedule(0.25 * index + 0.05, bump)
     sim.run(until=1.0)
     engine.stop()
-    latest = engine.latest()
-    assert latest["sat_max"] == pytest.approx(0.8)
-    assert latest["sat_total"] == pytest.approx(180.0 / 500.0)
+    assert engine.series["sat_max"][-1][1] == pytest.approx(0.8)
+    assert engine.series["sat_total"][-1][1] == pytest.approx(180.0 / 500.0)
 
 
 def test_ratio_sli_reads_healthy_without_demand():
@@ -157,10 +156,10 @@ def test_ratio_sli_reads_healthy_without_demand():
     engine.start()
     sim.schedule(0.05, lambda: (generated.inc(100), delivered.inc(25)))
     sim.run(until=0.25)
-    assert engine.latest()["ratio"] == pytest.approx(0.25)
+    assert engine.series["ratio"][-1][1] == pytest.approx(0.25)
     sim.run(until=2.0)  # traffic over: demand under the floor -> healthy
     engine.stop()
-    assert engine.latest()["ratio"] == pytest.approx(1.0)
+    assert engine.series["ratio"][-1][1] == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------

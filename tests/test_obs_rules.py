@@ -39,11 +39,6 @@ def test_parse_minimal_rule_defaults():
     assert rule.clear_level == 5.0  # no hysteresis: clears at threshold
 
 
-def test_rules_round_trip_through_to_line():
-    for rule in builtin_rules():
-        assert parse_rule(rule.to_line()) == rule
-
-
 @pytest.mark.parametrize("line", [
     "no colon here",
     ": sli > 1",              # empty name

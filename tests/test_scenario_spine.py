@@ -63,7 +63,7 @@ def test_report_carries_shared_fields_and_measures(pool_report):
     assert report.faults_injected == 3 and len(report.fault_log) == 6
     assert report.fault_log_jsonl.count("\n") == 5
     assert report.invariant_checks > 0 and report.violations == []
-    assert report.health_enabled and report.scorecard is not None
+    assert report.scorecard is not None
     assert report.sli_series and report.truth
     assert not report.postmortem_enabled
     # Scenario measures read as attributes and as the dict.
@@ -76,7 +76,7 @@ def test_report_carries_shared_fields_and_measures(pool_report):
 def test_health_and_postmortem_only_observe():
     plain = run("pool_chaos", seed=2)
     watched = run("pool_chaos", seed=2, health=True, postmortem=True)
-    assert not plain.health_enabled and plain.scorecard is None
+    assert plain.scorecard is None
     assert watched.postmortem_enabled and watched.postmortems
     assert watched.fault_log_jsonl == plain.fault_log_jsonl
     assert watched.pool_events_jsonl == plain.pool_events_jsonl

@@ -208,7 +208,7 @@ def _run(schedule, mutation):
         else:
             sim.schedule_at(at + CRASH_OFFSET, getattr(sw, kind))
     sim.run()
-    table = [(repr(e.match), e.priority, e.packets, e.bytes, e.installed_at)
+    table = [(repr(e.match), e.priority, e.packets, e.last_hit_at)
              for e in datapath.table(0).entries()]
     return {
         "process_calls": calls,

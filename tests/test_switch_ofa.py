@@ -47,7 +47,7 @@ class TestPacketIn:
     def test_packet_in_rate_limited(self):
         sim, sw, inbox = build()
         for i in range(100):
-            sw.ofa.punt(Packet("1.1.1.1", "2.2.2.2", src_port=i, dst_port=80), 1, "no_match")
+            sw.ofa.punt(Packet("1.1.1.1", "2.2.2.2", src_port=i, dst_port=80), 1)
         sim.run(until=0.25)
         # 200 msg/s for 0.25 s -> ~50 Packet-Ins.
         packet_ins = [m for _, m in inbox if isinstance(m, PacketIn)]
@@ -57,14 +57,14 @@ class TestPacketIn:
         sim, sw, inbox = build()
         queue_cap = sw.profile.packet_in_queue
         for i in range(queue_cap + 200):
-            sw.ofa.punt(Packet("1.1.1.1", "2.2.2.2", src_port=i % 60000, dst_port=80), 1, "x")
+            sw.ofa.punt(Packet("1.1.1.1", "2.2.2.2", src_port=i % 60000, dst_port=80), 1)
         assert sw.ofa.packet_ins_dropped >= 150
 
     def test_packet_in_carries_context(self):
         sim, sw, inbox = build(IDEAL_SWITCH)
         packet = Packet("1.1.1.1", "2.2.2.2", src_port=7, dst_port=80)
         packet.popped_labels.extend([500, 600])
-        sw.ofa.punt(packet, 3, "no_match")
+        sw.ofa.punt(packet, 3)
         sim.run()
         _, message = inbox[0]
         assert message.in_port == 3

@@ -26,7 +26,8 @@ def test_minimum_sites_enforced():
 def test_wan_paths_carry_wan_delay():
     dep = build_wan_deployment(sites=3)
     path = dep.network.shortest_path("pop0", "pop1")
-    assert dep.network.path_delay(path) >= 10e-3
+    edges = dep.network.graph.edges
+    assert any(edges[u, v]["delay"] >= 10e-3 for u, v in zip(path, path[1:]))
 
 
 def test_scotch_protects_across_wan():
